@@ -49,7 +49,6 @@ class DriverSpec:
     rate_b: float = 0.0
     rate_c: float = 0.0
     rate_f: float = 0.0
-    rate_d: float = 0.0
     rate_i: float = 0.0
     rate_k: float = 0.0
     rate_tc: float = 0.0

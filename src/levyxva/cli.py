@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import os
 import sys
 import time
@@ -42,7 +43,6 @@ _SCHEMA = {
         "rate_b",
         "rate_c",
         "rate_f",
-        "rate_d",
         "rate_i",
         "rate_k",
         "rate_tc",
@@ -88,8 +88,15 @@ def _to_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
+def _to_float(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError("not a finite number")
+    return val
+
+
 def _to_float_list(raw: str) -> list:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    return [_to_float(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def _to_int_list(raw: str) -> list:
@@ -172,22 +179,22 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     _check_unknown(cp)
     rd = _Reader(cp)
 
-    b = rd.get("model", "b", float)
-    beta = rd.get("model", "beta", float, 0.0)
-    lam = rd.get("model", "lam", float, 0.0)
-    jump_m = rd.get("model", "m", float, 0.0)
-    delta = rd.get("model", "delta", float, 0.0)
-    c_level = rd.get("model", "c", float, 0.0)
-    rate = rd.get("model", "r", float)
-    x0 = rd.get("model", "x0", float, 0.0)
+    b = rd.get("model", "b", _to_float)
+    beta = rd.get("model", "beta", _to_float, 0.0)
+    lam = rd.get("model", "lam", _to_float, 0.0)
+    jump_m = rd.get("model", "m", _to_float, 0.0)
+    delta = rd.get("model", "delta", _to_float, 0.0)
+    c_level = rd.get("model", "c", _to_float, 0.0)
+    rate = rd.get("model", "r", _to_float)
+    x0 = rd.get("model", "x0", _to_float, 0.0)
     for key, val in (("b", b), ("lam", lam), ("delta", delta), ("c", c_level)):
         if val < 0.0:
             raise ConfigError(f"[model] {key} must be nonnegative, got {val}")
 
     J = rd.get("cos", "j", int, 256)
-    L = rd.get("cos", "l", float, 10.0)
-    theta1 = rd.get("cos", "theta1", float, 0.5)
-    theta2 = rd.get("cos", "theta2", float, 0.5)
+    L = rd.get("cos", "l", _to_float, 10.0)
+    theta1 = rd.get("cos", "theta1", _to_float, 0.5)
+    theta2 = rd.get("cos", "theta2", _to_float, 0.5)
     picard = rd.get("cos", "picard", int, 5)
     n_inner = rd.get("cos", "n", int, 10)
     m_dates = rd.get("cos", "m", int, 10)
@@ -203,9 +210,9 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         raise ConfigError("[cos] n and m must be at least 1")
 
     kind = rd.get("payoff", "kind", str)
-    strike = rd.get("payoff", "strike", float, 1.0)
-    notional = rd.get("payoff", "notional", float, 1.0)
-    maturity = rd.get("payoff", "maturity", float)
+    strike = rd.get("payoff", "strike", _to_float, 1.0)
+    notional = rd.get("payoff", "notional", _to_float, 1.0)
+    maturity = rd.get("payoff", "maturity", _to_float)
     if maturity <= 0.0:
         raise ConfigError(f"[payoff] maturity must be positive, got {maturity}")
     if kind.startswith("swaption"):
@@ -216,15 +223,14 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     mode = rd.get("driver", "mode", str, "simplified")
     if mode not in ("zero", "simplified", "full"):
         raise ConfigError(f"[driver] mode must be zero/simplified/full, got {mode!r}")
-    simplified_rate = rd.get("driver", "simplified_rate", float, None)
+    simplified_rate = rd.get("driver", "simplified_rate", _to_float, None)
     closeout = rd.get("driver", "closeout", str, "risky")
     drv_kwargs = {
-        key: rd.get("driver", key, float, 0.0)
+        key: rd.get("driver", key, _to_float, 0.0)
         for key in (
             "rate_b",
             "rate_c",
             "rate_f",
-            "rate_d",
             "rate_i",
             "rate_k",
             "rate_tc",
@@ -235,8 +241,8 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
             "margin_c2",
         )
     }
-    drv_kwargs["recovery_b"] = rd.get("driver", "recovery_b", float, 1.0)
-    drv_kwargs["recovery_c"] = rd.get("driver", "recovery_c", float, 1.0)
+    drv_kwargs["recovery_b"] = rd.get("driver", "recovery_b", _to_float, 1.0)
+    drv_kwargs["recovery_c"] = rd.get("driver", "recovery_c", _to_float, 1.0)
 
     mc_enabled = rd.get("mc", "enabled", _to_bool, False)
     mc_paths = rd.get("mc", "n_paths", int, 100_000)
@@ -254,7 +260,7 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     seed_val = seed if seed is not None else rd.get("job", "seed", int, 0)
     if not 0 <= seed_val < 2**64:
         raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed_val}")
-    widen_abs = rd.get("job", "widen_abs", float, 1e-3)
+    widen_abs = rd.get("job", "widen_abs", _to_float, 1e-3)
     x0_list = rd.get("job", "x0_list", _to_float_list, [x0])
     c_list = rd.get("job", "c_list", _to_float_list, [0.0, 0.1, 0.2])
     j_list = rd.get("job", "j_list", _to_int_list, [8, 16, 32, 64, 128, 256])

@@ -103,11 +103,6 @@ def newton_exercise_point(
     return x
 
 
-def _put_coeffs_capped(strike: float, grid: cosmod.CosGrid, upper: float) -> np.ndarray:
-    """Cosine coefficients of (K - e^x)^+ restricted to [a, upper]."""
-    return cosmod.put_payoff_coeffs(strike, grid, upper=upper).values
-
-
 def price_bermudan_cos(
     mdl: modelmod.ModelSpec,
     payoff: PayoffSpec,
@@ -148,7 +143,7 @@ def price_bermudan_cos(
         w = np.real(cf.eval(x) * phase)
         return disc * (w @ cosmod.halve_first(V))
 
-    V = notion * _put_coeffs_capped(strike, grid, grid.b)
+    V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=grid.b).values
     log_k = math.log(strike)
     x_up = min(max(log_k, grid.a), grid.b)
     warm = log_k
@@ -169,7 +164,7 @@ def price_bermudan_cos(
             cont += cosmod.m_matrix_product(
                 V, grid, x_star, grid.b, h, g[h], x0, method=method
             )
-        V = notion * _put_coeffs_capped(strike, grid, x_star) + disc * cont
+        V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star).values + disc * cont
         times.append(t_m)
         points.append(x_star)
         warm = x_star

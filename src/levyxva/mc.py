@@ -86,11 +86,26 @@ def _guard_band(mdl, T):
     return mdl.spot_x0 - spread, mdl.spot_x0 + spread
 
 
+def _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band):
+    """One Euler update from xk, given the jump intensity at xk, the jump
+    counts and the two normal draws; returns (x_{k+1}, hazard over dt)."""
+    m, d = mdl.jump_law.mean, mdl.jump_law.std
+    jumps = m * counts + d * np.sqrt(counts) * z2
+    x_next = np.clip(
+        xk
+        + modelmod.martingale_drift(mdl, t_k, xk) * dt
+        + mdl.sigma(t_k, xk) * math.sqrt(dt) * z
+        + jumps
+        - lam * m * dt,
+        band[0],
+        band[1],
+    )
+    return x_next, mdl.gamma(t_k, xk) * dt
+
+
 def _euler_block(mdl, T, steps, rng, n_paths, thinning, band=None):
     dt = T / steps
-    sq = math.sqrt(dt)
-    lo, hi = band if band is not None else _guard_band(mdl, T)
-    m, d = mdl.jump_law.mean, mdl.jump_law.std
+    band = band if band is not None else _guard_band(mdl, T)
     x = np.empty((n_paths, steps + 1))
     surv = np.empty((n_paths, steps + 1))
     x[:, 0] = mdl.spot_x0
@@ -105,17 +120,7 @@ def _euler_block(mdl, T, steps, rng, n_paths, thinning, band=None):
         counts = rng.poisson(np.minimum(lam * dt, 1e6))
         z = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
-        jumps = m * counts + d * np.sqrt(counts) * z2
-        x[:, k + 1] = np.clip(
-            xk
-            + modelmod.martingale_drift(mdl, t_k, xk) * dt
-            + mdl.sigma(t_k, xk) * sq * z
-            + jumps
-            - lam * m * dt,
-            lo,
-            hi,
-        )
-        haz = mdl.gamma(t_k, xk) * dt
+        x[:, k + 1], haz = _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band)
         surv[:, k + 1] = surv[:, k] * np.exp(-haz)
         if thinning:
             new_haz = cumhaz + haz
@@ -183,7 +188,6 @@ def simulate_crn_pair(
     batches and nearby models stay tightly coupled.
     """
     dt = T / steps
-    sq = math.sqrt(dt)
     lo_a, hi_a = _guard_band(mdl_a, T)
     lo_b, hi_b = _guard_band(mdl_b, T)
     band = (min(lo_a, lo_b), max(hi_a, hi_b))
@@ -201,20 +205,10 @@ def simulate_crn_pair(
         z2 = rng.standard_normal(n_paths)
         for arr, sv, mdl in zip(xs, survs, (mdl_a, mdl_b)):
             xk = arr[:, k]
-            m, d = mdl.jump_law.mean, mdl.jump_law.std
             lam = mdl.intensity_a(t_k, xk)
             counts = _poisson_icdf(u, np.minimum(lam * dt, 200.0))
-            jumps = m * counts + d * np.sqrt(counts) * z2
-            arr[:, k + 1] = np.clip(
-                xk
-                + modelmod.martingale_drift(mdl, t_k, xk) * dt
-                + mdl.sigma(t_k, xk) * sq * z
-                + jumps
-                - lam * m * dt,
-                band[0],
-                band[1],
-            )
-            sv[:, k + 1] = sv[:, k] * np.exp(-mdl.gamma(t_k, xk) * dt)
+            arr[:, k + 1], haz = _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band)
+            sv[:, k + 1] = sv[:, k] * np.exp(-haz)
     times = np.arange(steps + 1) * dt
     for arr, sv, mdl in zip(xs, survs, (mdl_a, mdl_b)):
         out.append(

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 import levyxva as lx
 from levyxva import bermudan, bsde
 
-from conftest import make_constant_model
+from conftest import make_benchmark_model, make_constant_model
 
 from test_cos import put_expectation_jumpdiff
 
@@ -160,6 +160,42 @@ class TestEuropeanLimit:
             strike, -0.1, T, **self.params
         )
         assert abs(res.value - want) < 1e-4
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            bsde.DriverSpec(mode="simplified", rate_r=0.05),
+            bsde.DriverSpec(
+                mode="full",
+                rate_r=0.05,
+                rate_b=0.07,
+                rate_c=0.09,
+                rate_f=0.06,
+                recovery_b=0.4,
+                recovery_c=0.6,
+                margin_c2=0.3,
+            ),
+        ],
+        ids=["simplified", "full-risky"],
+    )
+    def test_single_date_is_the_european_bsde_solve(self, driver):
+        mdl = make_benchmark_model(rate_r=0.05, c_default=0.1)
+        T, N, J = 0.5, 8, 128
+        pay = bermudan.PayoffSpec(kind="put", strike=1.1)
+        res = bermudan.price_bermudan_xva(
+            mdl, pay, bermudan.ExerciseSchedule(T, 1, N), driver, J=J
+        )
+        sol = bsde.solve_bsde(
+            mdl,
+            lambda x: bermudan.payoff_eval(pay, T, x),
+            lambda x: bermudan.payoff_dx(pay, T, x),
+            T,
+            bsde.BsdeGrid(N, T / N),
+            driver,
+            J=J,
+        )
+        assert res.value == pytest.approx(sol.value, rel=1e-12)
+        assert_allclose(res.y0, sol.y0, rtol=1e-12, atol=1e-14)
 
 
 class TestBermudanStructure:

@@ -111,6 +111,12 @@ class TestConfigErrors:
             ("job", "kind", "price-everything", "unknown job"),
             ("job", "seed", "-1", "unsigned 64-bit"),
             ("mc", "enabled", "perhaps", "[mc] enabled"),
+            ("model", "r", "nan", "[model] r = 'nan': not a finite number"),
+            ("model", "b", "inf", "[model] b = 'inf': not a finite number"),
+            ("payoff", "maturity", "inf", "[payoff] maturity = 'inf': not a finite number"),
+            ("cos", "theta2", "nan", "[cos] theta2 = 'nan': not a finite number"),
+            ("driver", "rate_b", "-inf", "[driver] rate_b = '-inf': not a finite number"),
+            ("job", "x0_list", "0.0, nan", "[job] x0_list = '0.0, nan': not a finite number"),
         ],
     )
     def test_rejected_values(self, tmp_path, capsys, section, key, value, needle):
