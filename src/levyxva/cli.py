@@ -263,6 +263,8 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     widen_abs = rd.get("job", "widen_abs", _to_float, 1e-3)
     x0_list = rd.get("job", "x0_list", _to_float_list, [x0])
     c_list = rd.get("job", "c_list", _to_float_list, [0.0, 0.1, 0.2])
+    if any(c < 0.0 for c in c_list):
+        raise ConfigError(f"[job] c_list entries must be nonnegative, got {c_list}")
     j_list = rd.get("job", "j_list", _to_int_list, [8, 16, 32, 64, 128, 256])
     n_list = rd.get("job", "n_list", _to_int_list, [1, 10, 20, 30])
     bench_n_list = rd.get("job", "bench_n_list", _to_int_list, [2, 4, 8])

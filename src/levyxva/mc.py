@@ -32,7 +32,11 @@ _HEADER = struct.Struct("<QQQ")
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated log-asset paths plus default information."""
+    """Simulated log-asset paths plus default information.
+
+    ``poisson_truncated`` counts the jump draws the CRN pair's inverse CDF
+    cut off at 201; ``simulate`` draws its counts exactly and leaves it 0.
+    """
 
     x: np.ndarray
     times: np.ndarray
@@ -41,6 +45,7 @@ class PathBatch:
     seed: int
     dt: float
     rate_r: float
+    poisson_truncated: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -51,23 +56,33 @@ class PathBatch:
         return self.x.shape[1] - 1
 
 
-def _poisson_icdf(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Smallest k with Poisson(mu) CDF >= u, vectorized (small mu regime)."""
+def _poisson_icdf(u: np.ndarray, mu: np.ndarray) -> tuple:
+    """Smallest k with Poisson(mu) CDF >= u for 1-D u and mu, by summing the
+    pmf recursively; returns (counts, number of truncated draws).
+
+    The caller caps mu at 200.  A draw still pending after k = 200 is
+    truncated to 201.  Each pass updates only the still-pending entries, so
+    the cost follows the count distribution rather than its largest draw;
+    every entry goes through the same operations as a full-array loop, so
+    the counts are identical to it.
+    """
     pmf = np.exp(-mu)
-    cdf = pmf.copy()
     counts = np.zeros(u.shape, dtype=np.int64)
+    idx = np.flatnonzero(u > pmf)
+    u, mu, pmf = u[idx], mu[idx], pmf[idx]
+    cdf = pmf
     k = 0
-    pending = u > cdf
-    while np.any(pending):
+    while idx.size:
         k += 1
         if k > 200:
-            counts[pending] = k
-            break
+            counts[idx] = k
+            return counts, idx.size
         pmf = pmf * mu / k
         cdf = cdf + pmf
-        counts[pending] = k
-        pending = u > cdf
-    return counts
+        counts[idx] = k
+        keep = u > cdf
+        idx, u, mu, pmf, cdf = idx[keep], u[keep], mu[keep], pmf[keep], cdf[keep]
+    return counts, 0
 
 
 def _guard_band(mdl, T):
@@ -185,7 +200,8 @@ def simulate_crn_pair(
 
     Jump counts come from the shared uniforms by inverse transform under
     each leg's own intensity, so identical models give bitwise-identical
-    batches and nearby models stay tightly coupled.
+    batches and nearby models stay tightly coupled.  Each batch's
+    ``poisson_truncated`` counts its draws cut off at 201 jumps.
     """
     dt = T / steps
     lo_a, hi_a = _guard_band(mdl_a, T)
@@ -195,6 +211,7 @@ def simulate_crn_pair(
     out = []
     xs = [np.empty((n_paths, steps + 1)) for _ in range(2)]
     survs = [np.empty((n_paths, steps + 1)) for _ in range(2)]
+    truncated = [0, 0]
     for arr, sv, mdl in zip(xs, survs, (mdl_a, mdl_b)):
         arr[:, 0] = mdl.spot_x0
         sv[:, 0] = 1.0
@@ -203,14 +220,15 @@ def simulate_crn_pair(
         u = rng.random(n_paths)
         z = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
-        for arr, sv, mdl in zip(xs, survs, (mdl_a, mdl_b)):
+        for leg, (arr, sv, mdl) in enumerate(zip(xs, survs, (mdl_a, mdl_b))):
             xk = arr[:, k]
             lam = mdl.intensity_a(t_k, xk)
-            counts = _poisson_icdf(u, np.minimum(lam * dt, 200.0))
+            counts, cut = _poisson_icdf(u, np.minimum(lam * dt, 200.0))
+            truncated[leg] += cut
             arr[:, k + 1], haz = _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band)
             sv[:, k + 1] = sv[:, k] * np.exp(-haz)
     times = np.arange(steps + 1) * dt
-    for arr, sv, mdl in zip(xs, survs, (mdl_a, mdl_b)):
+    for arr, sv, mdl, cut in zip(xs, survs, (mdl_a, mdl_b), truncated):
         out.append(
             PathBatch(
                 x=arr,
@@ -220,6 +238,7 @@ def simulate_crn_pair(
                 seed=seed,
                 dt=dt,
                 rate_r=mdl.rate_r,
+                poisson_truncated=cut,
             )
         )
     return out[0], out[1]

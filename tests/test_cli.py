@@ -117,6 +117,7 @@ class TestConfigErrors:
             ("cos", "theta2", "nan", "[cos] theta2 = 'nan': not a finite number"),
             ("driver", "rate_b", "-inf", "[driver] rate_b = '-inf': not a finite number"),
             ("job", "x0_list", "0.0, nan", "[job] x0_list = '0.0, nan': not a finite number"),
+            ("job", "c_list", "-0.1, 0.0", "[job] c_list entries must be nonnegative"),
         ],
     )
     def test_rejected_values(self, tmp_path, capsys, section, key, value, needle):

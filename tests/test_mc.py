@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 import levyxva as lx
 from levyxva import bermudan, bsde, charfunc, mc, model
@@ -143,12 +144,87 @@ class TestEstimateCharfunc:
         assert np.all(np.abs(est - want) < 5.0 * np.maximum(se, 1e-12))
 
 
+def _full_array_poisson_icdf(u, mu):
+    """Reference inverse CDF that iterates over every entry until the last
+    one settles, truncating at 201 like the engine."""
+    pmf = np.exp(-mu)
+    cdf = pmf.copy()
+    counts = np.zeros(u.shape, dtype=np.int64)
+    k = 0
+    pending = u > cdf
+    while np.any(pending):
+        k += 1
+        if k > 200:
+            counts[pending] = k
+            break
+        pmf = pmf * mu / k
+        cdf = cdf + pmf
+        counts[pending] = k
+        pending = u > cdf
+    return counts
+
+
+class TestPoissonIcdf:
+    def test_matches_full_array_loop_exactly(self):
+        rng = np.random.default_rng(2024)
+        n = 100_000
+        u = rng.random(n)
+        mu = np.minimum(rng.uniform(0.0, 300.0, n), 200.0)
+        mu[:500] = 0.0
+        # Uniforms sitting exactly on the CDF at k = 3 pin the strict
+        # comparison: the count is the smallest k with CDF >= u.
+        edge = slice(500, 600)
+        pmf = np.exp(-mu[edge])
+        cdf = pmf.copy()
+        for k in range(1, 4):
+            pmf = pmf * mu[edge] / k
+            cdf = cdf + pmf
+        u[edge] = cdf
+        counts, truncated = mc._poisson_icdf(u, mu)
+        want = _full_array_poisson_icdf(u, mu)
+        assert counts.dtype == want.dtype
+        assert np.array_equal(counts, want)
+        assert truncated == np.count_nonzero(want == 201) > 0
+        assert np.all(counts[:500] == 0)
+        assert np.all(counts[edge] == 3)
+        counts, truncated = mc._poisson_icdf(np.empty(0), np.empty(0))
+        assert counts.shape == (0,) and counts.dtype == np.int64
+        assert truncated == 0
+
+    def test_matches_scipy_ppf_for_moderate_means(self):
+        rng = np.random.default_rng(2025)
+        n = 100_000
+        u = rng.random(n)
+        mu = rng.uniform(0.0, 30.0, n)
+        counts, truncated = mc._poisson_icdf(u, mu)
+        want = stats.poisson.ppf(u, mu).astype(np.int64)
+        assert truncated == 0
+        off = np.flatnonzero(counts != want)
+        # The recursive pmf sum may only disagree with the exact CDF when
+        # u sits within rounding of a CDF step.
+        edge = stats.poisson.cdf(np.minimum(counts, want)[off], mu[off])
+        assert np.all(np.abs(u[off] - edge) < 1e-12)
+
+
 class TestCrnPair:
     def test_same_model_gives_identical_paths(self):
         mdl = make_constant_model(0.2, 0.3, -0.1, 0.2, 0.05, 0.0)
         a, b = mc.simulate_crn_pair(mdl, mdl, 0.5, 4, 200, seed=3)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.survival, b.survival)
+
+    def test_truncated_draws_are_counted(self):
+        # a dt = 1000 x 0.25 = 250 is capped at 200, so a draw is cut off at
+        # 201 jumps with probability P(Poisson(200) > 200).
+        mdl = make_constant_model(0.2, 1000.0, 0.0, 0.0, 0.05, 0.0)
+        steps, n = 2, 2_000
+        a, b = mc.simulate_crn_pair(mdl, mdl, 0.5, steps, n, seed=4)
+        assert a.poisson_truncated == b.poisson_truncated
+        p = stats.poisson.sf(200, 200.0)
+        draws = steps * n
+        se = math.sqrt(p * (1.0 - p) / draws)
+        assert abs(a.poisson_truncated / draws - p) < 5.0 * se
+        assert mc.simulate(mdl, 0.5, steps, n, seed=4).poisson_truncated == 0
 
     def test_common_noise_couples_the_legs(self, model_put_riskfree):
         risky = model_put_riskfree.with_default(
@@ -217,6 +293,7 @@ class TestLsm:
         sched = bermudan.ExerciseSchedule(0.5, 2, 2)
         est, (lo, hi) = mc.lsm_cva(a, b, pay, sched)
         assert est == 0.0 and lo == 0.0 and hi == 0.0
+        assert a.poisson_truncated == b.poisson_truncated == 0
 
     def test_cva_estimate_brackets_fast_path(self, model_put_riskfree):
         from levyxva import cva as cvamod
