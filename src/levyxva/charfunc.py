@@ -24,7 +24,7 @@ form because the coefficients are time-homogeneous.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,10 @@ _TRUST = 0.5
 # recursion within ~(1.05)^M of the order-0 baseline in the worst case
 # while still letting the low-frequency corrections through.
 _TRUST_SPAN = 0.05
+# Bytes of one (rows, J) complex temporary in a vector-basepoint build: 64
+# node rows at J = 256.  A block's temporaries stay in cache, and the
+# allocator recycles them instead of faulting in fresh pages.
+_BLOCK_BYTES = 1 << 18
 
 
 def _lift(row: np.ndarray) -> np.ndarray:
@@ -82,15 +86,39 @@ def _symbol(taylor: TaylorData, h: int, xi: np.ndarray) -> np.ndarray:
     )
 
 
-def _symbol_dxi(taylor: TaylorData, h: int, xi: np.ndarray) -> np.ndarray:
-    _, dnu, _ = _jump_transform(xi, taylor.jump_mean, taylor.jump_std)
-    s, mu, a = _lift(taylor.s[h]), _lift(taylor.mu[h]), _lift(taylor.a[h])
-    return 1j * mu - 2.0 * s * xi + a * (dnu - 1j * taylor.jump_mean)
+def _frequency_factors(xi: np.ndarray, m: float, d: float) -> np.ndarray:
+    """F[k] such that psi_h^(k)(xi) = (mu_h, s_h, gamma_h, a_h) @ F[k].
+
+    Each symbol is linear in its coefficient row, so it and its first two
+    xi-derivatives are rank-4 products with these frequency vectors.
+    """
+    nu, dnu, d2nu = _jump_transform(xi, m, d)
+    F = np.zeros((3, 4, xi.size), dtype=complex)
+    F[0, 0], F[0, 1], F[0, 2], F[0, 3] = 1j * xi, -(xi**2), -1.0, nu - 1.0 - 1j * m * xi
+    F[1, 0], F[1, 1], F[1, 3] = 1j, -2.0 * xi, dnu - 1j * m
+    F[2, 1], F[2, 3] = -2.0, d2nu
+    return F
 
 
-def _symbol_d2xi(taylor: TaylorData, h: int, xi: np.ndarray) -> np.ndarray:
-    _, _, d2nu = _jump_transform(xi, taylor.jump_mean, taylor.jump_std)
-    return -2.0 * _lift(taylor.s[h]) + _lift(taylor.a[h]) * d2nu
+def _coeff_rows(taylor: TaylorData, h: int) -> np.ndarray:
+    """Order-h rows (mu_h, s_h, gamma_h, a_h), one per basepoint: (points, 4)."""
+    rows = (taylor.mu[h], taylor.s[h], taylor.gamma[h], taylor.a[h])
+    return np.stack(rows, axis=-1).reshape(-1, 4)
+
+
+def _row_block(taylor: TaylorData, rows: slice) -> TaylorData:
+    """The Taylor data of a block of vector basepoints; a scalar basepoint is
+    its own single block."""
+    if not taylor.basepoint.ndim:
+        return taylor
+    return replace(
+        taylor,
+        basepoint=taylor.basepoint[rows],
+        s=taylor.s[:, rows],
+        mu=taylor.mu[:, rows],
+        a=taylor.a[:, rows],
+        gamma=taylor.gamma[:, rows],
+    )
 
 
 def cumulants(taylor: TaylorData, t: float, T: float):
@@ -120,8 +148,7 @@ class CharFuncApprox:
 
     ``g[k]`` has shape (J,) for a scalar basepoint and (n_points, J) for a
     vector basepoint (one expansion per point).  ``eval`` reconstructs
-    Gamma_n(t, x; T, xi) for a scalar basepoint; ``diagonal`` returns the
-    x = xbar values where only g[0] survives.
+    Gamma_n(t, x; T, xi) for a scalar basepoint.
     """
 
     order: int
@@ -145,12 +172,6 @@ class CharFuncApprox:
             acc = acc + dx**k * self.g[k]
         out = np.exp(1j * self.freqs * x[..., None]) * acc
         return out.reshape(x.shape + self.freqs.shape)
-
-    def diagonal(self) -> np.ndarray:
-        """Gamma_n(t, xbar_i; T, xi_j) = e^{i xi_j xbar_i} g[0][i, j]."""
-        phase = np.exp(1j * np.multiply.outer(np.atleast_1d(self.basepoint), self.freqs))
-        g0 = np.atleast_2d(self.g[0])
-        return phase * g0
 
 
 def build_order0(taylor: TaylorData, t: float, T: float, freqs) -> CharFuncApprox:
@@ -200,6 +221,16 @@ def build_order_n(
     per step).  The default span of 0 applies the test only to the zeroth
     factor, appropriate when the kernel is evaluated at the basepoint
     itself.
+
+    Each symbol is linear in its Taylor row, psi_h = (mu_h, s_h, gamma_h,
+    a_h) . (i xi, -xi^2, -1, nuhat - 1 - i m xi), and so are its
+    xi-derivatives; all of them come from one small real matrix product
+    per order h.  A vector basepoint is built in blocks of node rows sized
+    so that each (rows, J) temporary stays near _BLOCK_BYTES (64 rows at
+    J = 256) and the block's working set stays in cache; a scalar
+    basepoint is a single block.  psi_0 and E are evaluated exactly as in
+    ``levy_symbol_psi``, so fallback entries equal
+    exp(tau * levy_symbol_psi) bit for bit.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"approximation order must be in 0..{MAX_ORDER}")
@@ -210,44 +241,48 @@ def build_order_n(
     if order == 0:
         return build_order0(taylor, t, T, xi)
 
-    p0 = _symbol(taylor, 0, xi)
-    dp0 = _symbol_dxi(taylor, 0, xi)
-    p1 = _symbol(taylor, 1, xi)
-    base = np.exp(tau * p0)
-    f10 = 1.0 - 0.5j * tau**2 * p1 * dp0
-    if order == 1:
-        f11 = tau * p1
-        bad = np.abs(f10 - 1.0) > _TRUST
+    F = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
+    # The xi-derivatives of psi_h that the coefficients read, per order h.
+    derivs = ((1,), (0,)) if order == 1 else ((1, 2), (0, 1), (0,))
+    panels = [np.concatenate(F[list(ks)], axis=-1).view(float) for ks in derivs]
+    rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
+    n, J = rows[0].shape[0], xi.size
+    g = np.empty((order + 1, n, J), dtype=complex)
+    step = max(1, _BLOCK_BYTES // g[0, 0].nbytes)
+    for lo in range(0, n, step):
+        blk = slice(lo, lo + step)
+        p0 = _symbol(_row_block(taylor, blk), 0, xi)
+        base = np.exp(tau * p0)
+        # Real coefficient rows times the real view of the complex panels.
+        sym = [
+            np.split((r[blk] @ w).view(complex), len(ks), axis=-1)
+            for r, w, ks in zip(rows, panels, derivs)
+        ]
+        # corr[0] = g_{n,0}/E - 1 and corr[h] = g_{n,h}/E for h >= 1.
+        if order == 1:
+            (dp0,), (p1,) = sym
+            corr = [-0.5j * tau**2 * p1 * dp0, tau * p1]
+        else:
+            (dp0, d2p0), (p1, dp1), (p2,) = sym
+            # psi_1^2, psi_1 psi_0' and psi_2 psi_0' serve all three rows;
+            # psi_0'^2 psi_1^2 = (psi_1 psi_0')^2.
+            q, u, w = p1 * p1, p1 * dp0, p2 * dp0
+            corr = [
+                (-0.5j * tau**2 - tau**3 / 6.0 * dp1 - tau**4 / 8.0 * u) * u
+                - (tau**3 / 6.0 * q + 0.5 * tau**2 * p2) * d2p0
+                - tau**3 / 3.0 * w * dp0,
+                tau * p1 - 1j * tau**2 * (0.5 * p1 * (tau * u + dp1) + w),
+                0.5 * tau**2 * q + tau * p2,
+            ]
+        bad = np.abs(corr[0]) > _TRUST
         if span > 0.0:
-            bad |= span * np.abs(f11) > _TRUST_SPAN
-        g10 = np.where(bad, 1.0, f10) * base
-        g11 = np.where(bad, 0.0, f11) * base
-        return CharFuncApprox(1, taylor.basepoint, t, T, xi, (g10, g11))
-
-    d2p0 = _symbol_d2xi(taylor, 0, xi)
-    dp1 = _symbol_dxi(taylor, 1, xi)
-    p2 = _symbol(taylor, 2, xi)
-    f22 = 0.5 * tau**2 * p1**2 + tau * p2
-    f21 = (
-        tau * p1
-        - 0.5j * tau**3 * dp0 * p1**2
-        - 0.5j * tau**2 * p1 * dp1
-        - 1j * tau**2 * p2 * dp0
-    )
-    f20 = (
-        1.0
-        - 0.5j * tau**2 * p1 * dp0
-        - tau**4 / 8.0 * dp0**2 * p1**2
-        - tau**3 / 6.0 * dp0 * p1 * dp1
-        - tau**3 / 6.0 * p1**2 * d2p0
-        - tau**3 / 3.0 * p2 * dp0**2
-        - 0.5 * tau**2 * p2 * d2p0
-    )
-    bad = np.abs(f20 - 1.0) > _TRUST
-    if span > 0.0:
-        bad |= span * np.abs(f21) > _TRUST_SPAN
-        bad |= span**2 * np.abs(f22) > _TRUST_SPAN
-    g20 = np.where(bad, 1.0, f20) * base
-    g21 = np.where(bad, 0.0, f21) * base
-    g22 = np.where(bad, 0.0, f22) * base
-    return CharFuncApprox(2, taylor.basepoint, t, T, xi, (g20, g21, g22))
+            for h in range(1, order + 1):
+                bad |= span**h * np.abs(corr[h]) > _TRUST_SPAN
+        for c in corr:
+            c[bad] = 0.0
+        corr[0] += 1.0
+        for h, c in enumerate(corr):
+            np.multiply(c, base, out=g[h, blk])
+    if not taylor.basepoint.ndim:
+        g = g[:, 0]
+    return CharFuncApprox(order, taylor.basepoint, t, T, xi, tuple(g))

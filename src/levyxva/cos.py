@@ -17,6 +17,7 @@ site; node values from the midpoint rule carry uniform weights.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,24 +119,46 @@ class StepKernel:
 
     E_n[h](x_i)          ~ psi    @ halve_first(H)
     E_n[h dW](x_i) / (dt sigma(x_i)) ~ psi_dw @ halve_first(H)
+
+    On the midpoint nodes the phase of a node expansion is
+    e^{i xi_j (x_i - a)} with xi_j (x_i - a) = pi j (2i + 1) / (2J), the
+    same table for every interval [a, b] with J modes (``_node_phase``).
     """
 
     psi: np.ndarray
     psi_dw: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def _node_phase(J: int) -> np.ndarray:
+    """Read-only table e^{i xi_j (x_i - a)} = e^{i pi j (2i + 1) / (2J)}.
+
+    Rows are the midpoint nodes x_i, columns the frequencies xi_j.  The
+    entries are the 4J-th roots of unity at index j (2i + 1) mod 4J, so
+    the table is exact to rounding of the roots and depends on J alone.
+    """
+    roots = np.exp(1j * (0.5 * math.pi / J) * np.arange(4 * J))
+    table = roots[np.multiply.outer(2 * np.arange(J) + 1, np.arange(J)) % (4 * J)]
+    table.setflags(write=False)
+    return table
+
+
 def step_kernel(cf: CharFuncApprox, grid: CosGrid) -> StepKernel:
     """Expectation weights from a characteristic function expanded at the
-    grid nodes (vector basepoint) or evaluated there (scalar basepoint)."""
+    grid nodes (vector basepoint) or evaluated there (scalar basepoint).
+
+    A node expansion reduces to g[0] at its own node, so its weights are
+    Re(g[0] * _node_phase(J)) with no exponential to evaluate, and both
+    arrays come back C-contiguous for the step's matrix-vector products.
+    A scalar basepoint is the point kernel at the nodes.
+    """
     _check_shared(grid, cf)
-    if cf.basepoint.ndim:
-        if cf.basepoint.shape != (grid.J,) or not np.allclose(cf.basepoint, grid.nodes):
-            raise ValueError("vector-basepoint kernel must expand at the grid nodes")
-        gam = cf.diagonal()
-    else:
-        gam = cf.eval(grid.nodes)
-    weighted = gam * np.exp(-1j * grid.freqs * grid.a)
-    return StepKernel(psi=np.real(weighted), psi_dw=np.real(1j * grid.freqs * weighted))
+    if not cf.basepoint.ndim:
+        return point_kernel(cf, grid, grid.nodes)
+    if cf.basepoint.shape != (grid.J,) or not np.allclose(cf.basepoint, grid.nodes):
+        raise ValueError("vector-basepoint kernel must expand at the grid nodes")
+    weighted = cf.g[0] * _node_phase(grid.J)
+    return StepKernel(psi=weighted.real.copy(), psi_dw=-grid.freqs * weighted.imag)
 
 
 def point_kernel(cf: CharFuncApprox, grid: CosGrid, x_points) -> StepKernel:

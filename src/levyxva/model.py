@@ -30,6 +30,12 @@ import numpy as np
 _FAMILY_KINDS = ("zero", "const", "exp")
 
 
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class CoeffFamily:
     """State-dependent coefficient g(x) = level * exp(slope * x).
@@ -47,6 +53,7 @@ class CoeffFamily:
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        _require_finite(self, "level", "slope")
 
     @staticmethod
     def zero() -> "CoeffFamily":
@@ -102,6 +109,7 @@ class JumpLaw:
     std: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "mean", "std")
         if self.std < 0.0:
             raise ValueError("jump std must be nonnegative")
 
@@ -127,9 +135,11 @@ class ModelSpec:
     spot_x0: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "rate_r", "spot_x0")
+        # A negative vol level would silently price as its absolute value:
+        # the expansion only sees sigma^2.
         for name in ("vol", "jump_intensity", "default_intensity"):
-            fam = getattr(self, name)
-            if fam.level < 0.0 and name != "vol":
+            if getattr(self, name).level < 0.0:
                 raise ValueError(f"{name} level must be nonnegative")
 
     def sigma(self, t, x):

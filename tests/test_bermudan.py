@@ -238,6 +238,7 @@ class TestBermudanStructure:
         assert res.grid.J == 64
         assert res.delta is None and res.gamma is None
         assert res.timings["total"] >= res.timings["backward"] > 0.0
+        assert 0.0 < res.timings["kernel"] <= res.timings["total"]
         assert res.config["M"] == 2 and res.config["N"] == 4
         assert res.y0.shape == (64,)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import levyxva as lx
-from levyxva import charfunc, mc, model
+from levyxva import bsde, charfunc, mc, model
 
 from conftest import make_benchmark_model, make_constant_model, replace_spot
 
@@ -212,6 +212,82 @@ class TestTrustRegion:
         assert np.all(cf.g[1][tail] == 0.0)
         assert np.all(cf.g[2][tail] == 0.0)
         assert_allclose(cf.g[0][tail], base.g[0][tail], rtol=0.0, atol=0.0)
+
+
+def written_out_coefficients(taylor, tau, xi, order, span):
+    """g_{n,k} straight from the build_order_n docstring, one broadcast
+    expression per symbol and derivative, trust region included: the
+    reference for the blocked rank-4 build."""
+    m, d = taylor.jump_mean, taylor.jump_std
+    nu = np.exp(1j * m * xi - 0.5 * d**2 * xi**2)
+    slope = 1j * m - d**2 * xi
+    dnu, d2nu = slope * nu, (slope**2 - d**2) * nu
+
+    def row(name, h):
+        return getattr(taylor, name)[h][:, None]
+
+    def psi(h):
+        return (1j * xi * row("mu", h) - row("s", h) * xi**2 - row("gamma", h)
+                + row("a", h) * (nu - 1.0 - 1j * m * xi))
+
+    def dpsi(h):
+        return 1j * row("mu", h) - 2.0 * row("s", h) * xi + row("a", h) * (dnu - 1j * m)
+
+    p0, dp0, p1 = psi(0), dpsi(0), psi(1)
+    if order == 1:
+        f = [1.0 - 0.5j * tau**2 * p1 * dp0, tau * p1]
+    else:
+        d2p0 = -2.0 * row("s", 0) + row("a", 0) * d2nu
+        dp1, p2 = dpsi(1), psi(2)
+        f = [
+            1.0 - 0.5j * tau**2 * p1 * dp0 - tau**4 / 8.0 * dp0**2 * p1**2
+            - tau**3 / 6.0 * dp0 * p1 * dp1 - tau**3 / 6.0 * p1**2 * d2p0
+            - tau**3 / 3.0 * p2 * dp0**2 - 0.5 * tau**2 * p2 * d2p0,
+            tau * p1 - 0.5j * tau**3 * dp0 * p1**2 - 0.5j * tau**2 * p1 * dp1
+            - 1j * tau**2 * p2 * dp0,
+            0.5 * tau**2 * p1**2 + tau * p2,
+        ]
+    bad = np.abs(f[0] - 1.0) > 0.5
+    if span > 0.0:
+        for h in range(1, order + 1):
+            bad |= span**h * np.abs(f[h]) > 0.05
+    base = np.exp(tau * p0)
+    return [np.where(bad, float(h == 0), fh) * base for h, fh in enumerate(f)]
+
+
+class TestBlockedBuild:
+    """A vector-basepoint build runs over blocks of node rows with rank-4
+    symbols.  It must reproduce the written-out coefficient formulas, and
+    each row must equal the scalar-basepoint build at its node, trust-region
+    fallbacks included.  At J = 300 the last block is partial (54-row
+    blocks); the left-tail rows of the benchmark model fall back at every J."""
+
+    @pytest.mark.parametrize("span", [0.0, 0.7])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_written_out_coefficients(self, model_put, order, span):
+        grid = bsde.make_cos_grid(model_put, 1.0, 256)
+        tay = model.taylor_expand(model_put, 0.0, grid.nodes, order)
+        cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=span)
+        want = written_out_coefficients(tay, 0.1, grid.freqs, order, span)
+        for got, ref in zip(cf.g, want):
+            assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("span", [0.0, 0.7])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("J", [33, 100, 256, 300])
+    def test_rows_equal_scalar_builds(self, model_put, J, order, span):
+        grid = bsde.make_cos_grid(model_put, 1.0, J)
+        tay = model.taylor_expand(model_put, 0.0, grid.nodes, order)
+        cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=span)
+        fallback = cf.g[1] == 0.0
+        assert fallback.any() and not fallback.all()
+        for i, x in enumerate(grid.nodes):
+            one = charfunc.build_order_n(
+                model.taylor_expand(model_put, 0.0, x, order), 0.0, 0.1, grid.freqs, order, span=span
+            )
+            np.testing.assert_array_equal(fallback[i], one.g[1] == 0.0)
+            for k in range(order + 1):
+                assert_allclose(cf.g[k][i], one.g[k], rtol=1e-14, atol=0.0)
 
 
 @pytest.fixture(scope="module")

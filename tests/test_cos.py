@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 import levyxva as lx
-from levyxva import charfunc, cos, model
+from levyxva import bsde, charfunc, cos, model
 
 from conftest import make_constant_model
 
@@ -341,6 +341,31 @@ class TestKernels:
         pk = cos.point_kernel(cf, g, g.nodes)
         sk = cos.step_kernel(cf, g)
         assert_allclose(pk.psi, sk.psi, rtol=1e-13)
+
+    def test_node_expansion_kernel_matches_direct_phase(self, model_put):
+        """psi = Re(g0 e^{i xi (x - a)}) and psi_dw = Re(i xi g0 e^{i xi (x - a)})
+        with the phase evaluated by exp, at the benchmark size."""
+        g = bsde.make_cos_grid(model_put, 1.0, 256)
+        tay = model.taylor_expand(model_put, 0.0, g.nodes, 2)
+        cf = charfunc.build_order_n(tay, 0.0, 0.1, g.freqs, 2)
+        kern = cos.step_kernel(cf, g)
+        w = cf.g[0] * np.exp(1j * np.multiply.outer(g.nodes - g.a, g.freqs))
+        assert_allclose(kern.psi, w.real, rtol=0.0, atol=1e-12 * np.abs(kern.psi).max())
+        dw = np.real(1j * g.freqs * w)
+        assert_allclose(kern.psi_dw, dw, rtol=0.0, atol=1e-12 * np.abs(kern.psi_dw).max())
+
+    def test_node_kernel_arrays_are_contiguous_float64(self, model_put):
+        g = bsde.make_cos_grid(model_put, 1.0, 64)
+        tay = model.taylor_expand(model_put, 0.0, g.nodes, 2)
+        kern = cos.step_kernel(charfunc.build_order_n(tay, 0.0, 0.1, g.freqs, 2), g)
+        for arr in (kern.psi, kern.psi_dw):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+
+    def test_phase_table_is_shared_and_read_only(self):
+        table = cos._node_phase(48)
+        assert cos._node_phase(48) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
     def test_halve_first(self):
         vals = np.array([2.0, 4.0, 6.0])

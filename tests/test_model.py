@@ -1,5 +1,6 @@
 """Coefficient families, jump compensator, drift restriction, Taylor data."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,13 @@ class TestCoeffFamily:
         with pytest.raises(ValueError, match="unknown coefficient kind"):
             lx.CoeffFamily("parabolic", 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["level", "slope"])
+    def test_non_finite_rejected(self, field, bad):
+        args = {"level": 0.15, "slope": -2.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            lx.CoeffFamily.exponential(**args)
+
     @given(
         level=st.floats(1e-3, 10.0),
         slope=st.floats(-3.0, 3.0),
@@ -48,6 +56,15 @@ class TestCoeffFamily:
         base = level * math.exp(slope * xbar)
         expect = [base * slope**k / math.factorial(k) for k in range(4)]
         assert_allclose(coeffs, expect, rtol=1e-12)
+
+
+class TestJumpLaw:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_non_finite_rejected(self, field, bad):
+        args = {"mean": -0.2, "std": 0.2, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            lx.JumpLaw(**args)
 
 
 class TestJumpCompensator:
@@ -133,6 +150,20 @@ class TestTaylorExpand:
         mdl = make_benchmark_model(rate_r=0.05, c_default=0.1)
         with pytest.raises(ValueError):
             lx.taylor_expand(mdl, 0.0, 0.0, -1)
+
+
+class TestModelSpecValidation:
+    def test_negative_vol_level_rejected(self):
+        mdl = make_benchmark_model(0.05, 0.1)
+        with pytest.raises(ValueError, match="vol level must be nonnegative"):
+            dataclasses.replace(mdl, vol=lx.CoeffFamily.exponential(-0.15, -2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rate_r", "spot_x0"])
+    def test_non_finite_rejected(self, field, bad):
+        mdl = make_benchmark_model(0.05, 0.1)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(mdl, **{field: bad})
 
 
 class TestModelSpecHelpers:
