@@ -4,12 +4,13 @@ One backward step on the cosine grid reads
 
     z_n = -((1-t2)/t2) E_n[z_{n+1}] + (1/(dt t2)) E_n[y_{n+1} dW]
           + ((1-t2)/t2) E_n[f_{n+1} dW],
-    y_n = E_n[y_{n+1}] + dt t1 f(t_n, x, y_n, z_n) + dt (1-t1) E_n[f_{n+1}],
+    y_n = E_n[y_{n+1}] + dt t1 f(y_n, mtm_n) + dt (1-t1) E_n[f_{n+1}],
 
 with the implicit y_n resolved by P Picard iterations started at
 E_n[y_{n+1}].  All conditional expectations are cosine sums against the
 approximated characteristic function; the coefficient vectors of y, z and f
-are refreshed by a DCT at every step.
+are refreshed by a DCT at every step.  The XVA drivers read only y and,
+for the risk-free close-out, a mark-to-market, so f needs no t, x or z.
 
 Driver sign conventions: ``driver_eval`` returns each mode's textbook
 display, in which full-XVA mode is written against the PDE convention
@@ -32,6 +33,10 @@ from .errors import NumericalError
 
 _MODES = ("zero", "simplified", "full")
 _CLOSEOUTS = ("risky", "risk-free")
+_FINITE_FIELDS = (
+    "rate_r", "rate_b", "rate_c", "rate_f", "rate_i", "rate_k", "rate_tc", "rate_fc",
+    "margin_tc", "margin_fc", "capital_c1", "margin_c2",
+)
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,9 @@ class DriverSpec:
             raise ValueError(f"unknown driver mode {self.mode!r}")
         if self.closeout not in _CLOSEOUTS:
             raise ValueError(f"unknown close-out rule {self.closeout!r}")
+        modelmod._require_finite(self, *_FINITE_FIELDS)
+        if self.simplified_rate is not None:
+            modelmod._require_finite(self, "simplified_rate")
         for name in ("recovery_b", "recovery_c"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -115,7 +123,7 @@ class DriverSpec:
         )
 
 
-def driver_eval(spec: DriverSpec, t, x, y, z, mtm=None):
+def driver_eval(spec: DriverSpec, y, mtm=None):
     """Driver in each mode's documented convention (see module docstring).
 
     ``mtm`` supplies the external mark-to-market for the risk-free
@@ -150,9 +158,9 @@ def driver_eval(spec: DriverSpec, t, x, y, z, mtm=None):
     )
 
 
-def scheme_driver(spec: DriverSpec, t, x, y, z, mtm=None):
+def scheme_driver(spec: DriverSpec, y, mtm=None):
     """BSDE-convention driver consumed by the theta-scheme."""
-    f = driver_eval(spec, t, x, y, z, mtm)
+    f = driver_eval(spec, y, mtm)
     return -f if spec.mode == "full" else f
 
 
@@ -167,6 +175,7 @@ class BsdeGrid:
     picard: int = 5
 
     def __post_init__(self) -> None:
+        modelmod._require_finite(self, "dt")
         if self.n_steps < 1 or self.dt <= 0.0:
             raise ValueError("need n_steps >= 1 and dt > 0")
         if not 0.0 <= self.theta1 <= 1.0:
@@ -195,19 +204,18 @@ def theta_step(
     grid: cosmod.CosGrid,
     bgrid: BsdeGrid,
     spec: DriverSpec,
-    t_now: float,
     sigma_now: np.ndarray,
     mtm_now=None,
-    x_eval: np.ndarray | None = None,
 ):
     """One backward theta step.
 
     The next-level grids are DCT'd on the full node set; the kernel rows
-    decide where the step is evaluated (grid nodes by default, arbitrary
-    points via ``x_eval`` matching the kernel built by ``point_kernel``).
+    decide where the step is evaluated (the grid nodes, or the points of a
+    ``point_kernel``), and ``sigma_now``/``mtm_now`` are given there.
     f_next holds scheme-convention driver values at the later time level;
     the returned triple (y_now, z_now, f_now) keeps that invariant so steps
-    chain without re-evaluating the driver.
+    chain without re-evaluating the driver.  The driver reads y and mtm
+    only; z_now is kept for the z0 that ``solve_bsde`` returns.
     """
     dt, t1, t2 = bgrid.dt, bgrid.theta1, bgrid.theta2
     hy = cosmod.halve_first(cosmod.dct_coeffs(y_next, grid).values)
@@ -221,15 +229,14 @@ def theta_step(
 
     z_now = -((1.0 - t2) / t2) * ez + ey_dw / (dt * t2) + ((1.0 - t2) / t2) * ef_dw
 
-    x = grid.nodes if x_eval is None else x_eval
     explicit = ey + dt * (1.0 - t1) * ef
     y_now = ey
     if t1 > 0.0:
         for _ in range(bgrid.picard):
-            y_now = explicit + dt * t1 * scheme_driver(spec, t_now, x, y_now, z_now, mtm_now)
+            y_now = explicit + dt * t1 * scheme_driver(spec, y_now, mtm_now)
     else:
         y_now = explicit
-    f_now = scheme_driver(spec, t_now, x, y_now, z_now, mtm_now)
+    f_now = scheme_driver(spec, y_now, mtm_now)
     return y_now, z_now, f_now
 
 
@@ -296,18 +303,16 @@ def solve_bsde(
     y = np.asarray(terminal(x), dtype=float)
     z = np.asarray(terminal_dx(x), dtype=float) * mdl.sigma(T, x)
     mtm_T = mtm_grid[bgrid.n_steps] if mtm_grid is not None else None
-    f = scheme_driver(spec, T, x, y, z, mtm_T)
+    f = scheme_driver(spec, y, mtm_T)
     for n in range(bgrid.n_steps - 1, 0, -1):
         t_now = n * bgrid.dt
         mtm_now = mtm_grid[n] if mtm_grid is not None else None
-        y, z, f = theta_step(
-            y, z, f, kernel, grid, bgrid, spec, t_now, mdl.sigma(t_now, x), mtm_now
-        )
+        y, z, f = theta_step(y, z, f, kernel, grid, bgrid, spec, mdl.sigma(t_now, x), mtm_now)
 
     # Final step twice: once on the nodes for the t_0 grids, once as a
     # scalar evaluation at the spot with the expansion re-based at X0.
     mtm0 = mtm_grid[0] if mtm_grid is not None else None
-    y0, z0, _ = theta_step(y, z, f, kernel, grid, bgrid, spec, 0.0, mdl.sigma(0.0, x), mtm0)
+    y0, z0, _ = theta_step(y, z, f, kernel, grid, bgrid, spec, mdl.sigma(0.0, x), mtm0)
     value = spot_step(mdl, y, z, f, grid, bgrid, spec, 0.0, order, mtm0)
     return BsdeSolution(value=value, y0=y0, z0=z0, grid=grid, spot=mdl.spot_x0)
 
@@ -334,17 +339,6 @@ def spot_step(
         if mtm_now.shape[0] != 1:
             # interpolate a node-grid mtm onto the spot
             mtm_now = np.atleast_1d(np.interp(x0, grid.nodes, mtm_now))
-    y_spot, _, _ = theta_step(
-        y_next,
-        z_next,
-        f_next,
-        kern,
-        grid,
-        bgrid,
-        spec,
-        t_now,
-        np.atleast_1d(mdl.sigma(t_now, np.array([x0]))),
-        mtm_now,
-        x_eval=np.array([x0]),
-    )
+    sigma0 = np.atleast_1d(mdl.sigma(t_now, np.array([x0])))
+    y_spot, _, _ = theta_step(y_next, z_next, f_next, kern, grid, bgrid, spec, sigma0, mtm_now)
     return float(y_spot[0])

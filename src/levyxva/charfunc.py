@@ -146,9 +146,10 @@ def cumulants(taylor: TaylorData, t: float, T: float):
 class CharFuncApprox:
     """Coefficient functions g_{n,k}(xi_j) of the order-n approximation.
 
-    ``g[k]`` has shape (J,) for a scalar basepoint and (n_points, J) for a
-    vector basepoint (one expansion per point).  ``eval`` reconstructs
-    Gamma_n(t, x; T, xi) for a scalar basepoint.
+    A scalar basepoint keeps ``g[k]`` of shape (J,) for k = 0..order, from
+    which ``eval`` reconstructs Gamma_n(t, x; T, xi).  A vector basepoint
+    keeps only ``g[0]``, shape (n_points, J): each of its expansions is read
+    at its own point, where x - xbar = 0.
     """
 
     order: int
@@ -220,7 +221,8 @@ def build_order_n(
     expansive (coefficient norms otherwise grow by an order of magnitude
     per step).  The default span of 0 applies the test only to the zeroth
     factor, appropriate when the kernel is evaluated at the basepoint
-    itself.
+    itself.  A vector basepoint (one expansion per point, read at that
+    point only) returns g_{n,0} alone and takes no span.
 
     Each symbol is linear in its Taylor row, psi_h = (mu_h, s_h, gamma_h,
     a_h) . (i xi, -xi^2, -1, nuhat - 1 - i m xi), and so are its
@@ -236,6 +238,9 @@ def build_order_n(
         raise ValueError(f"approximation order must be in 0..{MAX_ORDER}")
     if taylor.order < order:
         raise ValueError("TaylorData order is lower than requested")
+    vector = bool(taylor.basepoint.ndim)
+    if vector and span > 0.0:
+        raise ValueError("span applies to scalar basepoints only")
     xi = np.asarray(freqs, dtype=float)
     tau = T - t
     if order == 0:
@@ -247,7 +252,7 @@ def build_order_n(
     panels = [np.concatenate(F[list(ks)], axis=-1).view(float) for ks in derivs]
     rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
     n, J = rows[0].shape[0], xi.size
-    g = np.empty((order + 1, n, J), dtype=complex)
+    g = np.empty((1 if vector else order + 1, n, J), dtype=complex)
     step = max(1, _BLOCK_BYTES // g[0, 0].nbytes)
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)
@@ -261,7 +266,9 @@ def build_order_n(
         # corr[0] = g_{n,0}/E - 1 and corr[h] = g_{n,h}/E for h >= 1.
         if order == 1:
             (dp0,), (p1,) = sym
-            corr = [-0.5j * tau**2 * p1 * dp0, tau * p1]
+            corr = [-0.5j * tau**2 * p1 * dp0]
+            if not vector:
+                corr.append(tau * p1)
         else:
             (dp0, d2p0), (p1, dp1), (p2,) = sym
             # psi_1^2, psi_1 psi_0' and psi_2 psi_0' serve all three rows;
@@ -270,10 +277,11 @@ def build_order_n(
             corr = [
                 (-0.5j * tau**2 - tau**3 / 6.0 * dp1 - tau**4 / 8.0 * u) * u
                 - (tau**3 / 6.0 * q + 0.5 * tau**2 * p2) * d2p0
-                - tau**3 / 3.0 * w * dp0,
-                tau * p1 - 1j * tau**2 * (0.5 * p1 * (tau * u + dp1) + w),
-                0.5 * tau**2 * q + tau * p2,
+                - tau**3 / 3.0 * w * dp0
             ]
+            if not vector:
+                corr.append(tau * p1 - 1j * tau**2 * (0.5 * p1 * (tau * u + dp1) + w))
+                corr.append(0.5 * tau**2 * q + tau * p2)
         bad = np.abs(corr[0]) > _TRUST
         if span > 0.0:
             for h in range(1, order + 1):
@@ -283,6 +291,6 @@ def build_order_n(
         corr[0] += 1.0
         for h, c in enumerate(corr):
             np.multiply(c, base, out=g[h, blk])
-    if not taylor.basepoint.ndim:
+    if not vector:
         g = g[:, 0]
     return CharFuncApprox(order, taylor.basepoint, t, T, xi, tuple(g))

@@ -178,15 +178,6 @@ def cos_expectation(coeffs: CoeffVector, cf: CharFuncApprox, x):
     return np.real(weighted) @ vals if vals.ndim == 1 else np.sum(np.real(weighted) * vals, axis=-1)
 
 
-def cos_expectation_dw(coeffs: CoeffVector, cf: CharFuncApprox, x, sigma_x, dt: float):
-    """E[h(X_T) dW | X_t = x] ~ dt sigma(x) sum'_j H_j Re(i xi_j Gamma e^{-i xi_j a})."""
-    _check_shared(coeffs.grid, cf)
-    vals = halve_first(coeffs.values)
-    weighted = 1j * coeffs.grid.freqs * cf.eval(x) * np.exp(-1j * coeffs.grid.freqs * coeffs.grid.a)
-    core = np.real(weighted) @ vals if vals.ndim == 1 else np.sum(np.real(weighted) * vals, axis=-1)
-    return dt * sigma_x * core
-
-
 def _cos_integral(grid: CosGrid, lo: float, hi: float) -> np.ndarray:
     """int_lo^hi cos(omega_j (x - a)) dx for j = 0..J-1."""
     om = grid.freqs

@@ -122,6 +122,8 @@ def price_bermudan_cos(
     """
     if payoff.kind != "put":
         raise ValueError("the fast CVA path prices Bermudan puts")
+    if method not in ("fft", "dense"):
+        raise ValueError("method must be 'fft' or 'dense'")
     t_begin = time.perf_counter()
     M, T = schedule.M, schedule.T
     delta_t = schedule.spacing

@@ -297,10 +297,10 @@ def lsm_price(
         t_k = k * dt
         xk = x[:, k]
         cont = _fit_predict(xk, v, degree)
-        v = v + dt * scheme_driver(driver, t_k, xk, cont, None)
+        v = v + dt * scheme_driver(driver, cont)
         if k > 0 and k % stride == 0:
             phi = np.asarray(payoff_eval(payoff, t_k, xk), dtype=float)
-            cont_adj = cont + dt * scheme_driver(driver, t_k, xk, cont, None)
+            cont_adj = cont + dt * scheme_driver(driver, cont)
             ex = phi >= cont_adj
             v[ex] = phi[ex]
     est = float(v.mean())

@@ -55,6 +55,11 @@ class TestExerciseSchedule:
         with pytest.raises(ValueError):
             bermudan.ExerciseSchedule(1.0, 4, 0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_rejects_non_finite_maturity(self, T):
+        with pytest.raises(ValueError, match="T must be finite"):
+            bermudan.ExerciseSchedule(T, 4, 8)
+
 
 class TestPayoffSpec:
     def test_option_kinds_need_positive_strike(self):

@@ -52,20 +52,16 @@ class TestDriverSpec:
     def test_zero_mode(self):
         spec = bsde.DriverSpec(mode="zero", rate_r=0.3)
         y = np.array([-2.0, 0.0, 5.0])
-        assert_allclose(bsde.driver_eval(spec, 0.0, 0.0, y, 1.0), 0.0)
-        assert_allclose(bsde.scheme_driver(spec, 0.0, 0.0, y, 1.0), 0.0)
+        assert_allclose(bsde.driver_eval(spec, y), 0.0)
+        assert_allclose(bsde.scheme_driver(spec, y), 0.0)
 
     def test_simplified_mode_discounts_positive_part(self):
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.1, simplified_rate=0.04)
         assert spec.r_u == pytest.approx(0.04)
         y = np.array([-2.0, 0.0, 5.0])
-        assert_allclose(
-            bsde.driver_eval(spec, 0.0, 0.0, y, 1.0), [0.0, 0.0, -0.2]
-        )
+        assert_allclose(bsde.driver_eval(spec, y), [0.0, 0.0, -0.2])
         # Already in scheme convention: no sign flip.
-        assert_allclose(
-            bsde.scheme_driver(spec, 0.0, 0.0, y, 1.0), [0.0, 0.0, -0.2]
-        )
+        assert_allclose(bsde.scheme_driver(spec, y), [0.0, 0.0, -0.2])
 
     def test_simplified_rate_defaults_to_r(self):
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.07)
@@ -102,10 +98,10 @@ class TestDriverSpec:
         for y in [-1.5, -0.1, 0.0, 0.4, 2.0]:
             mtm = 0.7 * y + 0.1
             want = full_driver_display(spec, y, mtm)
-            got = bsde.driver_eval(spec, 0.0, 0.0, y, 0.5, mtm=mtm)
+            got = bsde.driver_eval(spec, y, mtm=mtm)
             assert_allclose(got, want, rtol=1e-13)
             # Scheme convention is the PDE display negated.
-            got_scheme = bsde.scheme_driver(spec, 0.0, 0.0, y, 0.5, mtm=mtm)
+            got_scheme = bsde.scheme_driver(spec, y, mtm=mtm)
             assert_allclose(got_scheme, -want, rtol=1e-13)
 
     def test_full_adjustment_free_limit(self):
@@ -116,16 +112,14 @@ class TestDriverSpec:
             mode="full", rate_r=r, rate_b=r, rate_c=r, rate_f=r
         )
         y = np.array([-1.0, 0.5, 2.0])
-        assert_allclose(bsde.driver_eval(spec, 0.0, 0.0, y, 0.3), r * y, rtol=1e-14)
-        assert_allclose(
-            bsde.scheme_driver(spec, 0.0, 0.0, y, 0.3), -r * y, rtol=1e-14
-        )
+        assert_allclose(bsde.driver_eval(spec, y), r * y, rtol=1e-14)
+        assert_allclose(bsde.scheme_driver(spec, y), -r * y, rtol=1e-14)
 
     def test_risk_free_closeout_requires_mtm(self):
         spec = bsde.DriverSpec(mode="full", rate_r=0.02, closeout="risk-free")
         assert spec.needs_mtm
         with pytest.raises(ValueError):
-            bsde.driver_eval(spec, 0.0, 0.0, 1.0, 0.0)
+            bsde.driver_eval(spec, 1.0)
         assert not bsde.DriverSpec(mode="full", rate_r=0.02).needs_mtm
 
     def test_validation(self):
@@ -135,6 +129,18 @@ class TestDriverSpec:
             bsde.DriverSpec(closeout="bogus")
         with pytest.raises(ValueError):
             bsde.DriverSpec(recovery_b=1.5)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "rate_r", "rate_b", "rate_c", "rate_f", "rate_i", "rate_k", "rate_tc", "rate_fc",
+            "margin_tc", "margin_fc", "capital_c1", "margin_c2", "simplified_rate",
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                bsde.DriverSpec(mode="full", **{name: value})
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -181,10 +187,17 @@ class TestDriverSpec:
             capital_c1=capital_c1,
             margin_c2=margin_c2,
         )
-        f1 = bsde.driver_eval(spec, 0.0, 0.0, y1, 0.0)
-        f2 = bsde.driver_eval(spec, 0.0, 0.0, y2, 0.0)
+        f1 = bsde.driver_eval(spec, y1)
+        f2 = bsde.driver_eval(spec, y2)
         bound = spec.lipschitz_bound()
         assert abs(f1 - f2) <= bound * abs(y1 - y2) + 1e-12
+
+
+class TestBsdeGrid:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            bsde.BsdeGrid(2, dt)
 
 
 class TestContraction:
@@ -223,7 +236,7 @@ class TestThetaStep:
         y1 = np.exp(-g.nodes**2)
         zeros = np.zeros(g.J)
         y0, z0, f0 = bsde.theta_step(
-            y1, zeros, zeros, kern, g, bg, spec, 0.0, np.full(g.J, self.sig)
+            y1, zeros, zeros, kern, g, bg, spec, np.full(g.J, self.sig)
         )
         want = kern.psi @ cos.halve_first(cos.dct_coeffs(y1, g).values)
         assert_allclose(y0, want, rtol=1e-13)
@@ -237,7 +250,7 @@ class TestThetaStep:
         y1 = np.exp(-g.nodes**2)
         zeros = np.zeros(g.J)
         _, z0, _ = bsde.theta_step(
-            y1, zeros, zeros, kern, g, bg, spec, 0.0, np.full(g.J, self.sig)
+            y1, zeros, zeros, kern, g, bg, spec, np.full(g.J, self.sig)
         )
         want = self.sig * (-2.0 * g.nodes) * np.exp(-g.nodes**2)
         assert_allclose(z0, want, atol=1e-5)
@@ -249,18 +262,16 @@ class TestThetaStep:
         y1 = np.exp(-g.nodes**2)
         zeros = np.zeros(g.J)
         y0, z0, f0 = bsde.theta_step(
-            y1, zeros, zeros, kern, g, bg, spec, 0.3, np.full(g.J, self.sig)
+            y1, zeros, zeros, kern, g, bg, spec, np.full(g.J, self.sig)
         )
-        assert_allclose(
-            f0, bsde.scheme_driver(spec, 0.3, g.nodes, y0, z0), rtol=1e-14
-        )
+        assert_allclose(f0, bsde.scheme_driver(spec, y0), rtol=1e-14)
 
     def test_explicit_scheme_ignores_picard_count(self):
         dt = 0.01
         g, cf, kern, _ = self._setup(dt)
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.06)
         y1 = np.exp(-g.nodes**2)
-        f1 = bsde.scheme_driver(spec, dt, g.nodes, y1, np.zeros(g.J))
+        f1 = bsde.scheme_driver(spec, y1)
         outs = []
         for picard in (1, 7):
             bg = bsde.BsdeGrid(1, dt, theta1=0.0, theta2=0.5, picard=picard)
@@ -273,7 +284,6 @@ class TestThetaStep:
                     g,
                     bg,
                     spec,
-                    0.0,
                     np.full(g.J, self.sig),
                 )
             )
@@ -292,11 +302,9 @@ class TestThetaStep:
         zeros = np.zeros(g.J)
         args = (y1, zeros, zeros)
         sig_nodes = np.full(g.J, self.sig)
-        base = bsde.theta_step(*args, kern, g, bg, spec, 0.0, sig_nodes)
+        base = bsde.theta_step(*args, kern, g, bg, spec, sig_nodes)
         pk = cos.point_kernel(cf, g, g.nodes)
-        via = bsde.theta_step(
-            *args, pk, g, bg, spec, 0.0, sig_nodes, x_eval=g.nodes
-        )
+        via = bsde.theta_step(*args, pk, g, bg, spec, sig_nodes)
         for a, b in zip(base, via):
             assert_allclose(a, b, rtol=1e-12)
 

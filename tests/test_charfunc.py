@@ -257,37 +257,58 @@ def written_out_coefficients(taylor, tau, xi, order, span):
 
 class TestBlockedBuild:
     """A vector-basepoint build runs over blocks of node rows with rank-4
-    symbols.  It must reproduce the written-out coefficient formulas, and
-    each row must equal the scalar-basepoint build at its node, trust-region
-    fallbacks included.  At J = 300 the last block is partial (54-row
-    blocks); the left-tail rows of the benchmark model fall back at every J."""
+    symbols and keeps only g[0], the row an expansion reads at its own
+    basepoint.  That row must reproduce the written-out formula, and each
+    of its rows must equal g[0] of the scalar-basepoint build at that node,
+    trust-region fallbacks included: at span 0 an entry falls back when
+    |g_{n,0}/E - 1| > 0.5, so a mismatched mask moves it by more than a
+    third.  At J = 300 the last block is partial (54-row blocks); the
+    left-tail rows of the benchmark model fall back at every J."""
 
     @pytest.mark.parametrize("span", [0.0, 0.7])
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_written_out_coefficients(self, model_put, order, span):
         grid = bsde.make_cos_grid(model_put, 1.0, 256)
         tay = model.taylor_expand(model_put, 0.0, grid.nodes, order)
-        cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=span)
         want = written_out_coefficients(tay, 0.1, grid.freqs, order, span)
-        for got, ref in zip(cf.g, want):
-            assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        if span == 0.0:
+            cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order)
+            assert len(cf.g) == 1
+            assert_allclose(cf.g[0], want[0], rtol=1e-12, atol=0.0)
+        else:
+            # Only a scalar basepoint takes a span, and it keeps every row.
+            for i, x in enumerate(grid.nodes):
+                one = charfunc.build_order_n(
+                    model.taylor_expand(model_put, 0.0, x, order), 0.0, 0.1, grid.freqs, order,
+                    span=span,
+                )
+                for got, ref in zip(one.g, want):
+                    assert_allclose(got, ref[i], rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("span", [0.0, 0.7])
+    # A vector basepoint takes span 0 only (see test_vector_build_rejects_span).
+    @pytest.mark.parametrize("span", [0.0])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("J", [33, 100, 256, 300])
     def test_rows_equal_scalar_builds(self, model_put, J, order, span):
         grid = bsde.make_cos_grid(model_put, 1.0, J)
         tay = model.taylor_expand(model_put, 0.0, grid.nodes, order)
         cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=span)
-        fallback = cf.g[1] == 0.0
-        assert fallback.any() and not fallback.all()
+        assert len(cf.g) == 1 and cf.order == order
+        fallback = np.empty((J, J), dtype=bool)
         for i, x in enumerate(grid.nodes):
             one = charfunc.build_order_n(
                 model.taylor_expand(model_put, 0.0, x, order), 0.0, 0.1, grid.freqs, order, span=span
             )
-            np.testing.assert_array_equal(fallback[i], one.g[1] == 0.0)
-            for k in range(order + 1):
-                assert_allclose(cf.g[k][i], one.g[k], rtol=1e-14, atol=0.0)
+            fallback[i] = one.g[1] == 0.0
+            assert_allclose(cf.g[0][i], one.g[0], rtol=1e-14, atol=0.0)
+        assert fallback.any() and not fallback.all()
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_vector_build_rejects_span(self, model_put, order):
+        grid = bsde.make_cos_grid(model_put, 1.0, 33)
+        tay = model.taylor_expand(model_put, 0.0, grid.nodes, order)
+        with pytest.raises(ValueError, match="scalar basepoints"):
+            charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=0.7)
 
 
 @pytest.fixture(scope="module")

@@ -206,13 +206,14 @@ class TestCosExpectation:
     def test_brownian_increment_weighting(self):
         # E[h(X_{t+dt}) dW | x] = dt sigma d/dx E[h(X_{t+dt}) | x] to
         # leading order; for the put that derivative is known in closed
-        # form, so the weighted expectation has its own oracle.
+        # form, so the weighted expectation has its own oracle.  The
+        # weights are the point kernel's psi_dw, as in bsde.theta_step.
         sig, rate_r, tau, strike = 0.25, 0.04, 0.5, 1.05
         g, cf = self._setup(sig, 0.0, 0.0, 0.0, rate_r, tau)
-        coeffs = cos.put_payoff_coeffs(strike, g)
+        hv = cos.halve_first(cos.put_payoff_coeffs(strike, g).values)
         dt = 1e-3
         for x in [-0.2, 0.1]:
-            got = cos.cos_expectation_dw(coeffs, cf, x, sig, dt)
+            got = dt * sig * (cos.point_kernel(cf, g, [x]).psi_dw @ hv)
             d1 = (
                 x
                 - math.log(strike)

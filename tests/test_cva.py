@@ -293,11 +293,13 @@ class TestMethodEquivalence:
         assert_allclose(fast.y0, dense.y0, atol=1e-10)
 
     def test_unknown_method_rejected(self, model_put):
-        with pytest.raises(ValueError):
-            cva.price_bermudan_cos(
-                model_put,
-                _put(1.0),
-                bermudan.ExerciseSchedule(1.0, 2, 10),
-                J=32,
-                method="bogus",
-            )
+        # M = 1 never reaches m_matrix_product, so the pricer checks first.
+        for M in (1, 2):
+            with pytest.raises(ValueError, match="method"):
+                cva.price_bermudan_cos(
+                    model_put,
+                    _put(1.0),
+                    bermudan.ExerciseSchedule(1.0, M, 10),
+                    J=32,
+                    method="bogus",
+                )
