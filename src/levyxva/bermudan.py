@@ -2,12 +2,11 @@
 
 The value iteration runs over M exercise intervals, each discretized by N
 steps of the BSDE theta-scheme: every step is one ``bsde.theta_step``,
-carrying (y, z, f) through the same y and z recursions as the European
-solve, with the implicit y resolved by Picard iterations.  The terminal z
-is payoff_dx * sigma.  At interior exercise dates the value becomes
-max(payoff, y), and on the exercised nodes z is reset to payoff_dx *
-sigma; no max is applied at t_0.  The final step runs once on the nodes
-for the t_0 grid and once at the spot through ``bsde.spot_step``.
+carrying (y, f) through the same y recursion as the European solve, with
+the implicit y resolved by Picard iterations.  At interior exercise dates
+the value becomes max(payoff, y); no max is applied at t_0.  The final
+step runs once on the nodes for the t_0 grid and once at the spot through
+``bsde.spot_step``.
 
 The node kernel is rebuilt at every step, matching the method's published
 per-step cost; ``timings["kernel"]`` reports the seconds spent building
@@ -107,6 +106,7 @@ class PayoffSpec:
     def __post_init__(self) -> None:
         if self.kind not in _PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
+        modelmod._require_finite(self, "strike", "notional")
         if self.kind in ("put", "call") and self.strike <= 0.0:
             raise ValueError("option payoffs need a positive strike")
         if self.kind.startswith("swaption") and (
@@ -207,11 +207,7 @@ def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all=Non
     def mtm_at(s):
         return mtm_all[s] if mtm_all is not None else None
 
-    def exercise_z(t):
-        return np.asarray(payoff_dx(payoff, t, x), dtype=float) * mdl.sigma(t, x)
-
     y = np.asarray(payoff_eval(payoff, schedule.T, x), dtype=float)
-    z = exercise_z(schedule.T)
     f = scheme_driver(driver, y, mtm_at(total))
     collected = np.empty((total + 1, grid.J)) if collect else None
     if collect:
@@ -220,7 +216,7 @@ def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all=Non
     for s in range(total - 1, 0, -1):
         t_now = s * dt
         kern = node_kernel(t_now)
-        y, z, f = theta_step(y, z, f, kern, grid, bgrid, driver, mdl.sigma(t_now, x), mtm_at(s))
+        y, f = theta_step(y, f, kern, grid, bgrid, driver, mtm_at(s))
         if s % schedule.N == 0:
             phi = np.asarray(payoff_eval(payoff, t_now, x), dtype=float)
             x_star = _leftmost_crossing(x, phi - y)
@@ -233,18 +229,16 @@ def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all=Non
                     stacklevel=3,
                 )
             boundary.append((t_now, x_star))
-            exercise = phi > y
-            y = np.where(exercise, phi, y)
-            z = np.where(exercise, exercise_z(t_now), z)
+            y = np.where(phi > y, phi, y)
             f = scheme_driver(driver, y, mtm_at(s))
         if collect:
             collected[s] = y
 
     kern = node_kernel(0.0)
-    y0, _, _ = theta_step(y, z, f, kern, grid, bgrid, driver, mdl.sigma(0.0, x), mtm_at(0))
+    y0, _ = theta_step(y, f, kern, grid, bgrid, driver, mtm_at(0))
     if collect:
         collected[0] = y0
-    value = spot_step(mdl, y, z, f, grid, bgrid, driver, 0.0, order, mtm_at(0))
+    value = spot_step(mdl, y, f, grid, bgrid, driver, 0.0, order, mtm_at(0))
     boundary.reverse()
     return value, y0, boundary, collected, kernel_s
 
@@ -258,7 +252,6 @@ def price_bermudan_xva(
     L: float = 10.0,
     order: int = 2,
     theta1: float = 0.5,
-    theta2: float = 0.5,
     picard: int = 5,
     grid: cosmod.CosGrid | None = None,
 ) -> PricingResult:
@@ -269,7 +262,7 @@ def price_bermudan_xva(
     feed the mark-to-market argument of the main pass.
     """
     t_begin = time.perf_counter()
-    bgrid = BsdeGrid(schedule.N, schedule.dt, theta1, theta2, picard)
+    bgrid = BsdeGrid(schedule.N, schedule.dt, theta1, picard=picard)
     check_contraction(bgrid, driver)
     if grid is None:
         grid = make_cos_grid(mdl, schedule.T, J, L)
@@ -300,7 +293,6 @@ def price_bermudan_xva(
             "L": L,
             "order": order,
             "theta1": theta1,
-            "theta2": theta2,
             "picard": picard,
             "M": schedule.M,
             "N": schedule.N,

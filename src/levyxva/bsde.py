@@ -2,15 +2,16 @@
 
 One backward step on the cosine grid reads
 
+    y_n = E_n[y_{n+1}] + dt t1 f(y_n, mtm_n) + dt (1-t1) E_n[f_{n+1}],
     z_n = -((1-t2)/t2) E_n[z_{n+1}] + (1/(dt t2)) E_n[y_{n+1} dW]
           + ((1-t2)/t2) E_n[f_{n+1} dW],
-    y_n = E_n[y_{n+1}] + dt t1 f(y_n, mtm_n) + dt (1-t1) E_n[f_{n+1}],
 
 with the implicit y_n resolved by P Picard iterations started at
 E_n[y_{n+1}].  All conditional expectations are cosine sums against the
-approximated characteristic function; the coefficient vectors of y, z and f
-are refreshed by a DCT at every step.  The XVA drivers read only y and,
-for the risk-free close-out, a mark-to-market, so f needs no t, x or z.
+approximated characteristic function, on coefficient vectors refreshed by
+a DCT at every step.  The XVA drivers read only y and, for the risk-free
+close-out, a mark-to-market, so ``theta_step`` runs the y recursion alone;
+``z_step`` runs the z recursion for the z0 that ``solve_bsde`` returns.
 
 Driver sign conventions: ``driver_eval`` returns each mode's textbook
 display, in which full-XVA mode is written against the PDE convention
@@ -198,37 +199,25 @@ def check_contraction(grid: BsdeGrid, spec: DriverSpec) -> None:
 
 def theta_step(
     y_next: np.ndarray,
-    z_next: np.ndarray,
     f_next: np.ndarray,
     kernel: cosmod.StepKernel,
     grid: cosmod.CosGrid,
     bgrid: BsdeGrid,
     spec: DriverSpec,
-    sigma_now: np.ndarray,
     mtm_now=None,
 ):
-    """One backward theta step.
+    """One backward theta step of y.
 
     The next-level grids are DCT'd on the full node set; the kernel rows
     decide where the step is evaluated (the grid nodes, or the points of a
-    ``point_kernel``), and ``sigma_now``/``mtm_now`` are given there.
-    f_next holds scheme-convention driver values at the later time level;
-    the returned triple (y_now, z_now, f_now) keeps that invariant so steps
-    chain without re-evaluating the driver.  The driver reads y and mtm
-    only; z_now is kept for the z0 that ``solve_bsde`` returns.
+    ``point_kernel``), and ``mtm_now`` is given there.  f_next holds
+    scheme-convention driver values at the later time level; the returned
+    pair (y_now, f_now) keeps that invariant so steps chain without
+    re-evaluating the driver.
     """
-    dt, t1, t2 = bgrid.dt, bgrid.theta1, bgrid.theta2
-    hy = cosmod.halve_first(cosmod.dct_coeffs(y_next, grid).values)
-    hz = cosmod.halve_first(cosmod.dct_coeffs(z_next, grid).values)
-    hf = cosmod.halve_first(cosmod.dct_coeffs(f_next, grid).values)
-    ey = kernel.psi @ hy
-    ez = kernel.psi @ hz
-    ef = kernel.psi @ hf
-    ey_dw = dt * sigma_now * (kernel.psi_dw @ hy)
-    ef_dw = dt * sigma_now * (kernel.psi_dw @ hf)
-
-    z_now = -((1.0 - t2) / t2) * ez + ey_dw / (dt * t2) + ((1.0 - t2) / t2) * ef_dw
-
+    dt, t1 = bgrid.dt, bgrid.theta1
+    ey = kernel.psi @ cosmod.halve_first(cosmod.dct_coeffs(y_next, grid).values)
+    ef = kernel.psi @ cosmod.halve_first(cosmod.dct_coeffs(f_next, grid).values)
     explicit = ey + dt * (1.0 - t1) * ef
     y_now = ey
     if t1 > 0.0:
@@ -236,8 +225,27 @@ def theta_step(
             y_now = explicit + dt * t1 * scheme_driver(spec, y_now, mtm_now)
     else:
         y_now = explicit
-    f_now = scheme_driver(spec, y_now, mtm_now)
-    return y_now, z_now, f_now
+    return y_now, scheme_driver(spec, y_now, mtm_now)
+
+
+def z_step(
+    y_next: np.ndarray,
+    z_next: np.ndarray,
+    f_next: np.ndarray,
+    kernel: cosmod.StepKernel,
+    grid: cosmod.CosGrid,
+    bgrid: BsdeGrid,
+    sigma_now: np.ndarray,
+) -> np.ndarray:
+    """One backward theta step of z, with ``sigma_now`` at the kernel rows."""
+    dt, t2 = bgrid.dt, bgrid.theta2
+    # One DCT call for all three grids: its overhead outweighs the transform.
+    stacked = cosmod.dct_coeffs(np.stack((y_next, z_next, f_next)), grid).values
+    hy, hz, hf = cosmod.halve_first(stacked)
+    ez = kernel.psi @ hz
+    ey_dw = dt * sigma_now * (kernel.psi_dw @ hy)
+    ef_dw = dt * sigma_now * (kernel.psi_dw @ hf)
+    return -((1.0 - t2) / t2) * ez + ey_dw / (dt * t2) + ((1.0 - t2) / t2) * ef_dw
 
 
 @dataclass(frozen=True)
@@ -305,22 +313,22 @@ def solve_bsde(
     mtm_T = mtm_grid[bgrid.n_steps] if mtm_grid is not None else None
     f = scheme_driver(spec, y, mtm_T)
     for n in range(bgrid.n_steps - 1, 0, -1):
-        t_now = n * bgrid.dt
         mtm_now = mtm_grid[n] if mtm_grid is not None else None
-        y, z, f = theta_step(y, z, f, kernel, grid, bgrid, spec, mdl.sigma(t_now, x), mtm_now)
+        z = z_step(y, z, f, kernel, grid, bgrid, mdl.sigma(n * bgrid.dt, x))
+        y, f = theta_step(y, f, kernel, grid, bgrid, spec, mtm_now)
 
     # Final step twice: once on the nodes for the t_0 grids, once as a
     # scalar evaluation at the spot with the expansion re-based at X0.
     mtm0 = mtm_grid[0] if mtm_grid is not None else None
-    y0, z0, _ = theta_step(y, z, f, kernel, grid, bgrid, spec, mdl.sigma(0.0, x), mtm0)
-    value = spot_step(mdl, y, z, f, grid, bgrid, spec, 0.0, order, mtm0)
+    z0 = z_step(y, z, f, kernel, grid, bgrid, mdl.sigma(0.0, x))
+    y0, _ = theta_step(y, f, kernel, grid, bgrid, spec, mtm0)
+    value = spot_step(mdl, y, f, grid, bgrid, spec, 0.0, order, mtm0)
     return BsdeSolution(value=value, y0=y0, z0=z0, grid=grid, spot=mdl.spot_x0)
 
 
 def spot_step(
     mdl: modelmod.ModelSpec,
     y_next: np.ndarray,
-    z_next: np.ndarray,
     f_next: np.ndarray,
     grid: cosmod.CosGrid,
     bgrid: BsdeGrid,
@@ -339,6 +347,5 @@ def spot_step(
         if mtm_now.shape[0] != 1:
             # interpolate a node-grid mtm onto the spot
             mtm_now = np.atleast_1d(np.interp(x0, grid.nodes, mtm_now))
-    sigma0 = np.atleast_1d(mdl.sigma(t_now, np.array([x0])))
-    y_spot, _, _ = theta_step(y_next, z_next, f_next, kern, grid, bgrid, spec, sigma0, mtm_now)
+    y_spot, _ = theta_step(y_next, f_next, kern, grid, bgrid, spec, mtm_now)
     return float(y_spot[0])

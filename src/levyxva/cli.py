@@ -35,7 +35,7 @@ _REQUIRED = object()
 
 _SCHEMA = {
     "model": {"b", "beta", "lam", "m", "delta", "c", "r", "x0"},
-    "cos": {"j", "l", "theta1", "theta2", "picard", "n", "m"},
+    "cos": {"j", "l", "theta1", "picard", "n", "m"},
     "payoff": {"kind", "strike", "notional", "maturity"},
     "driver": {
         "mode",
@@ -114,7 +114,6 @@ class RunConfig:
     J: int
     L: float
     theta1: float
-    theta2: float
     picard: int
     mc_enabled: bool
     mc_paths: int
@@ -194,7 +193,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     J = rd.get("cos", "j", int, 256)
     L = rd.get("cos", "l", _to_float, 10.0)
     theta1 = rd.get("cos", "theta1", _to_float, 0.5)
-    theta2 = rd.get("cos", "theta2", _to_float, 0.5)
     picard = rd.get("cos", "picard", int, 5)
     n_inner = rd.get("cos", "n", int, 10)
     m_dates = rd.get("cos", "m", int, 10)
@@ -202,8 +200,8 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         raise ConfigError(f"[cos] j must be at least 2, got {J}")
     if L <= 0.0:
         raise ConfigError(f"[cos] l must be positive, got {L}")
-    if not 0.0 < theta1 <= 1.0 or not 0.0 < theta2 <= 1.0:
-        raise ConfigError("[cos] theta1 and theta2 must lie in (0, 1]")
+    if not 0.0 < theta1 <= 1.0:
+        raise ConfigError(f"[cos] theta1 must lie in (0, 1], got {theta1}")
     if picard < 1:
         raise ConfigError(f"[cos] picard must be at least 1, got {picard}")
     if n_inner < 1 or m_dates < 1:
@@ -313,7 +311,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
             "j": J,
             "l": L,
             "theta1": theta1,
-            "theta2": theta2,
             "picard": picard,
             "n": n_inner,
             "m": m_dates,
@@ -352,7 +349,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         J=J,
         L=L,
         theta1=theta1,
-        theta2=theta2,
         picard=picard,
         mc_enabled=mc_enabled,
         mc_paths=mc_paths,
@@ -406,7 +402,6 @@ def _xva_price(rc: RunConfig, mdl):
         J=rc.J,
         L=rc.L,
         theta1=rc.theta1,
-        theta2=rc.theta2,
         picard=rc.picard,
     )
     return res
@@ -514,7 +509,6 @@ def _job_convergence(rc: RunConfig):
                 J=J,
                 L=rc.L,
                 theta1=rc.theta1,
-                theta2=rc.theta2,
                 picard=rc.picard,
             )
             rows.append((J, N, res.value, ref, abs(res.value - ref)))

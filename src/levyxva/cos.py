@@ -81,18 +81,17 @@ def halve_first(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """Cosine coefficients H_j on a grid, tagged with their time level."""
+    """Cosine coefficients H_j on a grid."""
 
     values: np.ndarray
     grid: CosGrid
-    time: float = math.nan
 
     def __post_init__(self) -> None:
         if self.values.shape[-1] != self.grid.J:
             raise ValueError("coefficient count must equal grid.J")
 
 
-def dct_coeffs(node_values, grid: CosGrid, time: float = math.nan) -> CoeffVector:
+def dct_coeffs(node_values, grid: CosGrid) -> CoeffVector:
     """Recover H_j from values on the midpoint nodes x_i = a + (i+1/2) dx.
 
     Midpoint quadrature of the projection integral gives
@@ -102,7 +101,7 @@ def dct_coeffs(node_values, grid: CosGrid, time: float = math.nan) -> CoeffVecto
     vals = np.asarray(node_values, dtype=float)
     if vals.shape[-1] != grid.J:
         raise ValueError("need one value per grid node")
-    return CoeffVector(scipy.fft.dct(vals, type=2, axis=-1) / grid.J, grid, time)
+    return CoeffVector(scipy.fft.dct(vals, type=2, axis=-1) / grid.J, grid)
 
 
 def _check_shared(grid: CosGrid, cf: CharFuncApprox) -> None:
@@ -200,9 +199,7 @@ def _expcos_integral(grid: CosGrid, lo: float, hi: float) -> np.ndarray:
     return num / (1.0 + om**2)
 
 
-def put_payoff_coeffs(
-    strike: float, grid: CosGrid, time: float = math.nan, upper: float | None = None
-) -> CoeffVector:
+def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) -> CoeffVector:
     """Closed-form cosine coefficients of (K - e^x)^+ on [a, min(upper, b)].
 
     The payoff is supported on x <= log K; the integration cap is clipped
@@ -215,11 +212,11 @@ def put_payoff_coeffs(
     if upper is not None:
         cap = min(cap, upper)
     if cap <= grid.a:
-        return CoeffVector(np.zeros(grid.J), grid, time)
+        return CoeffVector(np.zeros(grid.J), grid)
     vals = (2.0 / grid.width) * (
         strike * _cos_integral(grid, grid.a, cap) - _expcos_integral(grid, grid.a, cap)
     )
-    return CoeffVector(vals, grid, time)
+    return CoeffVector(vals, grid)
 
 
 def monomial_exp_integrals(

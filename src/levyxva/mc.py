@@ -101,6 +101,14 @@ def _guard_band(mdl, T):
     return mdl.spot_x0 - spread, mdl.spot_x0 + spread
 
 
+def _check_run(T, steps: int, n_paths: int, n_blocks: int = 1) -> None:
+    """Reject a horizon or size that the simulators cannot step over."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"need a finite horizon T > 0, got {T!r}")
+    if steps < 1 or n_paths < 1 or n_blocks < 1:
+        raise ValueError("need steps >= 1, n_paths >= 1 and n_blocks >= 1")
+
+
 def _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band):
     """One Euler update from xk, given the jump intensity at xk, the jump
     counts and the two normal draws; returns (x_{k+1}, hazard over dt)."""
@@ -161,8 +169,7 @@ def simulate(
     Paths are generated in ``n_blocks`` blocks with independent spawned RNG
     streams (the block loop is the natural parallel axis).
     """
-    if steps < 1 or n_paths < 1:
-        raise ValueError("need steps >= 1 and n_paths >= 1")
+    _check_run(T, steps, n_paths, n_blocks)
     if default_mode not in ("weight", "thin"):
         raise ValueError("default_mode must be 'weight' or 'thin'")
     sizes = [n_paths // n_blocks] * n_blocks
@@ -203,6 +210,7 @@ def simulate_crn_pair(
     batches and nearby models stay tightly coupled.  Each batch's
     ``poisson_truncated`` counts its draws cut off at 201 jumps.
     """
+    _check_run(T, steps, n_paths)
     dt = T / steps
     lo_a, hi_a = _guard_band(mdl_a, T)
     lo_b, hi_b = _guard_band(mdl_b, T)

@@ -76,6 +76,20 @@ class TestPayoffSpec:
         with pytest.raises(ValueError):
             bermudan.PayoffSpec(kind="swaption-payer", strike=0.02)
 
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [
+            ("put", "strike", math.nan),
+            ("put", "strike", math.inf),
+            ("call", "strike", math.inf),
+            ("portfolio-linear", "notional", math.nan),
+            ("portfolio-exp", "notional", -math.inf),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bermudan.PayoffSpec(kind=kind, **{name: value})
+
 
 class TestPayoffEval:
     x = np.array([-0.5, 0.0, 0.7])

@@ -234,10 +234,7 @@ class TestThetaStep:
         g, cf, kern, bg = self._setup(dt)
         spec = bsde.DriverSpec(mode="zero")
         y1 = np.exp(-g.nodes**2)
-        zeros = np.zeros(g.J)
-        y0, z0, f0 = bsde.theta_step(
-            y1, zeros, zeros, kern, g, bg, spec, np.full(g.J, self.sig)
-        )
+        y0, f0 = bsde.theta_step(y1, np.zeros(g.J), kern, g, bg, spec)
         want = kern.psi @ cos.halve_first(cos.dct_coeffs(y1, g).values)
         assert_allclose(y0, want, rtol=1e-13)
         assert_allclose(f0, 0.0)
@@ -246,12 +243,9 @@ class TestThetaStep:
         # theta2 = 1 makes z_now = E[y dW]/dt = sigma d/dx E[y] + O(dt).
         dt = 1e-4
         g, cf, kern, bg = self._setup(dt, theta2=1.0)
-        spec = bsde.DriverSpec(mode="zero")
         y1 = np.exp(-g.nodes**2)
         zeros = np.zeros(g.J)
-        _, z0, _ = bsde.theta_step(
-            y1, zeros, zeros, kern, g, bg, spec, np.full(g.J, self.sig)
-        )
+        z0 = bsde.z_step(y1, zeros, zeros, kern, g, bg, np.full(g.J, self.sig))
         want = self.sig * (-2.0 * g.nodes) * np.exp(-g.nodes**2)
         assert_allclose(z0, want, atol=1e-5)
 
@@ -260,10 +254,7 @@ class TestThetaStep:
         g, cf, kern, bg = self._setup(dt)
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.06)
         y1 = np.exp(-g.nodes**2)
-        zeros = np.zeros(g.J)
-        y0, z0, f0 = bsde.theta_step(
-            y1, zeros, zeros, kern, g, bg, spec, np.full(g.J, self.sig)
-        )
+        y0, f0 = bsde.theta_step(y1, np.zeros(g.J), kern, g, bg, spec)
         assert_allclose(f0, bsde.scheme_driver(spec, y0), rtol=1e-14)
 
     def test_explicit_scheme_ignores_picard_count(self):
@@ -275,18 +266,7 @@ class TestThetaStep:
         outs = []
         for picard in (1, 7):
             bg = bsde.BsdeGrid(1, dt, theta1=0.0, theta2=0.5, picard=picard)
-            outs.append(
-                bsde.theta_step(
-                    y1,
-                    np.zeros(g.J),
-                    f1,
-                    kern,
-                    g,
-                    bg,
-                    spec,
-                    np.full(g.J, self.sig),
-                )
-            )
+            outs.append(bsde.theta_step(y1, f1, kern, g, bg, spec))
         for a, b in zip(outs[0], outs[1]):
             assert_allclose(a, b, rtol=0.0, atol=0.0)
         # And the explicit update is exactly E[y] + dt E[f].
@@ -300,13 +280,17 @@ class TestThetaStep:
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.06)
         y1 = np.exp(-g.nodes**2)
         zeros = np.zeros(g.J)
-        args = (y1, zeros, zeros)
-        sig_nodes = np.full(g.J, self.sig)
-        base = bsde.theta_step(*args, kern, g, bg, spec, sig_nodes)
         pk = cos.point_kernel(cf, g, g.nodes)
-        via = bsde.theta_step(*args, pk, g, bg, spec, sig_nodes)
+        base = bsde.theta_step(y1, zeros, kern, g, bg, spec)
+        via = bsde.theta_step(y1, zeros, pk, g, bg, spec)
         for a, b in zip(base, via):
             assert_allclose(a, b, rtol=1e-12)
+        sig_nodes = np.full(g.J, self.sig)
+        assert_allclose(
+            bsde.z_step(y1, zeros, zeros, kern, g, bg, sig_nodes),
+            bsde.z_step(y1, zeros, zeros, pk, g, bg, sig_nodes),
+            rtol=1e-12,
+        )
 
 
 class TestSolveBsde:

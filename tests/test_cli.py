@@ -104,7 +104,7 @@ class TestConfigErrors:
         [
             ("cos", "j", "1", "[cos] j must be at least 2"),
             ("cos", "l", "0", "[cos] l must be positive"),
-            ("cos", "theta1", "1.5", "theta1 and theta2"),
+            ("cos", "theta1", "1.5", "theta1 must lie in (0, 1]"),
             ("payoff", "maturity", "0", "maturity must be positive"),
             ("payoff", "kind", "swaption-payer", "bond curve"),
             ("driver", "mode", "fancy", "mode must be zero/simplified/full"),
@@ -114,7 +114,7 @@ class TestConfigErrors:
             ("model", "r", "nan", "[model] r = 'nan': not a finite number"),
             ("model", "b", "inf", "[model] b = 'inf': not a finite number"),
             ("payoff", "maturity", "inf", "[payoff] maturity = 'inf': not a finite number"),
-            ("cos", "theta2", "nan", "[cos] theta2 = 'nan': not a finite number"),
+            ("cos", "theta2", "0.5", "[cos] unknown key 'theta2'"),
             ("driver", "rate_b", "-inf", "[driver] rate_b = '-inf': not a finite number"),
             ("job", "x0_list", "0.0, nan", "[job] x0_list = '0.0, nan': not a finite number"),
             ("job", "c_list", "-0.1, 0.0", "[job] c_list entries must be nonnegative"),

@@ -207,7 +207,7 @@ class TestCosExpectation:
         # E[h(X_{t+dt}) dW | x] = dt sigma d/dx E[h(X_{t+dt}) | x] to
         # leading order; for the put that derivative is known in closed
         # form, so the weighted expectation has its own oracle.  The
-        # weights are the point kernel's psi_dw, as in bsde.theta_step.
+        # weights are the point kernel's psi_dw, as in bsde.z_step.
         sig, rate_r, tau, strike = 0.25, 0.04, 0.5, 1.05
         g, cf = self._setup(sig, 0.0, 0.0, 0.0, rate_r, tau)
         hv = cos.halve_first(cos.put_payoff_coeffs(strike, g).values)

@@ -206,6 +206,27 @@ class TestPoissonIcdf:
         assert np.all(np.abs(u[off] - edge) < 1e-12)
 
 
+class TestRunChecks:
+    mdl = make_constant_model(0.2, 0.3, -0.1, 0.2, 0.05, 0.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        with pytest.raises(ValueError, match="finite horizon"):
+            mc.simulate(self.mdl, T, 4, 50, seed=0)
+        with pytest.raises(ValueError, match="finite horizon"):
+            mc.simulate_crn_pair(self.mdl, self.mdl, T, 4, 50, seed=0)
+
+    @pytest.mark.parametrize(
+        "steps, n_paths, n_blocks", [(0, 50, 1), (4, 0, 1), (4, 50, 0), (-1, 50, 1)]
+    )
+    def test_sizes_must_be_positive(self, steps, n_paths, n_blocks):
+        with pytest.raises(ValueError, match="n_blocks >= 1"):
+            mc.simulate(self.mdl, 0.5, steps, n_paths, seed=0, n_blocks=n_blocks)
+        if n_blocks == 1:
+            with pytest.raises(ValueError, match="n_blocks >= 1"):
+                mc.simulate_crn_pair(self.mdl, self.mdl, 0.5, steps, n_paths, seed=0)
+
+
 class TestCrnPair:
     def test_same_model_gives_identical_paths(self):
         mdl = make_constant_model(0.2, 0.3, -0.1, 0.2, 0.05, 0.0)
