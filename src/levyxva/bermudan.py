@@ -109,6 +109,8 @@ class PayoffSpec:
         modelmod._require_finite(self, "strike", "notional")
         if self.kind in ("put", "call") and self.strike <= 0.0:
             raise ValueError("option payoffs need a positive strike")
+        if self.kind.startswith("portfolio") and self.strike != 0.0:
+            raise ValueError("portfolio payoffs take no strike")
         if self.kind.startswith("swaption") and (
             self.bond_curve is None or self.schedule is None
         ):

@@ -33,57 +33,10 @@ JOBS = (
 
 _REQUIRED = object()
 
-_SCHEMA = {
-    "model": {"b", "beta", "lam", "m", "delta", "c", "r", "x0"},
-    "cos": {"j", "l", "theta1", "picard", "n", "m"},
-    "payoff": {"kind", "strike", "notional", "maturity"},
-    "driver": {
-        "mode",
-        "simplified_rate",
-        "rate_b",
-        "rate_c",
-        "rate_f",
-        "rate_i",
-        "rate_k",
-        "rate_tc",
-        "rate_fc",
-        "recovery_b",
-        "recovery_c",
-        "margin_tc",
-        "margin_fc",
-        "capital_c1",
-        "margin_c2",
-        "closeout",
-    },
-    "mc": {"enabled", "n_paths", "steps", "degree"},
-    "job": {
-        "kind",
-        "out",
-        "seed",
-        "widen_abs",
-        "x0_list",
-        "c_list",
-        "j_list",
-        "n_list",
-        "bench_n_list",
-    },
-}
-
-_BOOL_STATES = {
-    "1": True,
-    "yes": True,
-    "true": True,
-    "on": True,
-    "0": False,
-    "no": False,
-    "false": False,
-    "off": False,
-}
-
 
 def _to_bool(raw: str) -> bool:
     try:
-        return _BOOL_STATES[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
@@ -123,7 +76,6 @@ class RunConfig:
     out: str
     seed: int
     widen_abs: float
-    beta: float
     x0_list: list = field(default_factory=list)
     c_list: list = field(default_factory=list)
     j_list: list = field(default_factory=list)
@@ -134,30 +86,57 @@ class RunConfig:
 
 
 class _Reader:
-    """Typed key lookup over a parsed INI file with located error messages."""
+    """Typed key lookup over a parsed INI file with located error messages.
+
+    Every lookup is recorded with its resolved value (after the default and
+    any command-line override).  The record is the schema: ``check_unknown``
+    rejects whatever the file holds that was never looked up, and ``echo``
+    lists what was looked up.
+    """
 
     def __init__(self, cp: configparser.ConfigParser):
         self.cp = cp
+        self.seen = {}
 
-    def get(self, section: str, key: str, conv, default=_REQUIRED):
+    def get(self, section: str, key: str, conv, default=_REQUIRED, override=None):
         raw = self.cp.get(section, key, fallback=None)
-        if raw is None:
+        if override is not None:
+            value = override
+        elif raw is None:
             if default is _REQUIRED:
                 raise ConfigError(f"[{section}] missing required key '{key}'")
-            return default
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+            value = default
+        else:
+            try:
+                value = conv(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+        self.seen.setdefault(section, {})[key] = value
+        return value
 
+    def check_unknown(self) -> None:
+        for section in self.cp.sections():
+            if section not in self.seen:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in self.cp[section]:
+                if key not in self.seen[section]:
+                    raise ConfigError(f"[{section}] unknown key '{key}'")
 
-def _check_unknown(cp: configparser.ConfigParser) -> None:
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"[{section}] unknown key '{key}'")
+    def echo(self) -> list:
+        """Sorted ``key = value`` lines of every resolved key, by section.
+
+        Unset keys without a default (None) are left out, and so is
+        ``[job] out``: where the table is written must not change its hash.
+        """
+        lines = []
+        for section in sorted(self.seen):
+            lines.append(f"[{section}]")
+            for key, value in sorted(self.seen[section].items()):
+                if value is None or (section, key) == ("job", "out"):
+                    continue
+                text = str(value).lower() if isinstance(value, bool) else f"{value!r}"
+                lines.append(f"{key} = {text}")
+        return lines
 
 
 def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
@@ -175,7 +154,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from None
-    _check_unknown(cp)
     rd = _Reader(cp)
 
     b = rd.get("model", "b", _to_float)
@@ -208,7 +186,9 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         raise ConfigError("[cos] n and m must be at least 1")
 
     kind = rd.get("payoff", "kind", str)
-    strike = rd.get("payoff", "strike", _to_float, 1.0)
+    # Only options have a strike; a portfolio INI that sets one is rejected
+    # as an unknown key.
+    strike = rd.get("payoff", "strike", _to_float, 1.0) if kind in ("put", "call") else 0.0
     notional = rd.get("payoff", "notional", _to_float, 1.0)
     maturity = rd.get("payoff", "maturity", _to_float)
     if maturity <= 0.0:
@@ -249,13 +229,17 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     if mc_paths < 2 or mc_steps < 1 or mc_degree < 1:
         raise ConfigError("[mc] n_paths, steps and degree must be positive")
 
-    job_kind = job if job is not None else rd.get("job", "kind", str, None)
+    job_kind = rd.get("job", "kind", str, None, override=job)
     if job_kind is None:
         raise ConfigError("no job selected: set [job] kind or pass --job")
     if job_kind not in JOBS:
         raise ConfigError(f"unknown job {job_kind!r}; choose from {', '.join(JOBS)}")
-    out_path = out if out is not None else rd.get("job", "out", str, "-")
-    seed_val = seed if seed is not None else rd.get("job", "seed", int, 0)
+    if job_kind in ("price-cva", "greeks", "boundary") and kind != "put":
+        raise ConfigError(
+            f"[payoff] kind = {kind!r}: job {job_kind} prices Bermudan puts only"
+        )
+    out_path = rd.get("job", "out", str, "-", override=out)
+    seed_val = rd.get("job", "seed", int, 0, override=seed)
     if not 0 <= seed_val < 2**64:
         raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed_val}")
     widen_abs = rd.get("job", "widen_abs", _to_float, 1e-3)
@@ -295,51 +279,8 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    resolved = {
-        "model": {
-            "b": b,
-            "beta": beta,
-            "lam": lam,
-            "m": jump_m,
-            "delta": delta,
-            "c": c_level,
-            "r": rate,
-            "x0": x0,
-        },
-        "cos": {
-            "j": J,
-            "l": L,
-            "theta1": theta1,
-            "picard": picard,
-            "n": n_inner,
-            "m": m_dates,
-        },
-        "payoff": {
-            "kind": kind,
-            "strike": strike,
-            "notional": notional,
-            "maturity": maturity,
-        },
-        "driver": {"mode": mode, "closeout": closeout, **drv_kwargs},
-        "mc": {
-            "enabled": mc_enabled,
-            "n_paths": mc_paths,
-            "steps": mc_steps,
-            "degree": mc_degree,
-        },
-        "job": {"kind": job_kind, "seed": seed_val, "widen_abs": widen_abs},
-    }
-    if simplified_rate is not None:
-        resolved["driver"]["simplified_rate"] = simplified_rate
-    echo_lines = []
-    for section in sorted(resolved):
-        echo_lines.append(f"[{section}]")
-        for key in sorted(resolved[section]):
-            value = resolved[section][key]
-            text = str(value).lower() if isinstance(value, bool) else f"{value!r}"
-            echo_lines.append(f"{key} = {text}")
-    sha = hashlib.sha256("\n".join(echo_lines).encode("utf-8")).hexdigest()
+    rd.check_unknown()
+    echo_lines = rd.echo()
 
     return RunConfig(
         model=mdl,
@@ -358,14 +299,13 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         out=out_path,
         seed=seed_val,
         widen_abs=widen_abs,
-        beta=beta,
         x0_list=x0_list,
         c_list=c_list,
         j_list=j_list,
         n_list=n_list,
         bench_n_list=bench_n_list,
         echo_lines=echo_lines,
-        sha256=sha,
+        sha256=hashlib.sha256("\n".join(echo_lines).encode("utf-8")).hexdigest(),
     )
 
 
@@ -391,39 +331,30 @@ def emit_table(columns, rows, rc: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _xva_price(rc: RunConfig, mdl):
+def _xva_value(rc: RunConfig, mdl, schedule, J: int) -> float:
     from . import bermudan
 
-    res = bermudan.price_bermudan_xva(
-        mdl,
-        rc.payoff,
-        rc.schedule,
-        rc.driver,
-        J=rc.J,
-        L=rc.L,
-        theta1=rc.theta1,
-        picard=rc.picard,
-    )
-    return res
+    return bermudan.price_bermudan_xva(
+        mdl, rc.payoff, schedule, rc.driver, J=J, L=rc.L, theta1=rc.theta1, picard=rc.picard
+    ).value
 
 
 def _lsm_interval(rc: RunConfig, mdl):
     from . import mc as mcmod
 
     batch = mcmod.simulate(mdl, rc.schedule.T, rc.mc_steps, rc.mc_paths, rc.seed)
-    est, ci = mcmod.lsm_price(batch, rc.payoff, rc.schedule, rc.driver, rc.mc_degree)
-    return est, ci
+    return mcmod.lsm_price(batch, rc.payoff, rc.schedule, rc.driver, rc.mc_degree)
 
 
 def _job_price_xva(rc: RunConfig):
     rows = []
     for x0 in rc.x0_list:
         mdl = replace(rc.model, spot_x0=x0)
-        res = _xva_price(rc, mdl)
+        value = _xva_value(rc, mdl, rc.schedule, rc.J)
         lo = hi = None
         if rc.mc_enabled:
             _, (lo, hi) = _lsm_interval(rc, mdl)
-        rows.append((rc.schedule.T, x0, lo, hi, res.value))
+        rows.append((rc.schedule.T, x0, lo, hi, value))
     return ["T", "S0", "MC_lo", "MC_hi", "COS"], rows, None
 
 
@@ -465,10 +396,11 @@ def _job_boundary(rc: RunConfig):
     from . import cva as cvamod
     from . import model as modelmod
 
+    slope = rc.model.vol.slope
     rows = []
     for c_val in rc.c_list:
         if c_val > 0.0:
-            mdl = rc.model.with_default(modelmod.CoeffFamily.exponential(c_val, rc.beta))
+            mdl = rc.model.with_default(modelmod.CoeffFamily.exponential(c_val, slope))
         else:
             mdl = rc.model.without_default()
         res = cvamod.price_bermudan_cos(mdl, rc.payoff, rc.schedule, J=rc.J, L=rc.L)
@@ -479,39 +411,27 @@ def _job_boundary(rc: RunConfig):
 
 
 def _job_validate(rc: RunConfig):
-    res = _xva_price(rc, rc.model)
-    est, (lo, hi) = _lsm_interval(rc, rc.model)
-    ok = (lo - rc.widen_abs) <= res.value <= (hi + rc.widen_abs)
+    value = _xva_value(rc, rc.model, rc.schedule, rc.J)
+    _, (lo, hi) = _lsm_interval(rc, rc.model)
+    ok = (lo - rc.widen_abs) <= value <= (hi + rc.widen_abs)
     verdict = "PASS" if ok else "FAIL"
-    rows = [("xva", res.value, lo, hi, verdict)]
+    rows = [("xva", value, lo, hi, verdict)]
     error = None
     if not ok:
         error = (
-            f"COS value {res.value:.6g} outside widened Monte Carlo interval "
+            f"COS value {value:.6g} outside widened Monte Carlo interval "
             f"[{lo - rc.widen_abs:.6g}, {hi + rc.widen_abs:.6g}]"
         )
     return ["quantity", "COS", "MC_lo", "MC_hi", "verdict"], rows, error
 
 
 def _job_convergence(rc: RunConfig):
-    from . import bermudan
-
     ref, _ = _lsm_interval(rc, rc.model)
     rows = []
     for J in rc.j_list:
         for N in rc.n_list:
-            sched = bermudan.ExerciseSchedule(rc.schedule.T, rc.schedule.M, N)
-            res = bermudan.price_bermudan_xva(
-                rc.model,
-                rc.payoff,
-                sched,
-                rc.driver,
-                J=J,
-                L=rc.L,
-                theta1=rc.theta1,
-                picard=rc.picard,
-            )
-            rows.append((J, N, res.value, ref, abs(res.value - ref)))
+            value = _xva_value(rc, rc.model, replace(rc.schedule, N=N), J)
+            rows.append((J, N, value, ref, abs(value - ref)))
     return ["J", "N", "COS", "LSM", "abs_error"], rows, None
 
 
@@ -529,7 +449,8 @@ def _job_bench(rc: RunConfig):
         rc.model, rc.payoff, rc.driver, rc.schedule.T, [(256, 10, rc.schedule.M)], L=rc.L
     )
     rows.append(("xva", 256, 10, rc.schedule.M, xva_probe["seconds"]))
-    put = rc.payoff if rc.payoff.kind == "put" else replace(rc.payoff, kind="put")
+    # Portfolio payoffs carry no strike; their CVA timing uses K = 1.
+    put = replace(rc.payoff, kind="put", strike=rc.payoff.strike or 1.0)
     t0 = time.perf_counter()
     cvamod.price_bermudan_cos(rc.model, put, rc.schedule, J=100, L=rc.L)
     t_cva = time.perf_counter() - t0

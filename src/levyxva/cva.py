@@ -110,7 +110,6 @@ def price_bermudan_cos(
     J: int = 128,
     L: float = 10.0,
     order: int = 2,
-    method: str = "fft",
     grid: cosmod.CosGrid | None = None,
 ) -> PricingResult:
     """One Bermudan-put leg by the coefficient recursion, basepoint X0.
@@ -122,8 +121,6 @@ def price_bermudan_cos(
     """
     if payoff.kind != "put":
         raise ValueError("the fast CVA path prices Bermudan puts")
-    if method not in ("fft", "dense"):
-        raise ValueError("method must be 'fft' or 'dense'")
     t_begin = time.perf_counter()
     M, T = schedule.M, schedule.T
     delta_t = schedule.spacing
@@ -163,9 +160,7 @@ def price_bermudan_cos(
             )
         cont = np.zeros(grid.J)
         for h in range(order + 1):
-            cont += cosmod.m_matrix_product(
-                V, grid, x_star, grid.b, h, g[h], x0, method=method
-            )
+            cont += cosmod.m_matrix_product(V, grid, x_star, grid.b, h, g[h], x0)
         V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star).values + disc * cont
         times.append(t_m)
         points.append(x_star)
@@ -201,7 +196,6 @@ def price_bermudan_cos(
             "order": order,
             "M": M,
             "T": T,
-            "method": method,
             "strike": strike,
         },
         extras={"V1": V, "cf": cf, "trace": trace, "disc": disc},
@@ -231,14 +225,13 @@ def _legs(
     J: int = 128,
     L: float = 10.0,
     order: int = 2,
-    method: str = "fft",
 ):
     """Price the defaultable and default-free legs on one shared grid."""
     m_d = mdl.with_default(default_spec.intensity)
     m_r = m_d.without_default()
     grid = make_cos_grid(m_d, schedule.T, J, L)
-    res_d = price_bermudan_cos(m_d, payoff, schedule, J, L, order, method, grid=grid)
-    res_r = price_bermudan_cos(m_r, payoff, schedule, J, L, order, method, grid=grid)
+    res_d = price_bermudan_cos(m_d, payoff, schedule, J, L, order, grid=grid)
+    res_r = price_bermudan_cos(m_r, payoff, schedule, J, L, order, grid=grid)
     return res_d, res_r
 
 
@@ -250,10 +243,9 @@ def cva(
     J: int = 128,
     L: float = 10.0,
     order: int = 2,
-    method: str = "fft",
 ) -> float:
     """CVA = default-free leg minus defaultable leg at (t_0, X_0)."""
-    res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order, method)
+    res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order)
     return res_r.value - res_d.value
 
 
@@ -265,10 +257,9 @@ def cva_report(
     J: int = 128,
     L: float = 10.0,
     order: int = 2,
-    method: str = "fft",
 ):
     """CVA plus both leg results (for Greeks, boundaries and diagnostics)."""
-    res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order, method)
+    res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order)
     return res_r.value - res_d.value, res_d, res_r
 
 
@@ -280,12 +271,11 @@ def greeks(
     J: int = 128,
     L: float = 10.0,
     order: int = 2,
-    method: str = "fft",
     legs=None,
 ):
     """(Delta, Gamma) of the CVA: difference of the per-leg cosine series."""
     if legs is None:
-        res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order, method)
+        res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order)
     else:
         res_d, res_r = legs
     return res_r.delta - res_d.delta, res_r.gamma - res_d.gamma

@@ -126,9 +126,9 @@ def _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band):
     return x_next, mdl.gamma(t_k, xk) * dt
 
 
-def _euler_block(mdl, T, steps, rng, n_paths, thinning, band=None):
+def _euler_block(mdl, T, steps, rng, n_paths, thinning):
     dt = T / steps
-    band = band if band is not None else _guard_band(mdl, T)
+    band = _guard_band(mdl, T)
     x = np.empty((n_paths, steps + 1))
     surv = np.empty((n_paths, steps + 1))
     x[:, 0] = mdl.spot_x0

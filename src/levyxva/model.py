@@ -95,11 +95,6 @@ class CoeffFamily:
             out[k] = base * slope**k / fact
         return out
 
-    def scaled(self, factor: float) -> "CoeffFamily":
-        if self.kind == "zero":
-            return self
-        return CoeffFamily(self.kind, self.level * factor, self.slope)
-
 
 @dataclass(frozen=True)
 class JumpLaw:
@@ -112,10 +107,6 @@ class JumpLaw:
         _require_finite(self, "mean", "std")
         if self.std < 0.0:
             raise ValueError("jump std must be nonnegative")
-
-    def raw_moment4(self) -> float:
-        m, d = self.mean, self.std
-        return m**4 + 6.0 * m**2 * d**2 + 3.0 * d**4
 
 
 def jump_compensator_kappa(law: JumpLaw) -> float:

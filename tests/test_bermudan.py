@@ -68,6 +68,12 @@ class TestPayoffSpec:
         with pytest.raises(ValueError):
             bermudan.PayoffSpec(kind="call", strike=-1.0)
 
+    @pytest.mark.parametrize("kind", ["portfolio-linear", "portfolio-exp"])
+    def test_portfolio_kinds_take_no_strike(self, kind):
+        assert bermudan.PayoffSpec(kind=kind).strike == 0.0
+        with pytest.raises(ValueError, match="take no strike"):
+            bermudan.PayoffSpec(kind=kind, strike=1.0)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             bermudan.PayoffSpec(kind="straddle", strike=1.0)

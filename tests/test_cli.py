@@ -126,6 +126,23 @@ class TestConfigErrors:
         assert code == 2
         assert needle in err
 
+    def test_strike_is_unknown_for_portfolio_payoffs(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, payoff={"kind": "portfolio-linear"}, job={"kind": "price-xva"}
+        )
+        code, _, err = run_cli(["--config", path], capsys)
+        assert code == 2
+        assert "[payoff] unknown key 'strike'" in err
+
+    @pytest.mark.parametrize("job", ["price-cva", "greeks", "boundary"])
+    @pytest.mark.parametrize("kind", ["call", "portfolio-linear"])
+    def test_cva_jobs_need_a_put(self, tmp_path, capsys, job, kind):
+        drop = ["payoff.strike"] if kind.startswith("portfolio") else []
+        path = write_config(tmp_path, drop=drop, payoff={"kind": kind}, job={"kind": job})
+        code, _, err = run_cli(["--config", path], capsys)
+        assert code == 2
+        assert f"config error: [payoff] kind = '{kind}': job {job}" in err
+
     def test_malformed_ini(self, tmp_path, capsys):
         path = tmp_path / "broken.ini"
         path.write_text("b = 0.15\n", encoding="utf-8")
@@ -169,6 +186,77 @@ class TestEchoAndHash:
         _, out1, _ = run_cli(["--config", path], capsys)
         _, out2, _ = run_cli(["--config", path, "--seed", "99"], capsys)
         assert out1.splitlines()[0] != out2.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x0_list", "0.0, 0.4"),
+            ("c_list", "0.0, 0.3"),
+            ("j_list", "8, 64"),
+            ("n_list", "1, 5"),
+            ("bench_n_list", "2, 3"),
+        ],
+    )
+    def test_job_lists_enter_hash(self, tmp_path, capsys, key, value):
+        _, out1, _ = run_cli(["--config", write_config(tmp_path, "a.ini")], capsys)
+        path = write_config(tmp_path, "b.ini", job={key: value})
+        _, out2, _ = run_cli(["--config", path], capsys)
+        assert out1.splitlines()[0] != out2.splitlines()[0]
+
+    def test_output_path_stays_out_of_hash(self, tmp_path, capsys):
+        _, plain, _ = run_cli(["--config", write_config(tmp_path, "a.ini")], capsys)
+        path = write_config(tmp_path, "b.ini", job={"out": tmp_path / "x.csv"})
+        run_cli(["--config", path], capsys)
+        from_key = (tmp_path / "x.csv").read_text(encoding="utf-8")
+        run_cli(["--config", path, "--out", tmp_path / "y.csv"], capsys)
+        from_flag = (tmp_path / "y.csv").read_text(encoding="utf-8")
+        assert plain == from_key == from_flag
+        assert not any(ln.startswith("# out = ") for ln in plain.splitlines())
+
+    def test_every_key_set_is_echoed(self, tmp_path, capsys):
+        every = {
+            "model": BASE["model"],
+            "cos": {"j": "16", "l": "8.0", "theta1": "1.0", "picard": "3", "n": "2", "m": "2"},
+            "payoff": {"kind": "put", "strike": "1.1", "notional": "2.0", "maturity": "0.5"},
+            "driver": {
+                "mode": "full",
+                "simplified_rate": "0.05",
+                "closeout": "risk-free",
+                **{
+                    key: "0.01"
+                    for key in (
+                        "rate_b", "rate_c", "rate_f", "rate_i", "rate_k", "rate_tc",
+                        "rate_fc", "margin_tc", "margin_fc", "capital_c1", "margin_c2",
+                    )
+                },
+                "recovery_b": "0.4",
+                "recovery_c": "0.4",
+            },
+            "mc": {"enabled": "false", "n_paths": "100", "steps": "4", "degree": "2"},
+            "job": {
+                "kind": "price-cva",
+                "out": tmp_path / "o.csv",
+                "seed": "3",
+                "widen_abs": "0.01",
+                "x0_list": "0.0",
+                "c_list": "0.1",
+                "j_list": "8",
+                "n_list": "2",
+                "bench_n_list": "2",
+            },
+        }
+        path = write_config(tmp_path, **every)
+        assert run_cli(["--config", path], capsys)[0] == 0
+        echoed, section = set(), None
+        for line in (tmp_path / "o.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            if not line.startswith("# "):
+                break
+            if line.startswith("# ["):
+                section = line[3:-1]
+            else:
+                echoed.add((section, line[2:].split(" = ")[0]))
+        want = {(sec, key) for sec, vals in every.items() for key in vals} - {("job", "out")}
+        assert echoed == want
 
 
 class TestJobs:
@@ -279,6 +367,18 @@ class TestJobs:
             )
         # The reference column repeats the single Monte Carlo estimate.
         assert rows[0][3] == rows[1][3]
+
+    def test_bench_times_a_put_for_portfolio_payoffs(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            drop=["payoff.strike"],
+            payoff={"kind": "portfolio-linear"},
+            job={"kind": "bench", "bench_n_list": "2"},
+        )
+        code, out, _ = run_cli(["--config", path], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["xva-scaling", "xva", "cva", "speedup"]
 
     def test_bench_reports_scaling_and_speedup(self, tmp_path, capsys):
         path = write_config(tmp_path, job={"kind": "bench", "bench_n_list": "2"})

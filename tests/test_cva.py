@@ -9,6 +9,7 @@ intensity, leg sharing, monotonicity in the intensity level) pin the
 adjustment itself.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import levyxva as lx
-from levyxva import bermudan, bsde, cva
+from levyxva import bermudan, bsde, cos, cva
 
 from conftest import make_benchmark_model, make_constant_model
 
@@ -283,23 +284,12 @@ class TestExerciseBoundary:
 
 
 class TestMethodEquivalence:
-    def test_fft_and_dense_agree_end_to_end(self, model_put):
+    def test_fft_and_dense_agree_end_to_end(self, model_put, monkeypatch):
         sched = bermudan.ExerciseSchedule(1.0, 4, 10)
-        fast = cva.price_bermudan_cos(model_put, _put(1.0), sched, J=128, method="fft")
-        dense = cva.price_bermudan_cos(
-            model_put, _put(1.0), sched, J=128, method="dense"
+        fast = cva.price_bermudan_cos(model_put, _put(1.0), sched, J=128)
+        monkeypatch.setattr(
+            cos, "m_matrix_product", functools.partial(cos.m_matrix_product, method="dense")
         )
+        dense = cva.price_bermudan_cos(model_put, _put(1.0), sched, J=128)
         assert_allclose(fast.value, dense.value, atol=1e-11)
         assert_allclose(fast.y0, dense.y0, atol=1e-10)
-
-    def test_unknown_method_rejected(self, model_put):
-        # M = 1 never reaches m_matrix_product, so the pricer checks first.
-        for M in (1, 2):
-            with pytest.raises(ValueError, match="method"):
-                cva.price_bermudan_cos(
-                    model_put,
-                    _put(1.0),
-                    bermudan.ExerciseSchedule(1.0, M, 10),
-                    J=32,
-                    method="bogus",
-                )
