@@ -208,16 +208,16 @@ def theta_step(
 ):
     """One backward theta step of y.
 
-    The next-level grids are DCT'd on the full node set; the kernel rows
-    decide where the step is evaluated (the grid nodes, or the points of a
-    ``point_kernel``), and ``mtm_now`` is given there.  f_next holds
-    scheme-convention driver values at the later time level; the returned
-    pair (y_now, f_now) keeps that invariant so steps chain without
-    re-evaluating the driver.
+    The next-level grids are DCT'd in one stacked call on the full node
+    set; the kernel rows decide where the step is evaluated (the grid
+    nodes, or the points of a ``point_kernel``), and ``mtm_now`` is given
+    there.  f_next holds scheme-convention driver values at the later time
+    level; the returned pair (y_now, f_now) keeps that invariant so steps
+    chain without re-evaluating the driver.
     """
     dt, t1 = bgrid.dt, bgrid.theta1
-    ey = kernel.psi @ cosmod.halve_first(cosmod.dct_coeffs(y_next, grid).values)
-    ef = kernel.psi @ cosmod.halve_first(cosmod.dct_coeffs(f_next, grid).values)
+    hy, hf = cosmod.halve_first(cosmod.dct_coeffs(np.stack((y_next, f_next)), grid).values)
+    ey, ef = kernel.psi @ hy, kernel.psi @ hf
     explicit = ey + dt * (1.0 - t1) * ef
     y_now = ey
     if t1 > 0.0:

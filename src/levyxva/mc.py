@@ -10,8 +10,13 @@ with N_k ~ Poisson(a(X_k) dt); the Gaussian jump sizes are aggregated
 exactly conditional on the count.  Default is carried either as the
 survival weight e^{-int gamma dt} (variance-reduced, the default) or by
 thinning against an exponential clock (validates the default-probability
-law).  The CVA pair shares uniforms and normals across its two legs, with
-Poisson counts drawn by inverse transform from the shared uniforms so the
+law).
+
+``simulate`` and the CVA pair step through one path loop, which draws
+per step the jump counts, then the normals Z and Z', on one random stream
+and evaluates sigma, a and gamma once per model.  The two differ only in
+the counts: ``simulate`` draws them exactly, while the pair shares one
+uniform across its two legs and inverts each leg's Poisson CDF, so the
 legs stay coupled even though their intensities drift apart.
 """
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,56 +106,90 @@ def _guard_band(mdl, T):
     return mdl.spot_x0 - spread, mdl.spot_x0 + spread
 
 
-def _check_run(T, steps: int, n_paths: int, n_blocks: int = 1) -> None:
+def _check_run(T, steps: int, n_paths: int) -> None:
     """Reject a horizon or size that the simulators cannot step over."""
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"need a finite horizon T > 0, got {T!r}")
-    if steps < 1 or n_paths < 1 or n_blocks < 1:
-        raise ValueError("need steps >= 1, n_paths >= 1 and n_blocks >= 1")
+    if steps < 1 or n_paths < 1:
+        raise ValueError("need steps >= 1 and n_paths >= 1")
 
 
 def _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band):
     """One Euler update from xk, given the jump intensity at xk, the jump
-    counts and the two normal draws; returns (x_{k+1}, hazard over dt)."""
+    counts and the two normal draws; returns (x_{k+1}, hazard over dt).
+    sigma and gamma are evaluated once and the drift is formed from them."""
+    sig, gam = mdl.sigma(t_k, xk), mdl.gamma(t_k, xk)
     m, d = mdl.jump_law.mean, mdl.jump_law.std
     jumps = m * counts + d * np.sqrt(counts) * z2
     x_next = np.clip(
         xk
-        + modelmod.martingale_drift(mdl, t_k, xk) * dt
-        + mdl.sigma(t_k, xk) * math.sqrt(dt) * z
+        + modelmod.drift_from_coeffs(mdl, sig, lam, gam) * dt
+        + sig * math.sqrt(dt) * z
         + jumps
         - lam * m * dt,
         band[0],
         band[1],
     )
-    return x_next, mdl.gamma(t_k, xk) * dt
+    return x_next, gam * dt
 
 
-def _euler_block(mdl, T, steps, rng, n_paths, thinning):
+def _paths(models, T, steps, n_paths, seed, rng, draw_counts) -> list:
+    """Euler paths of every model on one random stream, one batch each.
+
+    Each step draws the jump counts with ``draw_counts(rng, means)`` (one
+    (counts, truncated draws) pair per model, from its a(x) dt), then the
+    normals z and z2 that all models share.  Every model is absorbed on
+    one band, the union of their guard bands.
+    """
     dt = T / steps
-    band = _guard_band(mdl, T)
-    x = np.empty((n_paths, steps + 1))
-    surv = np.empty((n_paths, steps + 1))
-    x[:, 0] = mdl.spot_x0
-    surv[:, 0] = 1.0
-    cumhaz = np.zeros(n_paths)
-    clock = rng.exponential(1.0, n_paths) if thinning else None
-    default_time = np.full(n_paths, np.inf) if thinning else None
+    los, his = zip(*(_guard_band(mdl, T) for mdl in models))
+    band = (min(los), max(his))
+    xs = [np.empty((n_paths, steps + 1)) for _ in models]
+    survs = [np.empty((n_paths, steps + 1)) for _ in models]
+    truncated = [0] * len(models)
+    for x, surv, mdl in zip(xs, survs, models):
+        x[:, 0] = mdl.spot_x0
+        surv[:, 0] = 1.0
     for k in range(steps):
         t_k = k * dt
-        xk = x[:, k]
-        lam = mdl.intensity_a(t_k, xk)
-        counts = rng.poisson(np.minimum(lam * dt, 1e6))
+        lams = [mdl.intensity_a(t_k, x[:, k]) for mdl, x in zip(models, xs)]
+        draws = draw_counts(rng, [lam * dt for lam in lams])
         z = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
-        x[:, k + 1], haz = _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band)
-        surv[:, k + 1] = surv[:, k] * np.exp(-haz)
-        if thinning:
-            new_haz = cumhaz + haz
-            hit = (clock > cumhaz) & (clock <= new_haz)
-            default_time[hit] = (k + 1) * dt
-            cumhaz = new_haz
-    return x, surv, default_time
+        for leg, (mdl, x, surv, lam) in enumerate(zip(models, xs, survs, lams)):
+            counts, cut = draws[leg]
+            truncated[leg] += cut
+            x[:, k + 1], haz = _euler_step(mdl, t_k, dt, x[:, k], lam, counts, z, z2, band)
+            surv[:, k + 1] = surv[:, k] * np.exp(-haz)
+    times = np.arange(steps + 1) * dt
+    return [
+        PathBatch(x, times, surv, None, seed, dt, mdl.rate_r, poisson_truncated=cut)
+        for mdl, x, surv, cut in zip(models, xs, survs, truncated)
+    ]
+
+
+def _poisson_counts(rng, means) -> list:
+    """Exact Poisson counts, one independent draw per model."""
+    return [(rng.poisson(np.minimum(mean, 1e6)), 0) for mean in means]
+
+
+def _shared_uniform_counts(rng, means) -> list:
+    """Counts from one shared uniform by each model's capped inverse CDF."""
+    u = rng.random(len(means[0]))
+    return [_poisson_icdf(u, np.minimum(mean, 200.0)) for mean in means]
+
+
+def _default_times(mdl, x, dt, clock) -> np.ndarray:
+    """End of the step in which the cumulative hazard of each stored path
+    passes its exponential clock; inf where it never does."""
+    default_time = np.full(clock.shape, np.inf)
+    cumhaz = np.zeros(clock.shape)
+    for k in range(x.shape[1] - 1):
+        new_haz = cumhaz + mdl.gamma(k * dt, x[:, k]) * dt
+        hit = (clock > cumhaz) & (clock <= new_haz)
+        default_time[hit] = (k + 1) * dt
+        cumhaz = new_haz
+    return default_time
 
 
 def simulate(
@@ -160,39 +199,22 @@ def simulate(
     n_paths: int,
     seed: int,
     default_mode: str = "weight",
-    n_blocks: int = 1,
 ) -> PathBatch:
     """Euler simulation of the model on [0, T]; reproducible under the seed.
 
     ``default_mode`` "weight" carries only the survival weights; "thin"
-    additionally samples default times against an exponential clock.
-    Paths are generated in ``n_blocks`` blocks with independent spawned RNG
-    streams (the block loop is the natural parallel axis).
+    additionally samples default times against an exponential clock, drawn
+    before the paths.  Jump counts are exact Poisson draws.
     """
-    _check_run(T, steps, n_paths, n_blocks)
+    _check_run(T, steps, n_paths)
     if default_mode not in ("weight", "thin"):
         raise ValueError("default_mode must be 'weight' or 'thin'")
-    sizes = [n_paths // n_blocks] * n_blocks
-    sizes[-1] += n_paths - sum(sizes)
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    xs, survs, dts = [], [], []
-    thinning = default_mode == "thin"
-    for size, stream in zip(sizes, streams):
-        x, surv, dtime = _euler_block(mdl, T, steps, np.random.default_rng(stream), size, thinning)
-        xs.append(x)
-        survs.append(surv)
-        if thinning:
-            dts.append(dtime)
-    dt = T / steps
-    return PathBatch(
-        x=np.concatenate(xs),
-        times=np.arange(steps + 1) * dt,
-        survival=np.concatenate(survs),
-        default_time=np.concatenate(dts) if thinning else None,
-        seed=seed,
-        dt=dt,
-        rate_r=mdl.rate_r,
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    clock = rng.exponential(1.0, n_paths) if default_mode == "thin" else None
+    [batch] = _paths([mdl], T, steps, n_paths, seed, rng, _poisson_counts)
+    if clock is None:
+        return batch
+    return replace(batch, default_time=_default_times(mdl, batch.x, batch.dt, clock))
 
 
 def simulate_crn_pair(
@@ -211,45 +233,8 @@ def simulate_crn_pair(
     ``poisson_truncated`` counts its draws cut off at 201 jumps.
     """
     _check_run(T, steps, n_paths)
-    dt = T / steps
-    lo_a, hi_a = _guard_band(mdl_a, T)
-    lo_b, hi_b = _guard_band(mdl_b, T)
-    band = (min(lo_a, lo_b), max(hi_a, hi_b))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = []
-    xs = [np.empty((n_paths, steps + 1)) for _ in range(2)]
-    survs = [np.empty((n_paths, steps + 1)) for _ in range(2)]
-    truncated = [0, 0]
-    for arr, sv, mdl in zip(xs, survs, (mdl_a, mdl_b)):
-        arr[:, 0] = mdl.spot_x0
-        sv[:, 0] = 1.0
-    for k in range(steps):
-        t_k = k * dt
-        u = rng.random(n_paths)
-        z = rng.standard_normal(n_paths)
-        z2 = rng.standard_normal(n_paths)
-        for leg, (arr, sv, mdl) in enumerate(zip(xs, survs, (mdl_a, mdl_b))):
-            xk = arr[:, k]
-            lam = mdl.intensity_a(t_k, xk)
-            counts, cut = _poisson_icdf(u, np.minimum(lam * dt, 200.0))
-            truncated[leg] += cut
-            arr[:, k + 1], haz = _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band)
-            sv[:, k + 1] = sv[:, k] * np.exp(-haz)
-    times = np.arange(steps + 1) * dt
-    for arr, sv, mdl, cut in zip(xs, survs, (mdl_a, mdl_b), truncated):
-        out.append(
-            PathBatch(
-                x=arr,
-                times=times,
-                survival=sv,
-                default_time=None,
-                seed=seed,
-                dt=dt,
-                rate_r=mdl.rate_r,
-                poisson_truncated=cut,
-            )
-        )
-    return out[0], out[1]
+    return tuple(_paths((mdl_a, mdl_b), T, steps, n_paths, seed, rng, _shared_uniform_counts))
 
 
 def _fit_predict(xk: np.ndarray, target: np.ndarray, degree: int, mask=None) -> np.ndarray:
@@ -305,11 +290,11 @@ def lsm_price(
         t_k = k * dt
         xk = x[:, k]
         cont = _fit_predict(xk, v, degree)
-        v = v + dt * scheme_driver(driver, cont)
+        step = dt * scheme_driver(driver, cont)
+        v = v + step
         if k > 0 and k % stride == 0:
             phi = np.asarray(payoff_eval(payoff, t_k, xk), dtype=float)
-            cont_adj = cont + dt * scheme_driver(driver, cont)
-            ex = phi >= cont_adj
+            ex = phi >= cont + step
             v[ex] = phi[ex]
     est = float(v.mean())
     half = 1.96 * float(v.std(ddof=1)) / math.sqrt(batch.n_paths)

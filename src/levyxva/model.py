@@ -23,11 +23,9 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-_FAMILY_KINDS = ("zero", "const", "exp")
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -40,42 +38,37 @@ def _require_finite(obj, *names: str) -> None:
 class CoeffFamily:
     """State-dependent coefficient g(x) = level * exp(slope * x).
 
-    kind "zero" is the constant 0, "const" ignores slope, "exp" is the
-    general member.  Constant members produce exactly-zero higher Taylor
-    coefficients, which downstream code relies on for the constant
-    coefficient (Merton) collapse.
+    A member with slope 0 or level 0 is the constant ``level``, evaluated
+    without an exponential; its higher Taylor coefficients are exactly
+    zero, which downstream code relies on for the constant coefficient
+    (Merton) collapse.
     """
 
-    kind: str
     level: float = 0.0
     slope: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
         _require_finite(self, "level", "slope")
 
     @staticmethod
     def zero() -> "CoeffFamily":
-        return CoeffFamily("zero")
+        return CoeffFamily()
 
     @staticmethod
     def const(level: float) -> "CoeffFamily":
-        return CoeffFamily("const", float(level))
+        return CoeffFamily(float(level))
 
     @staticmethod
     def exponential(level: float, slope: float) -> "CoeffFamily":
-        return CoeffFamily("exp", float(level), float(slope))
+        return CoeffFamily(float(level), float(slope))
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == "zero" or self.level == 0.0
+        return self.level == 0.0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "const":
+        if self.slope == 0.0 or self.is_zero:
             return np.full_like(x, self.level)
         return self.level * np.exp(self.slope * x)
 
@@ -87,12 +80,11 @@ class CoeffFamily:
         xbar = np.asarray(xbar, dtype=float)
         out = np.zeros((order + 1,) + xbar.shape)
         base = self(xbar)
-        slope = self.slope if self.kind == "exp" else 0.0
         fact = 1.0
         for k in range(order + 1):
             if k > 0:
                 fact *= k
-            out[k] = base * slope**k / fact
+            out[k] = base * self.slope**k / fact
         return out
 
 
@@ -151,35 +143,23 @@ class ModelSpec:
         the drift restriction."""
         if self.default_intensity.is_zero:
             return self
-        return ModelSpec(
-            vol=self.vol,
-            jump_intensity=self.jump_intensity,
-            jump_law=self.jump_law,
-            default_intensity=CoeffFamily.zero(),
-            rate_r=self.rate_r,
-            spot_x0=self.spot_x0,
-        )
+        return self.with_default(CoeffFamily.zero())
 
     def with_default(self, intensity: CoeffFamily) -> "ModelSpec":
-        return ModelSpec(
-            vol=self.vol,
-            jump_intensity=self.jump_intensity,
-            jump_law=self.jump_law,
-            default_intensity=intensity,
-            rate_r=self.rate_r,
-            spot_x0=self.spot_x0,
-        )
+        return replace(self, default_intensity=intensity)
+
+
+def drift_from_coeffs(model: ModelSpec, sig, a, gamma):
+    """mu = gamma + r - sigma^2/2 - a*kappa from the coefficient values
+    sigma(x), a(x), gamma(x) (martingale restriction)."""
+    return gamma + model.rate_r - 0.5 * sig * sig - a * model.kappa
 
 
 def martingale_drift(model: ModelSpec, t, x):
     """mu(x) = gamma + r - sigma^2/2 - a*kappa (martingale restriction)."""
     x = np.asarray(x, dtype=float)
-    sig = model.sigma(t, x)
-    return (
-        model.gamma(t, x)
-        + model.rate_r
-        - 0.5 * sig * sig
-        - model.intensity_a(t, x) * model.kappa
+    return drift_from_coeffs(
+        model, model.sigma(t, x), model.intensity_a(t, x), model.gamma(t, x)
     )
 
 
@@ -224,11 +204,7 @@ def taylor_expand(model: ModelSpec, t, xbar, order: int) -> TaylorData:
     if order < 0:
         raise ValueError("order must be >= 0")
     xbar = np.asarray(xbar, dtype=float)
-    s_fam = CoeffFamily(
-        "zero" if model.vol.is_zero else "exp",
-        0.5 * model.vol.level**2,
-        2.0 * model.vol.slope if model.vol.kind == "exp" else 0.0,
-    )
+    s_fam = CoeffFamily(0.5 * model.vol.level**2, 2.0 * model.vol.slope)
     s = s_fam.taylor_coeffs(xbar, order)
     a = model.jump_intensity.taylor_coeffs(xbar, order)
     gamma = model.default_intensity.taylor_coeffs(xbar, order)

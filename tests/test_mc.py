@@ -101,13 +101,101 @@ class TestSimulate:
         # Undefaulted paths are flagged with an infinite time.
         assert np.all(np.isinf(b.default_time[b.default_time > T]))
 
-    def test_block_splitting_changes_stream_not_statistics(self):
-        mdl = make_constant_model(0.2, 0.0, 0.0, 0.0, 0.05, 0.0)
-        one = mc.simulate(mdl, 0.5, 2, 100_000, seed=7, n_blocks=1)
-        four = mc.simulate(mdl, 0.5, 2, 100_000, seed=7, n_blocks=4)
-        assert one.x.shape == four.x.shape
-        se = one.x[:, -1].std() / math.sqrt(one.x.shape[0])
-        assert abs(one.x[:, -1].mean() - four.x[:, -1].mean()) < 6.0 * se
+
+def _reference_batches(models, T, steps, n_paths, rng, shared_uniform, clock=None):
+    """Written-out Euler loop with the engine's stream order: per step the
+    jump counts (exact Poisson draws, or one uniform shared by every model
+    through the capped inverse CDF), then z, then z2.  With an exponential
+    clock, default times are thinned inside the loop.  Returns one tuple
+    (x, survival, default_time, truncated draws) per model."""
+    dt = T / steps
+    bands = [mc._guard_band(mdl, T) for mdl in models]
+    lo, hi = min(b[0] for b in bands), max(b[1] for b in bands)
+    xs = [np.empty((n_paths, steps + 1)) for _ in models]
+    survs = [np.empty((n_paths, steps + 1)) for _ in models]
+    truncated = [0 for _ in models]
+    cumhaz = np.zeros(n_paths)
+    default_time = np.full(n_paths, np.inf)
+    for x, surv, mdl in zip(xs, survs, models):
+        x[:, 0] = mdl.spot_x0
+        surv[:, 0] = 1.0
+    for k in range(steps):
+        t_k = k * dt
+        lams = [mdl.intensity_a(t_k, x[:, k]) for mdl, x in zip(models, xs)]
+        if shared_uniform:
+            u = rng.random(n_paths)
+            draws = [mc._poisson_icdf(u, np.minimum(lam * dt, 200.0)) for lam in lams]
+        else:
+            draws = [(rng.poisson(np.minimum(lam * dt, 1e6)), 0) for lam in lams]
+        z = rng.standard_normal(n_paths)
+        z2 = rng.standard_normal(n_paths)
+        for leg, mdl in enumerate(models):
+            x, surv, lam = xs[leg], survs[leg], lams[leg]
+            counts, cut = draws[leg]
+            truncated[leg] += cut
+            xk = x[:, k]
+            m, d = mdl.jump_law.mean, mdl.jump_law.std
+            jumps = m * counts + d * np.sqrt(counts) * z2
+            x[:, k + 1] = np.clip(
+                xk
+                + model.martingale_drift(mdl, t_k, xk) * dt
+                + mdl.sigma(t_k, xk) * math.sqrt(dt) * z
+                + jumps
+                - lam * m * dt,
+                lo,
+                hi,
+            )
+            haz = mdl.gamma(t_k, xk) * dt
+            surv[:, k + 1] = surv[:, k] * np.exp(-haz)
+            if clock is not None:
+                new_haz = cumhaz + haz
+                default_time[(clock > cumhaz) & (clock <= new_haz)] = (k + 1) * dt
+                cumhaz = new_haz
+    thinned = None if clock is None else default_time
+    return [(x, surv, thinned, cut) for x, surv, cut in zip(xs, survs, truncated)]
+
+
+def _assert_same_batch(batch, want):
+    x, surv, default_time, truncated = want
+    assert np.array_equal(batch.x, x)
+    assert np.array_equal(batch.survival, surv)
+    if default_time is None:
+        assert batch.default_time is None
+    else:
+        assert np.array_equal(batch.default_time, default_time)
+    assert batch.poisson_truncated == truncated
+
+
+class TestStreamOrder:
+    """The simulators reproduce a written-out Euler loop bit for bit, which
+    pins the order in which they consume the random stream."""
+
+    T, steps, n_paths, seed = 1.0, 40, 3_000, 17
+
+    @pytest.mark.parametrize("mode", ["weight", "thin"])
+    def test_simulate_matches_reference_loop(self, mode):
+        mdl = make_benchmark_model(0.05, 0.1, x0=0.2)
+        batch = mc.simulate(mdl, self.T, self.steps, self.n_paths, self.seed, default_mode=mode)
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
+        clock = rng.exponential(1.0, self.n_paths) if mode == "thin" else None
+        [want] = _reference_batches(
+            [mdl], self.T, self.steps, self.n_paths, rng, shared_uniform=False, clock=clock
+        )
+        _assert_same_batch(batch, want)
+        if mode == "thin":
+            assert 0 < np.count_nonzero(np.isfinite(batch.default_time)) < self.n_paths
+
+    def test_crn_pair_matches_reference_loop(self):
+        m_d = make_benchmark_model(0.05, 0.1)
+        m_r = make_benchmark_model(0.02, 0.0, x0=0.1)
+        pair = mc.simulate_crn_pair(m_d, m_r, self.T, self.steps, self.n_paths, self.seed)
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        want = _reference_batches(
+            [m_d, m_r], self.T, self.steps, self.n_paths, rng, shared_uniform=True
+        )
+        for batch, leg in zip(pair, want):
+            _assert_same_batch(batch, leg)
+        assert pair[0].poisson_truncated + pair[1].poisson_truncated > 0
 
 
 class TestEstimateCharfunc:
@@ -216,15 +304,12 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="finite horizon"):
             mc.simulate_crn_pair(self.mdl, self.mdl, T, 4, 50, seed=0)
 
-    @pytest.mark.parametrize(
-        "steps, n_paths, n_blocks", [(0, 50, 1), (4, 0, 1), (4, 50, 0), (-1, 50, 1)]
-    )
-    def test_sizes_must_be_positive(self, steps, n_paths, n_blocks):
-        with pytest.raises(ValueError, match="n_blocks >= 1"):
-            mc.simulate(self.mdl, 0.5, steps, n_paths, seed=0, n_blocks=n_blocks)
-        if n_blocks == 1:
-            with pytest.raises(ValueError, match="n_blocks >= 1"):
-                mc.simulate_crn_pair(self.mdl, self.mdl, 0.5, steps, n_paths, seed=0)
+    @pytest.mark.parametrize("steps, n_paths", [(0, 50), (4, 0), (-1, 50)])
+    def test_sizes_must_be_positive(self, steps, n_paths):
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            mc.simulate(self.mdl, 0.5, steps, n_paths, seed=0)
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            mc.simulate_crn_pair(self.mdl, self.mdl, 0.5, steps, n_paths, seed=0)
 
 
 class TestCrnPair:

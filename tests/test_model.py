@@ -32,10 +32,6 @@ class TestCoeffFamily:
         x = np.array([-0.5, 0.0, 1.0])
         assert_allclose(fam(x), 0.15 * np.exp(-2.0 * x), rtol=1e-15)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown coefficient kind"):
-            lx.CoeffFamily("parabolic", 1.0, 0.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["level", "slope"])
     def test_non_finite_rejected(self, field, bad):
