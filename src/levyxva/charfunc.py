@@ -159,20 +159,39 @@ class CharFuncApprox:
     freqs: np.ndarray
     g: tuple
 
-    def eval(self, x) -> np.ndarray:
-        """Gamma_n(t, x; T, xi_j); scalar-basepoint approximations only.
+    def eval(self, x, d: int = 0) -> np.ndarray:
+        """Gamma_n(t, x; T, xi_j), or for d in {1, 2} it and its first d
+        x-derivatives stacked on a new leading axis; scalar basepoint only.
 
         x may be scalar or an array; the frequency axis is appended last.
+        With P = sum_k (x - xbar)^k g_{n,k}, Gamma_n = e^{i xi x} P and
+
+            d/dx   Gamma_n = e^{i xi x} (i xi P + P'),
+            d2/dx2 Gamma_n = e^{i xi x} (i xi (i xi P + 2 P') + P''),
+
+        all from one e^{i xi x}; row 0 is the d = 0 value bit for bit.
         """
         if self.basepoint.ndim:
             raise ValueError("eval needs a scalar-basepoint approximation")
+        if d not in (0, 1, 2):
+            raise ValueError("eval gives x-derivatives of order 0, 1 or 2")
         x = np.asarray(x, dtype=float)
         dx = (x - self.basepoint)[..., None]
         acc = self.g[0] * np.ones_like(dx, dtype=complex)
         for k in range(1, self.order + 1):
             acc = acc + dx**k * self.g[k]
-        out = np.exp(1j * self.freqs * x[..., None]) * acc
-        return out.reshape(x.shape + self.freqs.shape)
+        wave = np.exp(1j * self.freqs * x[..., None])
+        out = (wave * acc).reshape(x.shape + self.freqs.shape)
+        if not d:
+            return out
+        # P' = g_1 + 2 dx g_2 and P'' = 2 g_2, rows above the order read 0.
+        g1, g2 = (*self.g[1:], 0.0, 0.0)[:2]
+        dp = g1 + 2.0 * dx * g2
+        first = 1j * self.freqs * acc + dp
+        rows = [out, wave * first]
+        if d == 2:
+            rows.append(wave * (1j * self.freqs * (first + dp) + 2.0 * g2))
+        return np.stack(rows)
 
 
 def build_order0(taylor: TaylorData, t: float, T: float, freqs) -> CharFuncApprox:

@@ -368,8 +368,7 @@ def _job_price_cva(rc: RunConfig):
     )
     lo = hi = None
     if rc.mc_enabled:
-        m_d = rc.model.with_default(dspec.intensity)
-        m_r = m_d.without_default()
+        m_d, m_r = cvamod.leg_models(rc.model, dspec)
         batch_d, batch_r = mcmod.simulate_crn_pair(
             m_d, m_r, rc.schedule.T, rc.mc_steps, rc.mc_paths, rc.seed
         )

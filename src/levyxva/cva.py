@@ -14,11 +14,14 @@ coefficients come from Hankel-plus-Toeplitz products in O(J log J),
     V_j(t_m) = F_j(t_m, x*) + Chat_j(t_m, x*),
     Chat_k   = e^{-r dt} Re sum_{h<=n} sum'_j M^h_{k,j} g_{n,h}(xi_j) V_j(t_{m+1}),
 
-with the expansion based at X0 throughout.  The final value, delta and
-gamma are single cosine sums against V(t_1).
+with the expansion based at X0 throughout.  Every other leg quantity is
+one series e^{-r dt} Re sum'_j d^d/dx^d Gamma_n(x; xi_j) e^{-i xi_j a} V_j:
+value and slope (d = 1) in the Newton search for x*, and against V(t_1)
+the value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -54,53 +57,58 @@ class BoundaryTrace:
             raise ValueError("times and points must align")
 
 
-def newton_exercise_point(
-    c_fn,
-    phi_fn,
-    bracket,
-    x0: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> float:
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 100
+
+
+def newton_exercise_point(c_fn, phi_fn, bracket, x0: float | None = None) -> float:
     """Root of c - phi on the bracket by safeguarded Newton.
 
-    The derivative is numerical; iterates leaving the live bracket fall back
-    to bisection.  Without a sign change the split is degenerate: c > phi
-    everywhere means never exercise (returns the lower end), c < phi
-    everywhere means always exercise (returns the upper end).
+    ``c_fn`` and ``phi_fn`` each return (value, slope) at x, so one call per
+    iterate gives both f and f'.  An iterate that leaves the live bracket,
+    or a zero slope, falls back to bisection.  Without a sign change the
+    split is degenerate: c > phi everywhere means never exercise (returns
+    the lower end), c < phi everywhere means always exercise (returns the
+    upper end).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if hi <= lo:
         return lo
 
     def f(x):
-        return float(c_fn(x)) - float(phi_fn(x))
+        (c, dc), (p, dp) = c_fn(x), phi_fn(x)
+        return float(c) - float(p), float(dc) - float(dp)
 
-    flo, fhi = f(lo), f(hi)
-    if abs(flo) < tol:
+    flo, fhi = f(lo)[0], f(hi)[0]
+    if abs(flo) < _NEWTON_TOL:
         return lo
-    if abs(fhi) < tol:
+    if abs(fhi) < _NEWTON_TOL:
         return hi
     if flo * fhi > 0.0:
         return lo if flo > 0.0 else hi
 
     x = float(x0) if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-    fx = f(x)
-    for _ in range(max_iter):
-        if abs(fx) < tol or hi - lo < 1e-14:
+    fx, slope = f(x)
+    for _ in range(_NEWTON_MAX_ITER):
+        if abs(fx) < _NEWTON_TOL or hi - lo < 1e-14:
             break
         # keep the bracket live
         if flo * fx <= 0.0:
-            hi, fhi = x, fx
+            hi = x
         else:
             lo, flo = x, fx
-        h = 1e-7 * max(1.0, abs(x))
-        slope = (f(x + h) - f(x - h)) / (2.0 * h)
-        x_new = x - fx / slope if slope != 0.0 else math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        x, fx = x_new, f(x_new)
+        x = x - fx / slope if slope != 0.0 else math.nan
+        if not (lo < x < hi):
+            x = 0.5 * (lo + hi)
+        fx, slope = f(x)
     return x
+
+
+def _leg_series(cf, phase, disc, hv, x, d: int = 0) -> tuple:
+    """disc * Re(d^k/dx^k Gamma_n(x) e^{-i xi a}) @ hv for k = 0..d, one
+    product per row, so the k = 0 entry is the same computation at every d."""
+    w = np.real(cf.eval(x, d) * phase)
+    return tuple(disc * (row @ hv) for row in (w if d else (w,)))
 
 
 def price_bermudan_cos(
@@ -134,24 +142,24 @@ def price_bermudan_cos(
     tay = modelmod.taylor_expand(mdl, 0.0, x0, order)
     span = max(grid.b - x0, x0 - grid.a)
     cf = charfunc.build_order_n(tay, 0.0, delta_t, xi, order, span=span)
-    g = [cf.g[h] if h <= order else np.zeros_like(xi, dtype=complex) for h in range(3)]
     disc = math.exp(-mdl.rate_r * delta_t)
     phase = np.exp(-1j * xi * grid.a)
 
-    def continuation(x):
-        w = np.real(cf.eval(x) * phase)
-        return disc * (w @ cosmod.halve_first(V))
+    def exercise_value(x):
+        ex = math.exp(x)
+        return notion * max(strike - ex, 0.0), (-notion * ex if ex < strike else 0.0)
 
     V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=grid.b).values
+    hv = cosmod.halve_first(V)
     log_k = math.log(strike)
     x_up = min(max(log_k, grid.a), grid.b)
-    warm = log_k
-    times, points = [], []
+    x_star = log_k  # warm start; then each date starts from the later one's x*
+    points = []
     for m in range(M - 1, 0, -1):
         t_m = m * delta_t
         x_star = newton_exercise_point(
-            continuation, lambda x: notion * max(strike - math.exp(x), 0.0),
-            (grid.a, x_up), x0=warm,
+            lambda x: _leg_series(cf, phase, disc, hv, x, 1), exercise_value,
+            (grid.a, x_up), x0=x_star,
         )
         if x_star <= grid.a or x_star >= grid.b:
             warnings.warn(
@@ -160,27 +168,15 @@ def price_bermudan_cos(
             )
         cont = np.zeros(grid.J)
         for h in range(order + 1):
-            cont += cosmod.m_matrix_product(V, grid, x_star, grid.b, h, g[h], x0)
+            cont += cosmod.m_matrix_product(V, grid, x_star, grid.b, h, cf.g[h], x0)
         V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star).values + disc * cont
-        times.append(t_m)
+        hv = cosmod.halve_first(V)
         points.append(x_star)
-        warm = x_star
 
-    weights = np.real(np.exp(1j * xi * (x0 - grid.a)) * g[0])
-    hv = cosmod.halve_first(V)
-    value = disc * (weights @ hv)
-    w_d1 = np.real(np.exp(1j * xi * (x0 - grid.a)) * (1j * xi * g[0] + g[1]))
-    w_d2 = np.real(
-        np.exp(1j * xi * (x0 - grid.a)) * (-(xi**2) * g[0] + 2j * xi * g[1] + 2.0 * g[2])
-    )
-    delta = disc * (w_d1 @ hv)
-    gamma = disc * (w_d2 @ hv)
-    times.reverse()
-    points.reverse()
-    trace = BoundaryTrace(np.array(times), np.array(points))
-
-    y0 = disc * (np.real(cf.eval(grid.nodes) * phase) @ hv)
-    done = time.perf_counter()
+    series = functools.partial(_leg_series, cf, phase, disc, hv)
+    value, delta, gamma = series(x0, 2)
+    (y0,) = series(grid.nodes)
+    trace = BoundaryTrace(delta_t * np.arange(1, M), np.array(points[::-1]))
     return PricingResult(
         value=float(value),
         spot=x0,
@@ -189,7 +185,7 @@ def price_bermudan_cos(
         boundary=list(zip(trace.times.tolist(), trace.points.tolist())),
         delta=float(delta),
         gamma=float(gamma),
-        timings={"total": done - t_begin},
+        timings={"total": time.perf_counter() - t_begin},
         config={
             "J": grid.J,
             "L": L,
@@ -198,41 +194,25 @@ def price_bermudan_cos(
             "T": T,
             "strike": strike,
         },
-        extras={"V1": V, "cf": cf, "trace": trace, "disc": disc},
+        extras={"trace": trace, "series": series},
     )
 
 
 def leg_value_at(result: PricingResult, x):
     """Continuation value at t_0 as a function of the evaluation point.
 
-    Uses the stored t_1 coefficients and the frozen expansion (basepoint,
-    truncation interval, boundary), so finite differences of this function
-    are the like-for-like check of the closed-form Greeks.
+    Reads the leg's own cosine series (stored t_1 coefficients, frozen
+    expansion, truncation interval and boundary), so at the spot it is the
+    leg value bit for bit, and its finite differences are the like-for-like
+    check of the closed-form Greeks.
     """
-    cf = result.extras["cf"]
-    V = result.extras["V1"]
-    disc = result.extras["disc"]
-    grid = result.grid
-    w = np.real(cf.eval(x) * np.exp(-1j * grid.freqs * grid.a))
-    return disc * (w @ cosmod.halve_first(V))
+    return result.extras["series"](x)[0]
 
 
-def _legs(
-    mdl: modelmod.ModelSpec,
-    default_spec: DefaultSpec,
-    payoff: PayoffSpec,
-    schedule: ExerciseSchedule,
-    J: int = 128,
-    L: float = 10.0,
-    order: int = 2,
-):
-    """Price the defaultable and default-free legs on one shared grid."""
+def leg_models(mdl: modelmod.ModelSpec, default_spec: DefaultSpec):
+    """The (defaultable, default-free) models of the two CVA legs."""
     m_d = mdl.with_default(default_spec.intensity)
-    m_r = m_d.without_default()
-    grid = make_cos_grid(m_d, schedule.T, J, L)
-    res_d = price_bermudan_cos(m_d, payoff, schedule, J, L, order, grid=grid)
-    res_r = price_bermudan_cos(m_r, payoff, schedule, J, L, order, grid=grid)
-    return res_d, res_r
+    return m_d, m_d.without_default()
 
 
 def cva(
@@ -245,8 +225,7 @@ def cva(
     order: int = 2,
 ) -> float:
     """CVA = default-free leg minus defaultable leg at (t_0, X_0)."""
-    res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order)
-    return res_r.value - res_d.value
+    return cva_report(mdl, default_spec, payoff, schedule, J, L, order)[0]
 
 
 def cva_report(
@@ -258,8 +237,12 @@ def cva_report(
     L: float = 10.0,
     order: int = 2,
 ):
-    """CVA plus both leg results (for Greeks, boundaries and diagnostics)."""
-    res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order)
+    """CVA plus both leg results, priced on one shared grid (for Greeks,
+    boundaries and diagnostics)."""
+    m_d, m_r = leg_models(mdl, default_spec)
+    grid = make_cos_grid(m_d, schedule.T, J, L)
+    res_d = price_bermudan_cos(m_d, payoff, schedule, J, L, order, grid=grid)
+    res_r = price_bermudan_cos(m_r, payoff, schedule, J, L, order, grid=grid)
     return res_r.value - res_d.value, res_d, res_r
 
 
@@ -274,8 +257,5 @@ def greeks(
     legs=None,
 ):
     """(Delta, Gamma) of the CVA: difference of the per-leg cosine series."""
-    if legs is None:
-        res_d, res_r = _legs(mdl, default_spec, payoff, schedule, J, L, order)
-    else:
-        res_d, res_r = legs
+    res_d, res_r = legs or cva_report(mdl, default_spec, payoff, schedule, J, L, order)[1:]
     return res_r.delta - res_d.delta, res_r.gamma - res_d.gamma

@@ -311,6 +311,62 @@ class TestBlockedBuild:
             charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=0.7)
 
 
+class TestEvalDerivatives:
+    """eval(x, d) stacks Gamma_n and its x-derivatives up to order d.
+
+    The derivative rows are checked against central differences of
+    eval(x), at the basepoint and off it; span 0.2 keeps 9 of the 25
+    correction entries and reverts the rest, so both kinds of entry are
+    differentiated.
+    """
+
+    xi = np.linspace(0.0, 6.0, 25)
+
+    def _cf(self, model_put, order, span):
+        tay = model.taylor_expand(model_put, 0.0, 0.0, order)
+        return charfunc.build_order_n(tay, 0.0, 0.5, self.xi, order, span=span)
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, -0.25])
+    @pytest.mark.parametrize("span", [0.0, 0.2])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_match_central_differences(self, model_put, order, span, x):
+        cf = self._cf(model_put, order, span)
+        got = cf.eval(x, 2)
+        assert got.shape == (3, self.xi.size)
+        h1, h2 = 1e-5, 1e-4
+        d1 = (cf.eval(x + h1) - cf.eval(x - h1)) / (2.0 * h1)
+        d2 = (cf.eval(x + h2) - 2.0 * cf.eval(x) + cf.eval(x - h2)) / h2**2
+        assert_allclose(got[1], d1, rtol=0.0, atol=1e-8 * np.abs(d1).max())
+        assert_allclose(got[2], d2, rtol=0.0, atol=1e-6 * np.abs(d2).max())
+        assert np.array_equal(cf.eval(x, 1), got[:2])
+
+    @pytest.mark.parametrize("span", [0.0, 0.2])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_value_row_is_the_written_out_formula(self, model_put, order, span):
+        cf = self._cf(model_put, order, span)
+        x = np.array([-0.4, 0.0, 0.15, 0.3])
+        # Gamma_n = e^{i xi x} sum_k (x - xbar)^k g_{n,k}, summed in k order.
+        dx = (x - cf.basepoint)[..., None]
+        acc = cf.g[0] * np.ones_like(dx, dtype=complex)
+        for k in range(1, order + 1):
+            acc = acc + dx**k * cf.g[k]
+        want = (np.exp(1j * cf.freqs * x[..., None]) * acc).reshape(x.shape + cf.freqs.shape)
+        assert np.array_equal(cf.eval(x), want)
+        assert np.array_equal(cf.eval(x, 2)[0], want)
+        assert np.array_equal(cf.eval(x[1]), want[1])
+
+    @pytest.mark.parametrize("d", [-1, 3, 0.5])
+    def test_rejects_unsupported_derivative_order(self, model_put, d):
+        with pytest.raises(ValueError, match="order 0, 1 or 2"):
+            self._cf(model_put, 2, 0.0).eval(0.0, d)
+
+    def test_rejects_vector_basepoint(self, model_put):
+        tay = model.taylor_expand(model_put, 0.0, np.array([0.0, 0.1]), 2)
+        cf = charfunc.build_order_n(tay, 0.0, 0.5, self.xi, 2)
+        with pytest.raises(ValueError, match="scalar-basepoint"):
+            cf.eval(0.0)
+
+
 @pytest.fixture(scope="module")
 def mc_estimate():
     mdl = replace_spot(make_benchmark_model(0.1, 0.0), 0.3)

@@ -20,7 +20,7 @@ from scipy import stats
 import levyxva as lx
 from levyxva import bermudan, bsde, cos, cva
 
-from conftest import make_benchmark_model, make_constant_model
+from conftest import make_benchmark_model, make_constant_model, replace_spot
 
 from test_cos import put_expectation_jumpdiff, put_expectation_lognormal
 
@@ -34,39 +34,52 @@ def _discounting_driver(r):
 
 
 class TestNewtonExercisePoint:
+    """c_fn and phi_fn return (value, slope) at x."""
+
     def test_linear_crossing(self):
-        got = cva.newton_exercise_point(lambda x: x, lambda x: 0.5, (0.0, 1.0))
+        got = cva.newton_exercise_point(lambda x: (x, 1.0), lambda x: (0.5, 0.0), (0.0, 1.0))
         assert_allclose(got, 0.5, atol=1e-10)
 
     def test_smooth_crossing(self):
         got = cva.newton_exercise_point(
-            lambda x: math.exp(x), lambda x: 2.0, (0.0, 2.0)
+            lambda x: (math.exp(x), math.exp(x)), lambda x: (2.0, 0.0), (0.0, 2.0)
         )
         assert_allclose(got, math.log(2.0), atol=1e-10)
 
     def test_kinked_payoff_crossing(self):
+        def payoff(x):
+            ex = math.exp(x)
+            return max(1.0 - ex, 0.0), (-ex if ex < 1.0 else 0.0)
+
         got = cva.newton_exercise_point(
-            lambda x: 0.3,
-            lambda x: max(1.0 - math.exp(x), 0.0),
-            (-1.0, 0.5),
-            x0=-0.9,
+            lambda x: (0.3, 0.0), payoff, (-1.0, 0.5), x0=-0.9
         )
         assert_allclose(got, math.log(0.7), atol=1e-10)
 
+    def test_zero_slope_start_falls_back_to_bisection(self):
+        # f = x^3 - 1e-3 has f'(0) = 0: the Newton step is undefined there,
+        # so the first move is a bisection of the live bracket.
+        got = cva.newton_exercise_point(
+            lambda x: (x**3, 3.0 * x**2), lambda x: (1e-3, 0.0), (-1.0, 1.0), x0=0.0
+        )
+        assert_allclose(got, 0.1, atol=1e-10)
+
     def test_continuation_dominating_means_never_exercise(self):
         got = cva.newton_exercise_point(
-            lambda x: x + 2.0, lambda x: x, (-1.0, 1.0)
+            lambda x: (x + 2.0, 1.0), lambda x: (x, 1.0), (-1.0, 1.0)
         )
         assert got == -1.0
 
     def test_payoff_dominating_means_always_exercise(self):
         got = cva.newton_exercise_point(
-            lambda x: x - 2.0, lambda x: x, (-1.0, 1.0)
+            lambda x: (x - 2.0, 1.0), lambda x: (x, 1.0), (-1.0, 1.0)
         )
         assert got == 1.0
 
     def test_degenerate_bracket(self):
-        assert cva.newton_exercise_point(lambda x: x, lambda x: x, (1.0, 1.0)) == 1.0
+        assert cva.newton_exercise_point(
+            lambda x: (x, 1.0), lambda x: (x, 1.0), (1.0, 1.0)
+        ) == 1.0
 
 
 class TestBoundaryTrace:
@@ -198,9 +211,11 @@ class TestCvaAdjustment:
         assert res_d.grid.a == res_r.grid.a
         assert res_d.grid.b == res_r.grid.b
 
-    def test_leg_value_reconstruction(self, model_put_riskfree):
+    # At every spot the leg value and leg_value_at are one computation.
+    @pytest.mark.parametrize("x0", [0.0, -0.3, 0.2, 0.4])
+    def test_leg_value_reconstruction(self, model_put_riskfree, x0):
         _, res_d, _ = cva.cva_report(
-            model_put_riskfree,
+            replace_spot(model_put_riskfree, x0),
             self._default_spec(0.1),
             _put(1.0),
             self.sched,
