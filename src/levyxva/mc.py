@@ -17,7 +17,15 @@ per step the jump counts, then the normals Z and Z', on one random stream
 and evaluates sigma, a and gamma once per model.  The two differ only in
 the counts: ``simulate`` draws them exactly, while the pair shares one
 uniform across its two legs and inverts each leg's Poisson CDF, so the
-legs stay coupled even though their intensities drift apart.
+legs stay coupled even though their intensities drift apart.  The inverse
+CDF caps the mean a(x) dt at ``_POISSON_CAP``; every draw at the cap
+shares one Poisson CDF, a table built once and searched, and only draws
+below the cap sum the pmf term by term.
+
+The loop stores time-major (steps+1, paths) arrays, so each step reads
+and writes whole rows; a ``PathBatch`` holds their transposed views, which
+keep the (paths, steps+1) shape, and a column ``x[:, k]`` of such a view
+is contiguous.
 """
 from __future__ import annotations
 
@@ -33,14 +41,19 @@ from .bermudan import ExerciseSchedule, PayoffSpec, payoff_eval
 from .bsde import DriverSpec, scheme_driver
 
 _HEADER = struct.Struct("<QQQ")
+_POISSON_CAP = 200.0
 
 
 @dataclass(frozen=True)
 class PathBatch:
     """Simulated log-asset paths plus default information.
 
+    ``x`` and ``survival`` have shape (paths, steps+1) and are transposed
+    views of time-major stores, so ``x[:, k]`` is contiguous; copy with
+    ``np.ascontiguousarray`` where path-major bytes are needed.
     ``poisson_truncated`` counts the jump draws the CRN pair's inverse CDF
-    cut off at 201; ``simulate`` draws its counts exactly and leaves it 0.
+    cut off at ``_POISSON_CAP + 1``; ``simulate`` draws its counts exactly
+    and leaves it 0.
     """
 
     x: np.ndarray
@@ -61,33 +74,60 @@ class PathBatch:
         return self.x.shape[1] - 1
 
 
-def _poisson_icdf(u: np.ndarray, mu: np.ndarray) -> tuple:
-    """Smallest k with Poisson(mu) CDF >= u for 1-D u and mu, by summing the
-    pmf recursively; returns (counts, number of truncated draws).
+def _cap_cdf() -> np.ndarray:
+    """Poisson(_POISSON_CAP) CDF at k = 0 .. _POISSON_CAP, summed by the
+    same recurrence as ``_poisson_icdf``'s loop, so a draw at the cap reads
+    the exact values the loop would have compared against."""
+    pmf = cdf = np.exp(-_POISSON_CAP)
+    table = [cdf]
+    for k in range(1, int(_POISSON_CAP) + 1):
+        pmf = pmf * _POISSON_CAP / k
+        cdf = cdf + pmf
+        table.append(cdf)
+    table = np.array(table)
+    table.flags.writeable = False
+    return table
 
-    The caller caps mu at 200.  A draw still pending after k = 200 is
-    truncated to 201.  Each pass updates only the still-pending entries, so
-    the cost follows the count distribution rather than its largest draw;
-    every entry goes through the same operations as a full-array loop, so
-    the counts are identical to it.
+
+_CAP_CDF = _cap_cdf()
+
+
+def _poisson_icdf(u: np.ndarray, mu: np.ndarray) -> tuple:
+    """Smallest k with Poisson(min(mu, _POISSON_CAP)) CDF >= u for 1-D u and
+    mu, by summing the pmf recursively; returns (counts, number of
+    truncated draws).
+
+    A draw still pending after k = _POISSON_CAP is truncated to
+    _POISSON_CAP + 1.  Draws at the cap share one CDF and are resolved by a
+    search of ``_CAP_CDF``: the left insertion point is the smallest k
+    with CDF >= u, and one past the table when u exceeds its last entry.
+    Each pass of the loop over the remaining draws updates only the
+    still-pending entries, so the cost follows the count distribution
+    rather than its largest draw; every entry goes through the same
+    operations as a full-array loop, so the counts are identical to it.
     """
-    pmf = np.exp(-mu)
+    mu = np.minimum(mu, _POISSON_CAP)
+    at_cap = mu == _POISSON_CAP
+    cap_counts = np.searchsorted(_CAP_CDF, u[at_cap], side="left")
     counts = np.zeros(u.shape, dtype=np.int64)
-    idx = np.flatnonzero(u > pmf)
+    counts[at_cap] = cap_counts
+    truncated = int(np.count_nonzero(cap_counts == _CAP_CDF.size))
+    pmf = np.exp(-mu)
+    idx = np.flatnonzero((u > pmf) & ~at_cap)
     u, mu, pmf = u[idx], mu[idx], pmf[idx]
     cdf = pmf
     k = 0
     while idx.size:
         k += 1
-        if k > 200:
+        if k > _POISSON_CAP:
             counts[idx] = k
-            return counts, idx.size
+            return counts, truncated + idx.size
         pmf = pmf * mu / k
         cdf = cdf + pmf
         counts[idx] = k
         keep = u > cdf
         idx, u, mu, pmf, cdf = idx[keep], u[keep], mu[keep], pmf[keep], cdf[keep]
-    return counts, 0
+    return counts, truncated
 
 
 def _guard_band(mdl, T):
@@ -139,31 +179,33 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts) -> list:
     Each step draws the jump counts with ``draw_counts(rng, means)`` (one
     (counts, truncated draws) pair per model, from its a(x) dt), then the
     normals z and z2 that all models share.  Every model is absorbed on
-    one band, the union of their guard bands.
+    one band, the union of their guard bands.  The stores are time-major,
+    so step k reads row k and writes row k + 1; each batch gets their
+    transposed (paths, steps+1) views, without a copy.
     """
     dt = T / steps
     los, his = zip(*(_guard_band(mdl, T) for mdl in models))
     band = (min(los), max(his))
-    xs = [np.empty((n_paths, steps + 1)) for _ in models]
-    survs = [np.empty((n_paths, steps + 1)) for _ in models]
+    xs = [np.empty((steps + 1, n_paths)) for _ in models]
+    survs = [np.empty((steps + 1, n_paths)) for _ in models]
     truncated = [0] * len(models)
     for x, surv, mdl in zip(xs, survs, models):
-        x[:, 0] = mdl.spot_x0
-        surv[:, 0] = 1.0
+        x[0] = mdl.spot_x0
+        surv[0] = 1.0
     for k in range(steps):
         t_k = k * dt
-        lams = [mdl.intensity_a(t_k, x[:, k]) for mdl, x in zip(models, xs)]
+        lams = [mdl.intensity_a(t_k, x[k]) for mdl, x in zip(models, xs)]
         draws = draw_counts(rng, [lam * dt for lam in lams])
         z = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
         for leg, (mdl, x, surv, lam) in enumerate(zip(models, xs, survs, lams)):
             counts, cut = draws[leg]
             truncated[leg] += cut
-            x[:, k + 1], haz = _euler_step(mdl, t_k, dt, x[:, k], lam, counts, z, z2, band)
-            surv[:, k + 1] = surv[:, k] * np.exp(-haz)
+            x[k + 1], haz = _euler_step(mdl, t_k, dt, x[k], lam, counts, z, z2, band)
+            surv[k + 1] = surv[k] * np.exp(-haz)
     times = np.arange(steps + 1) * dt
     return [
-        PathBatch(x, times, surv, None, seed, dt, mdl.rate_r, poisson_truncated=cut)
+        PathBatch(x.T, times, surv.T, None, seed, dt, mdl.rate_r, poisson_truncated=cut)
         for mdl, x, surv, cut in zip(models, xs, survs, truncated)
     ]
 
@@ -176,7 +218,7 @@ def _poisson_counts(rng, means) -> list:
 def _shared_uniform_counts(rng, means) -> list:
     """Counts from one shared uniform by each model's capped inverse CDF."""
     u = rng.random(len(means[0]))
-    return [_poisson_icdf(u, np.minimum(mean, 200.0)) for mean in means]
+    return [_poisson_icdf(u, mean) for mean in means]
 
 
 def _default_times(mdl, x, dt, clock) -> np.ndarray:
@@ -230,7 +272,8 @@ def simulate_crn_pair(
     Jump counts come from the shared uniforms by inverse transform under
     each leg's own intensity, so identical models give bitwise-identical
     batches and nearby models stay tightly coupled.  Each batch's
-    ``poisson_truncated`` counts its draws cut off at 201 jumps.
+    ``poisson_truncated`` counts its draws cut off at ``_POISSON_CAP + 1``
+    jumps.
     """
     _check_run(T, steps, n_paths)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -157,6 +157,8 @@ def _reference_batches(models, T, steps, n_paths, rng, shared_uniform, clock=Non
 
 def _assert_same_batch(batch, want):
     x, surv, default_time, truncated = want
+    # The simulators fill time-major stores and hand out transposed views.
+    assert batch.x.T.flags.c_contiguous and batch.survival.T.flags.c_contiguous
     assert np.array_equal(batch.x, x)
     assert np.array_equal(batch.survival, surv)
     if default_time is None:
@@ -268,6 +270,16 @@ class TestPoissonIcdf:
             pmf = pmf * mu[edge] / k
             cdf = cdf + pmf
         u[edge] = cdf
+        # At the cap, uniforms on the CDF at k = 0, 150 and 200 and one just
+        # above CDF(200) pin the tie rule and the truncation of capped draws.
+        cap = slice(600, 604)
+        mu[cap] = 200.0
+        pmf = np.exp(-200.0)
+        cdf_at = [pmf]
+        for k in range(1, 201):
+            pmf = pmf * 200.0 / k
+            cdf_at.append(cdf_at[-1] + pmf)
+        u[cap] = [cdf_at[0], cdf_at[150], cdf_at[200], np.nextafter(cdf_at[200], 1.0)]
         counts, truncated = mc._poisson_icdf(u, mu)
         want = _full_array_poisson_icdf(u, mu)
         assert counts.dtype == want.dtype
@@ -275,6 +287,7 @@ class TestPoissonIcdf:
         assert truncated == np.count_nonzero(want == 201) > 0
         assert np.all(counts[:500] == 0)
         assert np.all(counts[edge] == 3)
+        assert list(counts[cap]) == [0, 150, 200, 201]
         counts, truncated = mc._poisson_icdf(np.empty(0), np.empty(0))
         assert counts.shape == (0,) and counts.dtype == np.int64
         assert truncated == 0
