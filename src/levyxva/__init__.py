@@ -34,7 +34,6 @@ _EXPORTS = {
     "levy_symbol_psi": "charfunc",
     "cumulants": "charfunc",
     "CosGrid": "cos",
-    "CoeffVector": "cos",
     "truncation_range": "cos",
     "dct_coeffs": "cos",
     "put_payoff_coeffs": "cos",

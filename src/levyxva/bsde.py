@@ -7,11 +7,12 @@ One backward step on the cosine grid reads
           + ((1-t2)/t2) E_n[f_{n+1} dW],
 
 with the implicit y_n resolved by P Picard iterations started at
-E_n[y_{n+1}].  All conditional expectations are cosine sums against the
-approximated characteristic function, on coefficient vectors refreshed by
-a DCT at every step.  The XVA drivers read only y and, for the risk-free
-close-out, a mark-to-market, so ``theta_step`` runs the y recursion alone;
-``z_step`` runs the z recursion for the z0 that ``solve_bsde`` returns.
+E_n[y_{n+1}].  All conditional expectations are kernel weights applied to
+the cosine coefficients of the later time level, which the caller obtains
+by one stacked DCT per level and shares between every step that reads that
+level.  The XVA drivers read only y and, for the risk-free close-out, a
+mark-to-market, so ``theta_step`` runs the y recursion alone; ``z_step``
+runs the z recursion for the z0 that ``solve_bsde`` returns.
 
 Driver sign conventions: ``driver_eval`` returns each mode's textbook
 display, in which full-XVA mode is written against the PDE convention
@@ -198,25 +199,23 @@ def check_contraction(grid: BsdeGrid, spec: DriverSpec) -> None:
 
 
 def theta_step(
-    y_next: np.ndarray,
-    f_next: np.ndarray,
+    hy: np.ndarray,
+    hf: np.ndarray,
     kernel: cosmod.StepKernel,
-    grid: cosmod.CosGrid,
     bgrid: BsdeGrid,
     spec: DriverSpec,
     mtm_now=None,
 ):
     """One backward theta step of y.
 
-    The next-level grids are DCT'd in one stacked call on the full node
-    set; the kernel rows decide where the step is evaluated (the grid
-    nodes, or the points of a ``point_kernel``), and ``mtm_now`` is given
-    there.  f_next holds scheme-convention driver values at the later time
-    level; the returned pair (y_now, f_now) keeps that invariant so steps
-    chain without re-evaluating the driver.
+    hy and hf are the cosine coefficients of y and of the scheme-convention
+    driver f at the later time level; the kernel rows decide where the step
+    is evaluated (the grid nodes, or the points of a ``point_kernel``), and
+    ``mtm_now`` is given there.  The returned pair (y_now, f_now) holds
+    values, with f_now = f(y_now), so steps chain without re-evaluating the
+    driver.
     """
     dt, t1 = bgrid.dt, bgrid.theta1
-    hy, hf = cosmod.halve_first(cosmod.dct_coeffs(np.stack((y_next, f_next)), grid).values)
     ey, ef = kernel.psi @ hy, kernel.psi @ hf
     explicit = ey + dt * (1.0 - t1) * ef
     y_now = ey
@@ -229,19 +228,16 @@ def theta_step(
 
 
 def z_step(
-    y_next: np.ndarray,
-    z_next: np.ndarray,
-    f_next: np.ndarray,
+    hy: np.ndarray,
+    hz: np.ndarray,
+    hf: np.ndarray,
     kernel: cosmod.StepKernel,
-    grid: cosmod.CosGrid,
     bgrid: BsdeGrid,
     sigma_now: np.ndarray,
 ) -> np.ndarray:
-    """One backward theta step of z, with ``sigma_now`` at the kernel rows."""
+    """One backward theta step of z from the later level's coefficients of
+    y, z and f, with ``sigma_now`` at the kernel rows."""
     dt, t2 = bgrid.dt, bgrid.theta2
-    # One DCT call for all three grids: its overhead outweighs the transform.
-    stacked = cosmod.dct_coeffs(np.stack((y_next, z_next, f_next)), grid).values
-    hy, hz, hf = cosmod.halve_first(stacked)
     ez = kernel.psi @ hz
     ey_dw = dt * sigma_now * (kernel.psi_dw @ hy)
     ef_dw = dt * sigma_now * (kernel.psi_dw @ hf)
@@ -289,20 +285,24 @@ def solve_bsde(
     L: float = 10.0,
     order: int = 2,
     grid: cosmod.CosGrid | None = None,
-    mtm_grid: np.ndarray | None = None,
 ) -> BsdeSolution:
     """Solve the BSDE on [0, T] with terminal condition y_T = terminal(X_T).
 
     The expectation kernel is built once: the model coefficients are
     time-homogeneous and every step spans the same dt.  z at the terminal
-    time is terminal_dx * sigma.  ``mtm_grid`` (n_steps+1, J) feeds the
-    risk-free close-out when the full driver requires it.
+    time is terminal_dx * sigma.  Each time level is transformed once, in
+    one stacked DCT of (y, z, f).  A risk-free close-out needs a
+    mark-to-market, which ``price_bermudan_xva`` supplies by its zero-driver
+    pre-pass (M = 1 is this European solve).
     """
     if not math.isclose(bgrid.n_steps * bgrid.dt, T, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("bgrid must tile [0, T]")
     check_contraction(bgrid, spec)
-    if spec.needs_mtm and mtm_grid is None:
-        raise ValueError("risk-free close-out needs an mtm grid; run a zero-driver pass first")
+    if spec.needs_mtm:
+        raise ValueError(
+            "risk-free close-out needs a mark-to-market; use price_bermudan_xva "
+            "with M=1, which runs the zero-driver pre-pass"
+        )
     if grid is None:
         grid = make_cos_grid(mdl, T, J, L)
     x = grid.nodes
@@ -310,42 +310,37 @@ def solve_bsde(
 
     y = np.asarray(terminal(x), dtype=float)
     z = np.asarray(terminal_dx(x), dtype=float) * mdl.sigma(T, x)
-    mtm_T = mtm_grid[bgrid.n_steps] if mtm_grid is not None else None
-    f = scheme_driver(spec, y, mtm_T)
-    for n in range(bgrid.n_steps - 1, 0, -1):
-        mtm_now = mtm_grid[n] if mtm_grid is not None else None
-        z = z_step(y, z, f, kernel, grid, bgrid, mdl.sigma(n * bgrid.dt, x))
-        y, f = theta_step(y, f, kernel, grid, bgrid, spec, mtm_now)
-
-    # Final step twice: once on the nodes for the t_0 grids, once as a
-    # scalar evaluation at the spot with the expansion re-based at X0.
-    mtm0 = mtm_grid[0] if mtm_grid is not None else None
-    z0 = z_step(y, z, f, kernel, grid, bgrid, mdl.sigma(0.0, x))
-    y0, _ = theta_step(y, f, kernel, grid, bgrid, spec, mtm0)
-    value = spot_step(mdl, y, f, grid, bgrid, spec, 0.0, order, mtm0)
-    return BsdeSolution(value=value, y0=y0, z0=z0, grid=grid, spot=mdl.spot_x0)
+    f = scheme_driver(spec, y)
+    for n in range(bgrid.n_steps - 1, -1, -1):
+        hy, hz, hf = cosmod.dct_coeffs(np.stack((y, z, f)), grid)
+        z = z_step(hy, hz, hf, kernel, bgrid, mdl.sigma(n * bgrid.dt, x))
+        y, f = theta_step(hy, hf, kernel, bgrid, spec)
+    # The t_1 coefficients of the last step also feed the step at the spot,
+    # with the expansion re-based at X0.
+    value = spot_step(mdl, hy, hf, grid, bgrid, spec, order)
+    return BsdeSolution(value=value, y0=y, z0=z, grid=grid, spot=mdl.spot_x0)
 
 
 def spot_step(
     mdl: modelmod.ModelSpec,
-    y_next: np.ndarray,
-    f_next: np.ndarray,
+    hy: np.ndarray,
+    hf: np.ndarray,
     grid: cosmod.CosGrid,
     bgrid: BsdeGrid,
     spec: DriverSpec,
-    t_now: float,
     order: int,
     mtm_now=None,
 ) -> float:
-    """Evaluate one backward step at the spot only, basepoint X0."""
+    """The first backward step (from t_0 + dt to t_0 = 0) at the spot only,
+    basepoint X0, from the coefficients hy, hf of the later level."""
     x0 = mdl.spot_x0
-    tay = modelmod.taylor_expand(mdl, t_now, x0, order)
-    cf = charfunc.build_order_n(tay, t_now, t_now + bgrid.dt, grid.freqs, order)
+    tay = modelmod.taylor_expand(mdl, 0.0, x0, order)
+    cf = charfunc.build_order_n(tay, 0.0, bgrid.dt, grid.freqs, order)
     kern = cosmod.point_kernel(cf, grid, [x0])
     if mtm_now is not None:
         mtm_now = np.atleast_1d(np.asarray(mtm_now, dtype=float))
         if mtm_now.shape[0] != 1:
             # interpolate a node-grid mtm onto the spot
             mtm_now = np.atleast_1d(np.interp(x0, grid.nodes, mtm_now))
-    y_spot, _ = theta_step(y_next, f_next, kern, grid, bgrid, spec, mtm_now)
+    y_spot, _ = theta_step(hy, hf, kern, bgrid, spec, mtm_now)
     return float(y_spot[0])

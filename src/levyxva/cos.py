@@ -6,14 +6,16 @@ Everything downstream prices through cosine expansions
 
 where the primed sum halves the first term.  This module owns the grid and
 frequency bookkeeping, the midpoint-rule DCT recovering H from node values,
-conditional expectations against an approximated characteristic function,
+the expectation weights of an approximated characteristic function,
 closed-form payoff coefficients for the put, and the Hankel-plus-Toeplitz
 matrix products that restrict a coefficient vector to a subinterval
 [x_lo, x_hi] (the continuation region) with monomial weights (x - xbar)^h.
 
-Convention used throughout: the first-term halving of the primed sum is
-applied to the *summed frequency* index by ``halve_first`` at the summation
-site; node values from the midpoint rule carry uniform weights.
+Convention used throughout: coefficients are plain arrays H and every
+conditional expectation is ``weights @ H``; the first-term half of the
+primed sum is carried by the weights (``expectation_weights``, the
+kernels' ``psi[:, 0]``), never by H.  Node values from the midpoint rule
+carry uniform weights.
 """
 from __future__ import annotations
 
@@ -53,10 +55,13 @@ class CosGrid:
     def nodes(self) -> np.ndarray:
         return self.a + (np.arange(self.J) + 0.5) * self.dx
 
-    @property
+    @functools.cached_property
     def freqs(self) -> np.ndarray:
-        """xi_j = j pi / (b - a), j = 0..J-1."""
-        return np.arange(self.J) * math.pi / self.width
+        """xi_j = j pi / (b - a), j = 0..J-1: one read-only array per grid,
+        so a characteristic function built on it is checked by identity."""
+        xi = np.arange(self.J) * math.pi / self.width
+        xi.setflags(write=False)
+        return xi
 
 
 def truncation_range(c1: float, c2: float, c4: float, L: float = 10.0):
@@ -72,52 +77,38 @@ def truncation_range(c1: float, c2: float, c4: float, L: float = 10.0):
     return c1 - half, c1 + half
 
 
-def halve_first(values: np.ndarray) -> np.ndarray:
-    """Copy with the leading frequency entry halved (primed-sum weight)."""
-    out = np.array(values, copy=True)
-    out[..., 0] = 0.5 * out[..., 0]
-    return out
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """Cosine coefficients H_j on a grid."""
-
-    values: np.ndarray
-    grid: CosGrid
-
-    def __post_init__(self) -> None:
-        if self.values.shape[-1] != self.grid.J:
-            raise ValueError("coefficient count must equal grid.J")
-
-
-def dct_coeffs(node_values, grid: CosGrid) -> CoeffVector:
+def dct_coeffs(node_values, grid: CosGrid) -> np.ndarray:
     """Recover H_j from values on the midpoint nodes x_i = a + (i+1/2) dx.
 
     Midpoint quadrature of the projection integral gives
     H_j ~ (2/J) sum_i h(x_i) cos(j pi (2i+1) / (2J)), a type-II DCT with
-    uniform node weights.  Exact for h constant (H_0 = 2h, H_j = 0).
+    uniform node weights, along the last axis, so stacked rows transform
+    in one call.  Exact for h constant (H_0 = 2h, H_j = 0).
     """
     vals = np.asarray(node_values, dtype=float)
     if vals.shape[-1] != grid.J:
         raise ValueError("need one value per grid node")
-    return CoeffVector(scipy.fft.dct(vals, type=2, axis=-1) / grid.J, grid)
+    return scipy.fft.dct(vals, type=2, axis=-1) / grid.J
 
 
 def _check_shared(grid: CosGrid, cf: CharFuncApprox) -> None:
-    if cf.freqs.shape[0] != grid.J or not np.array_equal(cf.freqs, grid.freqs):
+    xi = cf.freqs
+    if xi is not grid.freqs and (xi.shape[0] != grid.J or not np.array_equal(xi, grid.freqs)):
         raise ValueError("coefficients and characteristic function use different grids")
 
 
 @dataclass(frozen=True)
 class StepKernel:
-    """Real expectation weights of one backward step on the grid nodes.
+    """Real expectation weights of one backward step at its evaluation points.
 
-    psi[i, j]    = Re( Gamma(t, x_i; T, xi_j) e^{-i xi_j a} )
-    psi_dw[i, j] = Re( i xi_j Gamma(t, x_i; T, xi_j) e^{-i xi_j a} )
+    psi[i, j]    = w_j Re( Gamma(t, x_i; T, xi_j) e^{-i xi_j a} )
+    psi_dw[i, j] = w_j Re( i xi_j Gamma(t, x_i; T, xi_j) e^{-i xi_j a} )
 
-    E_n[h](x_i)          ~ psi    @ halve_first(H)
-    E_n[h dW](x_i) / (dt sigma(x_i)) ~ psi_dw @ halve_first(H)
+    with the primed-sum weight w_0 = 1/2 (w_j = 1 otherwise), so for plain
+    coefficients H of h at the later time level
+
+    E_n[h](x_i)                      ~ psi    @ H
+    E_n[h dW](x_i) / (dt sigma(x_i)) ~ psi_dw @ H
 
     On the midpoint nodes the phase of a node expansion is
     e^{i xi_j (x_i - a)} with xi_j (x_i - a) = pi j (2i + 1) / (2J), the
@@ -130,32 +121,49 @@ class StepKernel:
 
 @functools.lru_cache(maxsize=8)
 def _node_phase(J: int) -> np.ndarray:
-    """Read-only table e^{i xi_j (x_i - a)} = e^{i pi j (2i + 1) / (2J)}.
+    """Read-only table w_j e^{i xi_j (x_i - a)} = w_j e^{i pi j (2i + 1) / (2J)}.
 
-    Rows are the midpoint nodes x_i, columns the frequencies xi_j.  The
-    entries are the 4J-th roots of unity at index j (2i + 1) mod 4J, so
-    the table is exact to rounding of the roots and depends on J alone.
+    Rows are the midpoint nodes x_i, columns the frequencies xi_j, and w_j
+    the primed-sum weight (column 0 holds 1/2).  The entries are the 4J-th
+    roots of unity at index j (2i + 1) mod 4J, so the table is exact to
+    rounding of the roots and depends on J alone.
     """
     roots = np.exp(1j * (0.5 * math.pi / J) * np.arange(4 * J))
     table = roots[np.multiply.outer(2 * np.arange(J) + 1, np.arange(J)) % (4 * J)]
+    table[:, 0] *= 0.5
     table.setflags(write=False)
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _phase(grid: CosGrid) -> np.ndarray:
+    """Read-only w_j e^{-i xi_j a}, with the primed-sum weight w_0 = 1/2."""
+    phase = np.exp(-1j * grid.freqs * grid.a)
+    phase[0] *= 0.5
+    phase.setflags(write=False)
+    return phase
+
+
+def expectation_weights(cf: CharFuncApprox, grid: CosGrid, x, d: int = 0) -> np.ndarray:
+    """w_j d^k/dx^k Gamma_n(x; xi_j) e^{-i xi_j a} for k = 0..d (on a leading
+    axis when d > 0) from a scalar-basepoint approximation, with the
+    primed-sum weight w_0 = 1/2: for plain coefficients H of h,
+    Re(weights) @ H is E[h(X_T) | X_t = x] and its first d x-derivatives."""
+    _check_shared(grid, cf)
+    return cf.eval(x, d) * _phase(grid)
+
+
 def step_kernel(cf: CharFuncApprox, grid: CosGrid) -> StepKernel:
-    """Expectation weights from a characteristic function expanded at the
-    grid nodes (vector basepoint) or evaluated there (scalar basepoint).
+    """Expectation weights on the grid nodes from a characteristic function
+    expanded there (vector basepoint at ``grid.nodes``).
 
     A node expansion reduces to g[0] at its own node, so its weights are
     Re(g[0] * _node_phase(J)) with no exponential to evaluate, and both
     arrays come back C-contiguous for the step's matrix-vector products.
-    A scalar basepoint is the point kernel at the nodes.
     """
     _check_shared(grid, cf)
-    if not cf.basepoint.ndim:
-        return point_kernel(cf, grid, grid.nodes)
     if cf.basepoint.shape != (grid.J,) or not np.allclose(cf.basepoint, grid.nodes):
-        raise ValueError("vector-basepoint kernel must expand at the grid nodes")
+        raise ValueError("step_kernel needs an expansion at the grid nodes")
     weighted = cf.g[0] * _node_phase(grid.J)
     return StepKernel(psi=weighted.real.copy(), psi_dw=-grid.freqs * weighted.imag)
 
@@ -163,18 +171,8 @@ def step_kernel(cf: CharFuncApprox, grid: CosGrid) -> StepKernel:
 def point_kernel(cf: CharFuncApprox, grid: CosGrid, x_points) -> StepKernel:
     """Expectation weights at arbitrary points for a scalar-basepoint
     approximation (used for the final evaluation at the spot)."""
-    _check_shared(grid, cf)
-    gam = cf.eval(np.atleast_1d(np.asarray(x_points, dtype=float)))
-    weighted = gam * np.exp(-1j * grid.freqs * grid.a)
+    weighted = expectation_weights(cf, grid, np.atleast_1d(np.asarray(x_points, dtype=float)))
     return StepKernel(psi=np.real(weighted), psi_dw=np.real(1j * grid.freqs * weighted))
-
-
-def cos_expectation(coeffs: CoeffVector, cf: CharFuncApprox, x):
-    """E[h(X_T) | X_t = x] ~ sum'_j H_j Re(Gamma(t,x;T,xi_j) e^{-i xi_j a})."""
-    _check_shared(coeffs.grid, cf)
-    vals = halve_first(coeffs.values)
-    weighted = cf.eval(x) * np.exp(-1j * coeffs.grid.freqs * coeffs.grid.a)
-    return np.real(weighted) @ vals if vals.ndim == 1 else np.sum(np.real(weighted) * vals, axis=-1)
 
 
 def _cos_integral(grid: CosGrid, lo: float, hi: float) -> np.ndarray:
@@ -199,7 +197,7 @@ def _expcos_integral(grid: CosGrid, lo: float, hi: float) -> np.ndarray:
     return num / (1.0 + om**2)
 
 
-def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) -> CoeffVector:
+def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) -> np.ndarray:
     """Closed-form cosine coefficients of (K - e^x)^+ on [a, min(upper, b)].
 
     The payoff is supported on x <= log K; the integration cap is clipped
@@ -212,11 +210,10 @@ def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) 
     if upper is not None:
         cap = min(cap, upper)
     if cap <= grid.a:
-        return CoeffVector(np.zeros(grid.J), grid)
-    vals = (2.0 / grid.width) * (
+        return np.zeros(grid.J)
+    return (2.0 / grid.width) * (
         strike * _cos_integral(grid, grid.a, cap) - _expcos_integral(grid, grid.a, cap)
     )
-    return CoeffVector(vals, grid)
 
 
 def monomial_exp_integrals(

@@ -104,11 +104,11 @@ def newton_exercise_point(c_fn, phi_fn, bracket, x0: float | None = None) -> flo
     return x
 
 
-def _leg_series(cf, phase, disc, hv, x, d: int = 0) -> tuple:
-    """disc * Re(d^k/dx^k Gamma_n(x) e^{-i xi a}) @ hv for k = 0..d, one
-    product per row, so the k = 0 entry is the same computation at every d."""
-    w = np.real(cf.eval(x, d) * phase)
-    return tuple(disc * (row @ hv) for row in (w if d else (w,)))
+def _leg_series(cf, grid, disc, V, x, d: int = 0) -> tuple:
+    """disc * Re(cos.expectation_weights) @ V for k = 0..d, one product per
+    row, so the k = 0 entry is the same computation at every d."""
+    w = np.real(cosmod.expectation_weights(cf, grid, x, d))
+    return tuple(disc * (row @ V) for row in (w if d else (w,)))
 
 
 def price_bermudan_cos(
@@ -135,22 +135,19 @@ def price_bermudan_cos(
     x0 = mdl.spot_x0
     if grid is None:
         grid = make_cos_grid(mdl, T, J, L)
-    xi = grid.freqs
     strike = payoff.strike
     notion = payoff.notional
 
     tay = modelmod.taylor_expand(mdl, 0.0, x0, order)
     span = max(grid.b - x0, x0 - grid.a)
-    cf = charfunc.build_order_n(tay, 0.0, delta_t, xi, order, span=span)
+    cf = charfunc.build_order_n(tay, 0.0, delta_t, grid.freqs, order, span=span)
     disc = math.exp(-mdl.rate_r * delta_t)
-    phase = np.exp(-1j * xi * grid.a)
 
     def exercise_value(x):
         ex = math.exp(x)
         return notion * max(strike - ex, 0.0), (-notion * ex if ex < strike else 0.0)
 
-    V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=grid.b).values
-    hv = cosmod.halve_first(V)
+    V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=grid.b)
     log_k = math.log(strike)
     x_up = min(max(log_k, grid.a), grid.b)
     x_star = log_k  # warm start; then each date starts from the later one's x*
@@ -158,7 +155,7 @@ def price_bermudan_cos(
     for m in range(M - 1, 0, -1):
         t_m = m * delta_t
         x_star = newton_exercise_point(
-            lambda x: _leg_series(cf, phase, disc, hv, x, 1), exercise_value,
+            lambda x: _leg_series(cf, grid, disc, V, x, 1), exercise_value,
             (grid.a, x_up), x0=x_star,
         )
         if x_star <= grid.a or x_star >= grid.b:
@@ -169,11 +166,10 @@ def price_bermudan_cos(
         cont = np.zeros(grid.J)
         for h in range(order + 1):
             cont += cosmod.m_matrix_product(V, grid, x_star, grid.b, h, cf.g[h], x0)
-        V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star).values + disc * cont
-        hv = cosmod.halve_first(V)
+        V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star) + disc * cont
         points.append(x_star)
 
-    series = functools.partial(_leg_series, cf, phase, disc, hv)
+    series = functools.partial(_leg_series, cf, grid, disc, V)
     value, delta, gamma = series(x0, 2)
     (y0,) = series(grid.nodes)
     trace = BoundaryTrace(delta_t * np.arange(1, M), np.array(points[::-1]))

@@ -217,6 +217,11 @@ class TestContraction:
         )
 
 
+def _coeffs(g, *rows):
+    """Cosine coefficients of each node-value row, in one stacked DCT."""
+    return cos.dct_coeffs(np.stack(rows), g)
+
+
 class TestThetaStep:
     sig = 0.25
 
@@ -225,7 +230,7 @@ class TestThetaStep:
         g = cos.CosGrid(-4.0, 4.0, J)
         tay = model.taylor_expand(mdl, 0.0, 0.0, 0)
         cf = charfunc.build_order0(tay, 0.0, dt, g.freqs)
-        kern = cos.step_kernel(cf, g)
+        kern = cos.point_kernel(cf, g, g.nodes)
         bg = bsde.BsdeGrid(1, dt, theta1=0.5, theta2=theta2)
         return g, cf, kern, bg
 
@@ -234,8 +239,8 @@ class TestThetaStep:
         g, cf, kern, bg = self._setup(dt)
         spec = bsde.DriverSpec(mode="zero")
         y1 = np.exp(-g.nodes**2)
-        y0, f0 = bsde.theta_step(y1, np.zeros(g.J), kern, g, bg, spec)
-        want = kern.psi @ cos.halve_first(cos.dct_coeffs(y1, g).values)
+        y0, f0 = bsde.theta_step(*_coeffs(g, y1, np.zeros(g.J)), kern, bg, spec)
+        want = kern.psi @ cos.dct_coeffs(y1, g)
         assert_allclose(y0, want, rtol=1e-13)
         assert_allclose(f0, 0.0)
 
@@ -245,7 +250,7 @@ class TestThetaStep:
         g, cf, kern, bg = self._setup(dt, theta2=1.0)
         y1 = np.exp(-g.nodes**2)
         zeros = np.zeros(g.J)
-        z0 = bsde.z_step(y1, zeros, zeros, kern, g, bg, np.full(g.J, self.sig))
+        z0 = bsde.z_step(*_coeffs(g, y1, zeros, zeros), kern, bg, np.full(g.J, self.sig))
         want = self.sig * (-2.0 * g.nodes) * np.exp(-g.nodes**2)
         assert_allclose(z0, want, atol=1e-5)
 
@@ -254,7 +259,7 @@ class TestThetaStep:
         g, cf, kern, bg = self._setup(dt)
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.06)
         y1 = np.exp(-g.nodes**2)
-        y0, f0 = bsde.theta_step(y1, np.zeros(g.J), kern, g, bg, spec)
+        y0, f0 = bsde.theta_step(*_coeffs(g, y1, np.zeros(g.J)), kern, bg, spec)
         assert_allclose(f0, bsde.scheme_driver(spec, y0), rtol=1e-14)
 
     def test_explicit_scheme_ignores_picard_count(self):
@@ -266,31 +271,13 @@ class TestThetaStep:
         outs = []
         for picard in (1, 7):
             bg = bsde.BsdeGrid(1, dt, theta1=0.0, theta2=0.5, picard=picard)
-            outs.append(bsde.theta_step(y1, f1, kern, g, bg, spec))
+            outs.append(bsde.theta_step(*_coeffs(g, y1, f1), kern, bg, spec))
         for a, b in zip(outs[0], outs[1]):
             assert_allclose(a, b, rtol=0.0, atol=0.0)
         # And the explicit update is exactly E[y] + dt E[f].
-        ey = kern.psi @ cos.halve_first(cos.dct_coeffs(y1, g).values)
-        ef = kern.psi @ cos.halve_first(cos.dct_coeffs(f1, g).values)
+        ey = kern.psi @ cos.dct_coeffs(y1, g)
+        ef = kern.psi @ cos.dct_coeffs(f1, g)
         assert_allclose(outs[0][0], ey + dt * ef, rtol=1e-13)
-
-    def test_point_kernel_evaluation_matches_nodes(self):
-        dt = 0.01
-        g, cf, kern, bg = self._setup(dt)
-        spec = bsde.DriverSpec(mode="simplified", rate_r=0.06)
-        y1 = np.exp(-g.nodes**2)
-        zeros = np.zeros(g.J)
-        pk = cos.point_kernel(cf, g, g.nodes)
-        base = bsde.theta_step(y1, zeros, kern, g, bg, spec)
-        via = bsde.theta_step(y1, zeros, pk, g, bg, spec)
-        for a, b in zip(base, via):
-            assert_allclose(a, b, rtol=1e-12)
-        sig_nodes = np.full(g.J, self.sig)
-        assert_allclose(
-            bsde.z_step(y1, zeros, zeros, kern, g, bg, sig_nodes),
-            bsde.z_step(y1, zeros, zeros, pk, g, bg, sig_nodes),
-            rtol=1e-12,
-        )
 
 
 class TestSolveBsde:
@@ -363,7 +350,7 @@ class TestSolveBsde:
         # Same node-sampled projection of the terminal condition the
         # solver starts from, so only the step composition is under test.
         coeffs = cos.dct_coeffs(term(grid.nodes), grid)
-        want = cos.cos_expectation(coeffs, cf, -0.1)
+        (want,) = cos.point_kernel(cf, grid, -0.1).psi @ coeffs
         assert_allclose(sol.value, want, rtol=1e-9)
 
     def test_jump_diffusion_discounted_put(self):
@@ -394,6 +381,29 @@ class TestSolveBsde:
         b = bsde.solve_bsde(mdl, term, term_dx, 1.0, bg, spec, J=128, grid=grid)
         assert a.value == b.value
         assert_allclose(a.y0, b.y0, rtol=0.0, atol=0.0)
+
+    def test_risk_free_closeout_points_to_the_mtm_pre_pass(self):
+        mdl = self._model()
+        term, term_dx = self._call_terminal(1.0)
+        spec = bsde.DriverSpec(mode="full", rate_r=0.02, closeout="risk-free")
+        with pytest.raises(ValueError, match="price_bermudan_xva"):
+            bsde.solve_bsde(mdl, term, term_dx, 1.0, bsde.BsdeGrid(4, 0.25), spec, J=32)
+
+    def test_one_dct_per_time_level(self, monkeypatch):
+        # y, z and f of a level are transformed in one call that every
+        # step reading the level shares, the spot step included.
+        calls = []
+        dct = cos.dct_coeffs
+
+        def counted(values, grid):
+            calls.append(np.shape(values))
+            return dct(values, grid)
+
+        monkeypatch.setattr(cos, "dct_coeffs", counted)
+        term, term_dx = self._call_terminal(1.0)
+        spec = bsde.DriverSpec(mode="simplified", rate_r=self.rate_r)
+        bsde.solve_bsde(self._model(), term, term_dx, 1.0, bsde.BsdeGrid(8, 0.125), spec, J=32)
+        assert calls == [(3, 32)] * 8
 
     def test_solution_records_spot_and_grid(self):
         mdl = self._model()

@@ -56,6 +56,7 @@ class TestCosGrid:
         assert g.width == pytest.approx(4.0)
         assert g.dx == pytest.approx(0.5)
         assert_allclose(g.freqs, np.arange(8) * math.pi / 4.0)
+        assert g.freqs is g.freqs and not g.freqs.flags.writeable
         assert_allclose(g.nodes, -1.0 + (np.arange(8) + 0.5) * 0.5)
 
     def test_truncation_range_formula(self):
@@ -87,7 +88,7 @@ class TestDctCoeffs:
         v = cos.dct_coeffs(np.full(32, 3.0), g)
         want = np.zeros(32)
         want[0] = 6.0
-        assert_allclose(v.values, want, atol=1e-13)
+        assert_allclose(v, want, atol=1e-13)
 
     def test_pure_mode_is_recovered_exactly(self):
         # Midpoint DCT-II orthogonality: a single cosine mode maps to a
@@ -97,7 +98,7 @@ class TestDctCoeffs:
         v = cos.dct_coeffs(vals, g)
         want = np.zeros(16)
         want[3] = 1.0
-        assert_allclose(v.values, want, atol=1e-13)
+        assert_allclose(v, want, atol=1e-13)
 
     def test_smooth_function_vs_projection_integral(self):
         g = cos.CosGrid(-1.0, 1.0, 512)
@@ -108,7 +109,7 @@ class TestDctCoeffs:
                 g.a,
                 g.b,
             )
-            assert_allclose(v.values[j], 2.0 * want / g.width, atol=2e-6)
+            assert_allclose(v[j], 2.0 * want / g.width, atol=2e-6)
 
     def test_rejects_wrong_length(self):
         g = cos.CosGrid(0.0, 1.0, 8)
@@ -135,7 +136,7 @@ class TestPutPayoffCoeffs:
         v = cos.put_payoff_coeffs(strike, g)
         for j in [0, 1, 2, 5, 10, 33]:
             assert_allclose(
-                v.values[j], self._quad_coeff(strike, g, j), atol=1e-12
+                v[j], self._quad_coeff(strike, g, j), atol=1e-12
             )
 
     def test_truncated_upper_limit(self):
@@ -146,7 +147,7 @@ class TestPutPayoffCoeffs:
             v = cos.put_payoff_coeffs(1.1, g, upper=upper)
             for j in [0, 1, 7]:
                 assert_allclose(
-                    v.values[j],
+                    v[j],
                     self._quad_coeff(1.1, g, j, upper=upper),
                     atol=1e-12,
                 )
@@ -156,11 +157,16 @@ class TestPutPayoffCoeffs:
         g = cos.CosGrid(-2.0, 0.5, 32)
         v = cos.put_payoff_coeffs(2.0, g)
         for j in [0, 3]:
-            assert_allclose(v.values[j], self._quad_coeff(2.0, g, j), atol=1e-12)
+            assert_allclose(v[j], self._quad_coeff(2.0, g, j), atol=1e-12)
 
 
 class TestCosExpectation:
     """Conditional expectations against lognormal closed forms."""
+
+    @staticmethod
+    def _expect(coeffs, cf, g, x):
+        """E[h(X_T) | x] as point-kernel weights @ coefficients."""
+        return cos.point_kernel(cf, g, x).psi @ coeffs
 
     def _setup(self, sig, lam, m, delta, rate_r, tau, J=256, L=10.0):
         mdl = make_constant_model(sig, lam, m, delta, rate_r, 0.0)
@@ -176,7 +182,7 @@ class TestCosExpectation:
         g, cf = self._setup(sig, 0.0, 0.0, 0.0, rate_r, tau)
         coeffs = cos.put_payoff_coeffs(strike, g)
         for x in [-0.3, 0.0, 0.25]:
-            got = cos.cos_expectation(coeffs, cf, x)
+            (got,) = self._expect(coeffs, cf, g, x)
             want = put_expectation_lognormal(
                 strike,
                 x + (rate_r - 0.5 * sig**2) * tau,
@@ -190,7 +196,7 @@ class TestCosExpectation:
         g, cf = self._setup(tau=tau, **params)
         coeffs = cos.put_payoff_coeffs(strike, g)
         for x in [-0.2, 0.1]:
-            got = cos.cos_expectation(coeffs, cf, x)
+            (got,) = self._expect(coeffs, cf, g, x)
             want = put_expectation_jumpdiff(strike, x, tau, **params)
             assert_allclose(got, want, rtol=1e-9)
 
@@ -198,8 +204,8 @@ class TestCosExpectation:
         g, cf = self._setup(0.25, 0.0, 0.0, 0.0, 0.04, 0.8)
         coeffs = cos.put_payoff_coeffs(1.0, g)
         xs = np.array([-0.3, 0.0, 0.25])
-        batch = cos.cos_expectation(coeffs, cf, xs)
-        singles = [cos.cos_expectation(coeffs, cf, x) for x in xs]
+        batch = self._expect(coeffs, cf, g, xs)
+        singles = [self._expect(coeffs, cf, g, x)[0] for x in xs]
         assert batch.shape == (3,)
         assert_allclose(batch, singles, rtol=1e-14)
 
@@ -210,7 +216,7 @@ class TestCosExpectation:
         # weights are the point kernel's psi_dw, as in bsde.z_step.
         sig, rate_r, tau, strike = 0.25, 0.04, 0.5, 1.05
         g, cf = self._setup(sig, 0.0, 0.0, 0.0, rate_r, tau)
-        hv = cos.halve_first(cos.put_payoff_coeffs(strike, g).values)
+        hv = cos.put_payoff_coeffs(strike, g)
         dt = 1e-3
         for x in [-0.2, 0.1]:
             got = dt * sig * (cos.point_kernel(cf, g, [x]).psi_dw @ hv)
@@ -269,7 +275,8 @@ class TestMMatrixProduct:
     """Restricted-interval re-projection against direct quadrature."""
 
     def _oracle(self, V, g, x_lo, x_hi, h, lam, xbar):
-        lv = cos.halve_first(lam * V)
+        lv = lam * V
+        lv[0] *= 0.5  # primed sum
 
         def f(x):
             osc = np.real(np.sum(lv * np.exp(1j * g.freqs * (x - g.a))))
@@ -328,29 +335,34 @@ class TestKernels:
         return charfunc.build_order0(tay, 0.0, tau, g.freqs)
 
     def test_step_kernel_reproduces_expectation_at_nodes(self):
+        # A node expansion of constant coefficients against the primed sum
+        # Re sum'_j Gamma(x_i; xi_j) e^{-i xi_j a} H_j written out.
         g = cos.CosGrid(-2.0, 2.0, 32)
-        cf = self._cf(0.25, g)
-        kern = cos.step_kernel(cf, g)
+        mdl = make_constant_model(0.2, 0.3, -0.1, 0.2, 0.05, 0.0)
+        tay = model.taylor_expand(mdl, 0.0, g.nodes, 0)
+        kern = cos.step_kernel(charfunc.build_order_n(tay, 0.0, 0.25, g.freqs, 0), g)
         coeffs = cos.dct_coeffs(np.sin(g.nodes) + 0.3 * g.nodes**2, g)
-        direct = cos.cos_expectation(coeffs, cf, g.nodes)
-        via = kern.psi @ cos.halve_first(coeffs.values)
+        gam = self._cf(0.25, g).eval(g.nodes) * np.exp(-1j * g.freqs * g.a)
+        primed = np.r_[0.5, np.ones(g.J - 1)]
+        direct = np.real(gam) @ (primed * coeffs)
+        via = kern.psi @ coeffs
         assert_allclose(via, direct, rtol=1e-12)
 
-    def test_point_kernel_matches_step_kernel_on_nodes(self):
+    def test_step_kernel_rejects_scalar_basepoint(self):
         g = cos.CosGrid(-2.0, 2.0, 32)
-        cf = self._cf(0.25, g)
-        pk = cos.point_kernel(cf, g, g.nodes)
-        sk = cos.step_kernel(cf, g)
-        assert_allclose(pk.psi, sk.psi, rtol=1e-13)
+        with pytest.raises(ValueError):
+            cos.step_kernel(self._cf(0.25, g), g)
 
     def test_node_expansion_kernel_matches_direct_phase(self, model_put):
-        """psi = Re(g0 e^{i xi (x - a)}) and psi_dw = Re(i xi g0 e^{i xi (x - a)})
-        with the phase evaluated by exp, at the benchmark size."""
+        """psi = Re(w g0 e^{i xi (x - a)}) and psi_dw = Re(i xi w g0 e^{i xi (x - a)})
+        with the phase evaluated by exp and w the primed-sum weight, at the
+        benchmark size."""
         g = bsde.make_cos_grid(model_put, 1.0, 256)
         tay = model.taylor_expand(model_put, 0.0, g.nodes, 2)
         cf = charfunc.build_order_n(tay, 0.0, 0.1, g.freqs, 2)
         kern = cos.step_kernel(cf, g)
         w = cf.g[0] * np.exp(1j * np.multiply.outer(g.nodes - g.a, g.freqs))
+        w[:, 0] *= 0.5  # primed sum
         assert_allclose(kern.psi, w.real, rtol=0.0, atol=1e-12 * np.abs(kern.psi).max())
         dw = np.real(1j * g.freqs * w)
         assert_allclose(kern.psi_dw, dw, rtol=0.0, atol=1e-12 * np.abs(kern.psi_dw).max())
@@ -367,9 +379,8 @@ class TestKernels:
         assert cos._node_phase(48) is table
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
-
-    def test_halve_first(self):
-        vals = np.array([2.0, 4.0, 6.0])
-        out = cos.halve_first(vals)
-        assert_allclose(out, [1.0, 4.0, 6.0])
-        assert_allclose(vals, [2.0, 4.0, 6.0])  # input untouched
+        g = cos.CosGrid(-2.0, 2.0, 48)
+        phase = cos._phase(g)
+        assert cos._phase(cos.CosGrid(-2.0, 2.0, 48)) is phase
+        with pytest.raises(ValueError):
+            phase[0] = 0.0
