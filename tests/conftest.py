@@ -4,14 +4,17 @@
 no default intensity); ``model_put`` is the CVA benchmark (Bermudan put,
 r = 0.05, exponential default intensity c = 0.1).  Both use the same
 exponential coefficient families sigma(x) = 0.15 e^{-2x},
-a(x) = 0.2 e^{-2x} with N(-0.2, 0.2^2) jumps.
+a(x) = 0.2 e^{-2x} with N(-0.2, 0.2^2) jumps.  ``dct_calls`` records the
+shape of every ``cos.dct_coeffs`` call a test makes.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import levyxva as lx
+from levyxva import cos
 
 
 def make_benchmark_model(rate_r, c_default, x0=0.0):
@@ -60,3 +63,16 @@ def model_put_riskfree():
 
 def replace_spot(mdl, x0):
     return dataclasses.replace(mdl, spot_x0=x0)
+
+
+@pytest.fixture
+def dct_calls(monkeypatch):
+    calls = []
+    dct = cos.dct_coeffs
+
+    def counted(values, grid):
+        calls.append(np.shape(values))
+        return dct(values, grid)
+
+    monkeypatch.setattr(cos, "dct_coeffs", counted)
+    return calls

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import levyxva as lx
-from levyxva import bermudan, bsde, cos
+from levyxva import bermudan, bsde
 
 from conftest import make_benchmark_model, make_constant_model
 
@@ -290,24 +290,16 @@ class TestBermudanStructure:
         assert v1 != pytest.approx(v0, abs=1e-8)
 
     @pytest.mark.parametrize("closeout, passes", [("risky", 1), ("risk-free", 2)])
-    def test_one_dct_per_time_level(self, monkeypatch, closeout, passes):
+    def test_one_dct_per_time_level(self, dct_calls, closeout, passes):
         # (y, f) of a level are transformed in one call; the last level's
         # coefficients serve both the node step and the spot step.  The
         # risk-free close-out adds the zero-driver mark-to-market pass.
-        calls = []
-        dct = cos.dct_coeffs
-
-        def counted(values, grid):
-            calls.append(np.shape(values))
-            return dct(values, grid)
-
-        monkeypatch.setattr(cos, "dct_coeffs", counted)
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)
         sched = bermudan.ExerciseSchedule(1.0, 3, 2)
         pay = bermudan.PayoffSpec(kind="put", strike=self.strike)
         drv = bsde.DriverSpec(mode="full", rate_r=0.06, rate_c=0.08, closeout=closeout)
         bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=32)
-        assert calls == [(2, 32)] * (passes * sched.M * sched.N)
+        assert dct_calls == [(2, 32)] * (passes * sched.M * sched.N)
 
     def test_grid_reuse_is_deterministic(self):
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)
