@@ -14,7 +14,8 @@ law).
 
 ``simulate`` and the CVA pair step through one path loop, which draws
 per step the jump counts, then the normals Z and Z', on one random stream
-and evaluates sigma, a and gamma once per model.  The two differ only in
+and evaluates sigma, a and gamma once per model, with one exponential
+per distinct slope (``ModelSpec.coeff_values``).  The two differ only in
 the counts: ``simulate`` draws them exactly, while the pair shares one
 uniform across its two legs and inverts each leg's Poisson CDF, so the
 legs stay coupled even though their intensities drift apart.  The inverse
@@ -26,6 +27,11 @@ The loop stores time-major (steps+1, paths) arrays, so each step reads
 and writes whole rows; a ``PathBatch`` holds their transposed views, which
 keep the (paths, steps+1) shape, and a column ``x[:, k]`` of such a view
 is contiguous.
+
+Every LSM regression is a least-squares projection onto polynomials of
+the standardized state, expanded in the polynomials orthogonal on the fit
+sample (three-term recurrence), so each coefficient is one dot product
+and no power basis or matrix factorization is formed.
 """
 from __future__ import annotations
 
@@ -154,11 +160,11 @@ def _check_run(T, steps: int, n_paths: int) -> None:
         raise ValueError("need steps >= 1 and n_paths >= 1")
 
 
-def _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band):
-    """One Euler update from xk, given the jump intensity at xk, the jump
+def _euler_step(mdl, dt, xk, coeffs, counts, z, z2, band):
+    """One Euler update from xk, given (sigma, a, gamma) at xk, the jump
     counts and the two normal draws; returns (x_{k+1}, hazard over dt).
-    sigma and gamma are evaluated once and the drift is formed from them."""
-    sig, gam = mdl.sigma(t_k, xk), mdl.gamma(t_k, xk)
+    The drift is formed from the same coefficient values."""
+    sig, lam, gam = coeffs
     m, d = mdl.jump_law.mean, mdl.jump_law.std
     jumps = m * counts + d * np.sqrt(counts) * z2
     x_next = np.clip(
@@ -176,12 +182,14 @@ def _euler_step(mdl, t_k, dt, xk, lam, counts, z, z2, band):
 def _paths(models, T, steps, n_paths, seed, rng, draw_counts) -> list:
     """Euler paths of every model on one random stream, one batch each.
 
-    Each step draws the jump counts with ``draw_counts(rng, means)`` (one
-    (counts, truncated draws) pair per model, from its a(x) dt), then the
-    normals z and z2 that all models share.  Every model is absorbed on
-    one band, the union of their guard bands.  The stores are time-major,
-    so step k reads row k and writes row k + 1; each batch gets their
-    transposed (paths, steps+1) views, without a copy.
+    Each step evaluates sigma, a and gamma of every model in one
+    ``coeff_values`` call, then draws the jump counts with
+    ``draw_counts(rng, means)`` (one (counts, truncated draws) pair per
+    model, from its a(x) dt), then the normals z and z2 that all models
+    share.  Every model is absorbed on one band, the union of their guard
+    bands.  The stores are time-major, so step k reads row k and writes
+    row k + 1; each batch gets their transposed (paths, steps+1) views,
+    without a copy.
     """
     dt = T / steps
     los, his = zip(*(_guard_band(mdl, T) for mdl in models))
@@ -193,15 +201,14 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts) -> list:
         x[0] = mdl.spot_x0
         surv[0] = 1.0
     for k in range(steps):
-        t_k = k * dt
-        lams = [mdl.intensity_a(t_k, x[k]) for mdl, x in zip(models, xs)]
-        draws = draw_counts(rng, [lam * dt for lam in lams])
+        coeffs = [mdl.coeff_values(x[k]) for mdl, x in zip(models, xs)]
+        draws = draw_counts(rng, [lam * dt for _, lam, _ in coeffs])
         z = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
-        for leg, (mdl, x, surv, lam) in enumerate(zip(models, xs, survs, lams)):
+        for leg, (mdl, x, surv, vals) in enumerate(zip(models, xs, survs, coeffs)):
             counts, cut = draws[leg]
             truncated[leg] += cut
-            x[k + 1], haz = _euler_step(mdl, t_k, dt, x[k], lam, counts, z, z2, band)
+            x[k + 1], haz = _euler_step(mdl, dt, x[k], vals, counts, z, z2, band)
             surv[k + 1] = surv[k] * np.exp(-haz)
     times = np.arange(steps + 1) * dt
     return [
@@ -281,10 +288,26 @@ def simulate_crn_pair(
 
 
 def _fit_predict(xk: np.ndarray, target: np.ndarray, degree: int, mask=None) -> np.ndarray:
-    """Polynomial regression prediction on standardized xk.
+    """Least-squares polynomial prediction of target from standardized xk.
 
-    Degenerate spreads collapse to the plain mean; rank-deficient designs
-    retry at a lower degree with a warning.
+    The basis is the polynomials orthogonal on the fit sample z, built by
+    the three-term (Stieltjes) recurrence
+
+        p_0 = 1,  p_{k+1} = z p_k - alpha_k p_k - beta_k p_{k-1},
+        alpha_k = <z p_k, p_k> / <p_k, p_k>,
+        beta_k = <p_k, p_k> / <p_{k-1}, p_{k-1}>,
+
+    so each coefficient c_k = <target, p_k> / <p_k, p_k> is one dot
+    product and sum_k c_k p_k is the least-squares projection onto
+    polynomials of the degree, without forming a power basis (outliers at
+    the guard band make that one ill-conditioned).  Without a mask the
+    prediction sums the fitted basis; with one, the same recurrence runs
+    on every point.
+
+    Degenerate spreads collapse to the plain mean.  A new p_k whose norm
+    falls to max(n, degree + 1) * eps (``lstsq``'s default cut-off) of the
+    norm of z p_{k-1} marks a rank-deficient design: the fit stops at
+    degree k - 1, with one warning per degree dropped.
     """
     fit_x = xk if mask is None else xk[mask]
     fit_y = target if mask is None else target[mask]
@@ -292,16 +315,33 @@ def _fit_predict(xk: np.ndarray, target: np.ndarray, degree: int, mask=None) -> 
     if std < 1e-12 or fit_x.size <= degree + 1:
         return np.full(xk.shape, fit_y.mean())
     zs_all = (xk - mean) / std
-    zs_fit = zs_all if mask is None else zs_all[mask]
-    deg = degree
-    while deg > 0:
-        van = np.polynomial.polynomial.polyvander(zs_fit, deg)
-        coef, _, rank, _ = np.linalg.lstsq(van, fit_y, rcond=None)
-        if rank == deg + 1:
-            return np.polynomial.polynomial.polyvander(zs_all, deg) @ coef
-        warnings.warn(f"rank-deficient LSM regression, reducing degree to {deg - 1}")
-        deg -= 1
-    return np.full(xk.shape, fit_y.mean())
+    z = zs_all if mask is None else zs_all[mask]
+    tol = max(z.size, degree + 1) * np.finfo(float).eps
+    p_prev, p, norm_prev, norm = 0.0, np.ones_like(z), 1.0, float(z.size)
+    basis, recurrence, coef = [p], [], [fit_y.mean()]
+    for k in range(1, degree + 1):
+        zp = z * p
+        alpha, beta = (zp @ p) / norm, norm / norm_prev
+        p_next = zp - alpha * p - beta * p_prev
+        norm_next = p_next @ p_next
+        if norm_next <= tol * tol * (zp @ zp):
+            for deg in range(degree, k - 1, -1):
+                warnings.warn(f"rank-deficient LSM regression, reducing degree to {deg - 1}")
+            break
+        recurrence.append((alpha, beta))
+        coef.append((fit_y @ p_next) / norm_next)
+        basis.append(p_next)
+        p_prev, p, norm_prev, norm = p, p_next, norm, norm_next
+    if mask is not None:
+        basis, q_prev = [np.ones_like(zs_all)], 0.0
+        for alpha, beta in recurrence:
+            q = basis[-1]
+            basis.append(zs_all * q - alpha * q - beta * q_prev)
+            q_prev = q
+    pred = coef[0] * basis[0]
+    for c, b in zip(coef[1:], basis[1:]):
+        pred += c * b
+    return pred
 
 
 def _exercise_stride(batch: PathBatch, schedule: ExerciseSchedule) -> int:

@@ -67,10 +67,17 @@ class CoeffFamily:
         return self.level == 0.0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        return self.eval_shared(np.asarray(x, dtype=float), {})
+
+    def eval_shared(self, x: np.ndarray, exps: dict) -> np.ndarray:
+        """g(x) for a float array x, taking exp(slope * x) from ``exps``
+        (keyed by slope) and storing it there when absent, so families
+        with one slope share one exponential."""
         if self.slope == 0.0 or self.is_zero:
             return np.full_like(x, self.level)
-        return self.level * np.exp(self.slope * x)
+        if self.slope not in exps:
+            exps[self.slope] = np.exp(self.slope * x)
+        return self.level * exps[self.slope]
 
     def taylor_coeffs(self, xbar, order: int) -> np.ndarray:
         """Coefficients g_k = g^(k)(xbar) / k! for k = 0..order.
@@ -134,6 +141,15 @@ class ModelSpec:
     def gamma(self, t, x):
         return self.default_intensity(x)
 
+    def coeff_values(self, x) -> tuple:
+        """(sigma(x), a(x), gamma(x)) with one exponential per distinct
+        nonzero slope; each value is bit-identical to its family's call."""
+        x, exps = np.asarray(x, dtype=float), {}
+        return tuple(
+            fam.eval_shared(x, exps)
+            for fam in (self.vol, self.jump_intensity, self.default_intensity)
+        )
+
     @property
     def kappa(self) -> float:
         return jump_compensator_kappa(self.jump_law)
@@ -157,10 +173,7 @@ def drift_from_coeffs(model: ModelSpec, sig, a, gamma):
 
 def martingale_drift(model: ModelSpec, t, x):
     """mu(x) = gamma + r - sigma^2/2 - a*kappa (martingale restriction)."""
-    x = np.asarray(x, dtype=float)
-    return drift_from_coeffs(
-        model, model.sigma(t, x), model.intensity_a(t, x), model.gamma(t, x)
-    )
+    return drift_from_coeffs(model, *model.coeff_values(x))
 
 
 @dataclass(frozen=True)

@@ -39,3 +39,10 @@ def test_tracer_plans_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert {name: _resolve(tracing, name) for name in names} == before
+
+
+def test_crn_cap_counter_uses_the_engine_cap():
+    # The tracer's mc.cap_frac counter keeps its own copy of the cap.
+    from levyxva import mc
+
+    assert _load_tracing().CRN_POISSON_CAP == mc._POISSON_CAP

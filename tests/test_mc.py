@@ -8,6 +8,7 @@ standard errors with generous multipliers, under fixed seeds.
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -168,15 +169,38 @@ def _assert_same_batch(batch, want):
     assert batch.poisson_truncated == truncated
 
 
+def _distinct_slope_model(default_intensity):
+    """sigma, a and gamma on three different slopes, or gamma constant."""
+    return lx.ModelSpec(
+        vol=lx.CoeffFamily.exponential(0.15, -1.0),
+        jump_intensity=lx.CoeffFamily.exponential(0.2, -2.0),
+        jump_law=lx.JumpLaw(-0.2, 0.2),
+        default_intensity=default_intensity,
+        rate_r=0.05,
+        spot_x0=0.1,
+    )
+
+
+DISTINCT_SLOPES = _distinct_slope_model(lx.CoeffFamily.exponential(0.1, 0.5))
+CONSTANT_GAMMA = _distinct_slope_model(lx.CoeffFamily.const(0.05))
+
+
 class TestStreamOrder:
     """The simulators reproduce a written-out Euler loop bit for bit, which
     pins the order in which they consume the random stream."""
 
     T, steps, n_paths, seed = 1.0, 40, 3_000, 17
 
-    @pytest.mark.parametrize("mode", ["weight", "thin"])
-    def test_simulate_matches_reference_loop(self, mode):
-        mdl = make_benchmark_model(0.05, 0.1, x0=0.2)
+    @pytest.mark.parametrize(
+        "mode, mdl",
+        [
+            ("weight", make_benchmark_model(0.05, 0.1, x0=0.2)),
+            ("thin", make_benchmark_model(0.05, 0.1, x0=0.2)),
+            ("weight", DISTINCT_SLOPES),
+        ],
+        ids=["weight", "thin", "distinct-slopes"],
+    )
+    def test_simulate_matches_reference_loop(self, mode, mdl):
         batch = mc.simulate(mdl, self.T, self.steps, self.n_paths, self.seed, default_mode=mode)
         rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
         clock = rng.exponential(1.0, self.n_paths) if mode == "thin" else None
@@ -198,6 +222,16 @@ class TestStreamOrder:
         for batch, leg in zip(pair, want):
             _assert_same_batch(batch, leg)
         assert pair[0].poisson_truncated + pair[1].poisson_truncated > 0
+
+    def test_crn_pair_with_distinct_slopes_matches_reference_loop(self):
+        models = [DISTINCT_SLOPES, CONSTANT_GAMMA]
+        pair = mc.simulate_crn_pair(*models, self.T, self.steps, self.n_paths, self.seed)
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        want = _reference_batches(
+            models, self.T, self.steps, self.n_paths, rng, shared_uniform=True
+        )
+        for batch, leg in zip(pair, want):
+            _assert_same_batch(batch, leg)
 
 
 class TestEstimateCharfunc:
@@ -431,6 +465,68 @@ class TestLsm:
         # regression exercise rule, but must sit in the same ballpark.
         width = hi - lo
         assert abs(est - fast) < max(4.0 * width, 0.2 * fast)
+
+
+def _svd_fit_predict(xk, target, degree, mask=None):
+    """Reference regression: power basis of the standardized state solved
+    by SVD least squares, with the same degenerate and rank branches."""
+    fit_x = xk if mask is None else xk[mask]
+    fit_y = target if mask is None else target[mask]
+    mean, std = fit_x.mean(), fit_x.std()
+    if std < 1e-12 or fit_x.size <= degree + 1:
+        return np.full(xk.shape, fit_y.mean())
+    zs_all = (xk - mean) / std
+    zs_fit = zs_all if mask is None else zs_all[mask]
+    deg = degree
+    while deg > 0:
+        van = np.polynomial.polynomial.polyvander(zs_fit, deg)
+        coef, _, rank, _ = np.linalg.lstsq(van, fit_y, rcond=None)
+        if rank == deg + 1:
+            return np.polynomial.polynomial.polyvander(zs_all, deg) @ coef
+        warnings.warn(f"rank-deficient LSM regression, reducing degree to {deg - 1}")
+        deg -= 1
+    return np.full(xk.shape, fit_y.mean())
+
+
+class TestFitPredict:
+    @staticmethod
+    def _sample():
+        # A put-like target on a Gaussian state, plus ~80 paths at +-25-30
+        # standard deviations, where absorbed paths sit at the guard band.
+        rng = np.random.default_rng(606)
+        n, sd = 20_000, 0.3
+        x = sd * rng.standard_normal(n)
+        far = rng.choice(n, 80, replace=False)
+        x[far] = sd * rng.choice([-1.0, 1.0], 80) * rng.uniform(25.0, 30.0, 80)
+        target = np.maximum(1.0 - np.exp(x), 0.0) + 0.05 * rng.standard_normal(n)
+        return x, target, target > 0.02
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked"])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_matches_svd_least_squares(self, degree, masked):
+        x, target, itm = self._sample()
+        mask = itm if masked else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc._fit_predict(x, target, degree, mask=mask)
+            want = _svd_fit_predict(x, target, degree, mask=mask)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_rank_deficient_design_drops_to_group_means(self):
+        rng = np.random.default_rng(607)
+        levels = np.array([-0.3, 0.1, 0.5])
+        x = levels[rng.integers(0, 3, 5_000)]
+        target = np.exp(x) + rng.standard_normal(x.size)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = mc._fit_predict(x, target, 3)
+        assert [str(w.message) for w in caught] == [
+            "rank-deficient LSM regression, reducing degree to 2"
+        ]
+        for level in levels:
+            at = x == level
+            assert_allclose(got[at], target[at].mean(), rtol=1e-10)
 
 
 class TestDumpLoad:

@@ -178,3 +178,28 @@ class TestModelSpecHelpers:
         tay = lx.taylor_expand(mdl, 0.0, 0.0, 0)
         psi = lx.levy_symbol_psi(tay, np.array(-1.0j))
         assert_allclose(complex(psi), 0.06, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "gamma, n_exp",
+        [
+            (lx.CoeffFamily.exponential(0.1, -2.0), 1),
+            (lx.CoeffFamily.zero(), 1),
+            (lx.CoeffFamily.exponential(0.1, 0.5), 2),
+            (lx.CoeffFamily.const(0.05), 1),
+        ],
+    )
+    def test_coeff_values_share_one_exponential_per_slope(self, monkeypatch, gamma, n_exp):
+        mdl = make_benchmark_model(0.05, 0.0).with_default(gamma)
+        x = np.linspace(-1.0, 1.0, 9)
+        want = (mdl.vol(x), mdl.jump_intensity(x), mdl.default_intensity(x))
+        exp, calls = np.exp, []
+
+        def counted(arg):
+            calls.append(arg)
+            return exp(arg)
+
+        monkeypatch.setattr(np, "exp", counted)
+        got = mdl.coeff_values(x)
+        assert len(calls) == n_exp
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
