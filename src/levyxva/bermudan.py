@@ -11,12 +11,13 @@ through ``bsde.spot_step``, both from the same coefficients.
 
 The node kernel is rebuilt at every step, matching the method's published
 per-step cost; ``timings["kernel"]`` reports the seconds spent building
-it.  The model is time-homogeneous, so one kernel would serve all steps.
-But a build, which forms only g_{n,0}, still costs as much as ~90 steps
-with a cached kernel (8-9 ms against ~0.09 ms at J=256), so a once-built
-kernel leaves the run time nearly flat in N: the N 2->4 time ratio drops
-below the band [1.3, 3.2] of the complexity acceptance check (criterion
-10), and the fast-path speedup below its 5x gate.
+it.  The model is time-homogeneous, so the step length dt is the kernel's
+only time input and every step repeats the same build: one kernel would
+serve all steps.  But a build, which forms only g_{n,0}, still costs as
+much as ~90 steps with a cached kernel (8-9 ms against ~0.09 ms at J=256),
+so a once-built kernel leaves the run time nearly flat in N: the N 2->4
+time ratio drops below the band [1.3, 3.2] of the complexity acceptance
+check (criterion 10), and the fast-path speedup below its 5x gate.
 """
 from __future__ import annotations
 
@@ -189,7 +190,7 @@ def _leftmost_crossing(x: np.ndarray, d: np.ndarray) -> float:
     return float(x[i] + (x[i + 1] - x[i]) * d0 / (d0 - d1))
 
 
-def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all=None, collect=False):
+def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, mtm_all=None, collect=False):
     """Backward recursion over all M*N steps on the grid nodes.
 
     Returns (value at spot, t_0 node values, boundary list, collected
@@ -200,10 +201,10 @@ def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all=Non
     total = schedule.n_steps
     kernel_s = 0.0
 
-    def node_kernel(t):
+    def node_kernel():
         nonlocal kernel_s
         start = time.perf_counter()
-        kern = _node_kernel(mdl, grid, t, t + dt, order)
+        kern = _node_kernel(mdl, grid, dt)
         kernel_s += time.perf_counter() - start
         return kern
 
@@ -221,7 +222,7 @@ def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all=Non
     boundary = []
     for s in range(total - 1, 0, -1):
         t_now = s * dt
-        kern = node_kernel(t_now)
+        kern = node_kernel()
         y, f = theta_step(*coeffs(y, f), kern, bgrid, driver, mtm_at(s))
         if s % schedule.N == 0:
             phi = np.asarray(payoff_eval(payoff, t_now, x), dtype=float)
@@ -240,12 +241,12 @@ def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all=Non
         if collect:
             collected[s] = y
 
-    kern = node_kernel(0.0)
+    kern = node_kernel()
     hy, hf = coeffs(y, f)
     y0, _ = theta_step(hy, hf, kern, bgrid, driver, mtm_at(0))
     if collect:
         collected[0] = y0
-    value = spot_step(mdl, hy, hf, grid, bgrid, driver, order, mtm_at(0))
+    value = spot_step(mdl, hy, hf, grid, bgrid, driver, mtm_at(0))
     boundary.reverse()
     return value, y0, boundary, collected, kernel_s
 
@@ -257,14 +258,14 @@ def price_bermudan_xva(
     driver: DriverSpec,
     J: int = 256,
     L: float = 10.0,
-    order: int = 2,
     theta1: float = 0.5,
     picard: int = 5,
     grid: cosmod.CosGrid | None = None,
 ) -> PricingResult:
     """Bermudan value with XVA at the spot, by the full N*M theta recursion.
 
-    With M = 1 this is exactly the European BSDE solve.  A full driver with
+    With M = 1 this is exactly the European BSDE solve, bit for bit at any
+    dt, since both build their kernels from dt alone.  A full driver with
     risk-free close-out triggers a zero-driver pre-pass whose value grids
     feed the mark-to-market argument of the main pass.
     """
@@ -277,11 +278,11 @@ def price_bermudan_xva(
     mtm_kernel_s = 0.0
     if driver.needs_mtm:
         _, _, _, mtm_all, mtm_kernel_s = _backward_xva(
-            mdl, payoff, schedule, DriverSpec(mode="zero"), grid, bgrid, order, collect=True
+            mdl, payoff, schedule, DriverSpec(mode="zero"), grid, bgrid, collect=True
         )
     t_loop = time.perf_counter()
     value, u0, boundary, _, kernel_s = _backward_xva(
-        mdl, payoff, schedule, driver, grid, bgrid, order, mtm_all
+        mdl, payoff, schedule, driver, grid, bgrid, mtm_all
     )
     done = time.perf_counter()
     return PricingResult(
@@ -298,7 +299,6 @@ def price_bermudan_xva(
         config={
             "J": grid.J,
             "L": L,
-            "order": order,
             "theta1": theta1,
             "picard": picard,
             "M": schedule.M,
@@ -315,7 +315,6 @@ def complexity_probe(
     T: float,
     combos,
     L: float = 10.0,
-    order: int = 2,
     repeats: int = 1,
 ) -> list:
     """Wall-time the XVA pricer over (J, N, M) combinations.
@@ -330,7 +329,7 @@ def complexity_probe(
         value = math.nan
         for _ in range(repeats):
             t0 = time.perf_counter()
-            res = price_bermudan_xva(mdl, payoff, sched, driver, J=J, L=L, order=order)
+            res = price_bermudan_xva(mdl, payoff, sched, driver, J=J, L=L)
             best = min(best, time.perf_counter() - t0)
             value = res.value
         rows.append({"J": J, "N": N, "M": M, "seconds": best, "value": value})

@@ -255,23 +255,26 @@ class BsdeSolution:
     spot: float
 
 
-def make_cos_grid(
-    mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0, center: float | None = None
-) -> cosmod.CosGrid:
+def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) -> cosmod.CosGrid:
     """Truncation interval from the order-0 increment cumulants at the spot."""
-    x0 = mdl.spot_x0 if center is None else center
+    x0 = mdl.spot_x0
     tay = modelmod.taylor_expand(mdl, 0.0, x0, 0)
     c1, c2, c4 = charfunc.cumulants(tay, 0.0, T)
     a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
     return cosmod.CosGrid(a, b, J)
 
 
-def _node_kernel(
-    mdl: modelmod.ModelSpec, grid: cosmod.CosGrid, t: float, t_next: float, order: int
-) -> cosmod.StepKernel:
-    tay = modelmod.taylor_expand(mdl, t, grid.nodes, order)
-    cf = charfunc.build_order_n(tay, t, t_next, grid.freqs, order)
-    return cosmod.step_kernel(cf, grid)
+def _expansion(
+    mdl: modelmod.ModelSpec, grid: cosmod.CosGrid, x, dt: float, span: float = 0.0
+) -> charfunc.CharFuncApprox:
+    """Order-``charfunc.MAX_ORDER`` expansion about the basepoint(s) x over
+    one step of length dt, the only time input of the time-homogeneous model."""
+    tay = modelmod.taylor_expand(mdl, 0.0, x, charfunc.MAX_ORDER)
+    return charfunc.build_order_n(tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, span=span)
+
+
+def _node_kernel(mdl: modelmod.ModelSpec, grid: cosmod.CosGrid, dt: float) -> cosmod.StepKernel:
+    return cosmod.step_kernel(_expansion(mdl, grid, grid.nodes, dt), grid)
 
 
 def solve_bsde(
@@ -283,13 +286,13 @@ def solve_bsde(
     spec: DriverSpec,
     J: int = 256,
     L: float = 10.0,
-    order: int = 2,
     grid: cosmod.CosGrid | None = None,
 ) -> BsdeSolution:
     """Solve the BSDE on [0, T] with terminal condition y_T = terminal(X_T).
 
-    The expectation kernel is built once: the model coefficients are
-    time-homogeneous and every step spans the same dt.  z at the terminal
+    The expectation kernel is built once, from dt alone: the model
+    coefficients are time-homogeneous, so the step length is the only time
+    input of the order-``charfunc.MAX_ORDER`` expansion.  z at the terminal
     time is terminal_dx * sigma.  Each time level is transformed once, in
     one stacked DCT of (y, z, f).  A risk-free close-out needs a
     mark-to-market, which ``price_bermudan_xva`` supplies by its zero-driver
@@ -306,7 +309,7 @@ def solve_bsde(
     if grid is None:
         grid = make_cos_grid(mdl, T, J, L)
     x = grid.nodes
-    kernel = _node_kernel(mdl, grid, 0.0, bgrid.dt, order)
+    kernel = _node_kernel(mdl, grid, bgrid.dt)
 
     y = np.asarray(terminal(x), dtype=float)
     z = np.asarray(terminal_dx(x), dtype=float) * mdl.sigma(T, x)
@@ -317,7 +320,7 @@ def solve_bsde(
         y, f = theta_step(hy, hf, kernel, bgrid, spec)
     # The t_1 coefficients of the last step also feed the step at the spot,
     # with the expansion re-based at X0.
-    value = spot_step(mdl, hy, hf, grid, bgrid, spec, order)
+    value = spot_step(mdl, hy, hf, grid, bgrid, spec)
     return BsdeSolution(value=value, y0=y, z0=z, grid=grid, spot=mdl.spot_x0)
 
 
@@ -328,15 +331,12 @@ def spot_step(
     grid: cosmod.CosGrid,
     bgrid: BsdeGrid,
     spec: DriverSpec,
-    order: int,
     mtm_now=None,
 ) -> float:
     """The first backward step (from t_0 + dt to t_0 = 0) at the spot only,
     basepoint X0, from the coefficients hy, hf of the later level."""
     x0 = mdl.spot_x0
-    tay = modelmod.taylor_expand(mdl, 0.0, x0, order)
-    cf = charfunc.build_order_n(tay, 0.0, bgrid.dt, grid.freqs, order)
-    kern = cosmod.point_kernel(cf, grid, [x0])
+    kern = cosmod.point_kernel(_expansion(mdl, grid, x0, bgrid.dt), grid, [x0])
     if mtm_now is not None:
         mtm_now = np.atleast_1d(np.asarray(mtm_now, dtype=float))
         if mtm_now.shape[0] != 1:

@@ -14,7 +14,8 @@ coefficients come from Hankel-plus-Toeplitz products in O(J log J),
     V_j(t_m) = F_j(t_m, x*) + Chat_j(t_m, x*),
     Chat_k   = e^{-r dt} Re sum_{h<=n} sum'_j M^h_{k,j} g_{n,h}(xi_j) V_j(t_{m+1}),
 
-with the expansion based at X0 throughout.  Every other leg quantity is
+with n = ``charfunc.MAX_ORDER`` and the expansion based at X0 throughout,
+built once per leg over one exercise interval.  Every other leg quantity is
 one series e^{-r dt} Re sum'_j d^d/dx^d Gamma_n(x; xi_j) e^{-i xi_j a} V_j:
 value and slope (d = 1) in the Newton search for x*, and against V(t_1)
 the value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at``.
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import charfunc, cos as cosmod, model as modelmod
+from . import cos as cosmod, model as modelmod
 from .bermudan import ExerciseSchedule, PayoffSpec, PricingResult
-from .bsde import make_cos_grid
+from .bsde import _expansion, make_cos_grid
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ def price_bermudan_cos(
     schedule: ExerciseSchedule,
     J: int = 128,
     L: float = 10.0,
-    order: int = 2,
     grid: cosmod.CosGrid | None = None,
 ) -> PricingResult:
     """One Bermudan-put leg by the coefficient recursion, basepoint X0.
@@ -138,9 +138,7 @@ def price_bermudan_cos(
     strike = payoff.strike
     notion = payoff.notional
 
-    tay = modelmod.taylor_expand(mdl, 0.0, x0, order)
-    span = max(grid.b - x0, x0 - grid.a)
-    cf = charfunc.build_order_n(tay, 0.0, delta_t, grid.freqs, order, span=span)
+    cf = _expansion(mdl, grid, x0, delta_t, span=max(grid.b - x0, x0 - grid.a))
     disc = math.exp(-mdl.rate_r * delta_t)
 
     def exercise_value(x):
@@ -164,7 +162,7 @@ def price_bermudan_cos(
                 stacklevel=2,
             )
         cont = np.zeros(grid.J)
-        for h in range(order + 1):
+        for h in range(cf.order + 1):
             cont += cosmod.m_matrix_product(V, grid, x_star, grid.b, h, cf.g[h], x0)
         V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star) + disc * cont
         points.append(x_star)
@@ -185,7 +183,6 @@ def price_bermudan_cos(
         config={
             "J": grid.J,
             "L": L,
-            "order": order,
             "M": M,
             "T": T,
             "strike": strike,
@@ -218,10 +215,9 @@ def cva(
     schedule: ExerciseSchedule,
     J: int = 128,
     L: float = 10.0,
-    order: int = 2,
 ) -> float:
     """CVA = default-free leg minus defaultable leg at (t_0, X_0)."""
-    return cva_report(mdl, default_spec, payoff, schedule, J, L, order)[0]
+    return cva_report(mdl, default_spec, payoff, schedule, J, L)[0]
 
 
 def cva_report(
@@ -231,14 +227,13 @@ def cva_report(
     schedule: ExerciseSchedule,
     J: int = 128,
     L: float = 10.0,
-    order: int = 2,
 ):
     """CVA plus both leg results, priced on one shared grid (for Greeks,
     boundaries and diagnostics)."""
     m_d, m_r = leg_models(mdl, default_spec)
     grid = make_cos_grid(m_d, schedule.T, J, L)
-    res_d = price_bermudan_cos(m_d, payoff, schedule, J, L, order, grid=grid)
-    res_r = price_bermudan_cos(m_r, payoff, schedule, J, L, order, grid=grid)
+    res_d = price_bermudan_cos(m_d, payoff, schedule, J, L, grid=grid)
+    res_r = price_bermudan_cos(m_r, payoff, schedule, J, L, grid=grid)
     return res_r.value - res_d.value, res_d, res_r
 
 
@@ -249,9 +244,13 @@ def greeks(
     schedule: ExerciseSchedule,
     J: int = 128,
     L: float = 10.0,
-    order: int = 2,
     legs=None,
 ):
-    """(Delta, Gamma) of the CVA: difference of the per-leg cosine series."""
-    res_d, res_r = legs or cva_report(mdl, default_spec, payoff, schedule, J, L, order)[1:]
+    """(Delta, Gamma) of the CVA: difference of the per-leg cosine series.
+
+    ``legs`` takes the (defaultable, default-free) results of ``cva_report``.
+    When it is given, only the legs are read and the other arguments are
+    ignored; otherwise both legs are priced from them.
+    """
+    res_d, res_r = legs or cva_report(mdl, default_spec, payoff, schedule, J, L)[1:]
     return res_r.delta - res_d.delta, res_r.gamma - res_d.gamma

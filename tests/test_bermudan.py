@@ -204,23 +204,32 @@ class TestEuropeanLimit:
         ids=["simplified", "full-risky"],
     )
     def test_single_date_is_the_european_bsde_solve(self, driver):
-        mdl = make_benchmark_model(rate_r=0.05, c_default=0.1)
-        T, N, J = 0.5, 8, 128
-        pay = bermudan.PayoffSpec(kind="put", strike=1.1)
-        res = bermudan.price_bermudan_xva(
-            mdl, pay, bermudan.ExerciseSchedule(T, 1, N), driver, J=J
-        )
-        sol = bsde.solve_bsde(
-            mdl,
-            lambda x: bermudan.payoff_eval(pay, T, x),
-            lambda x: bermudan.payoff_dx(pay, T, x),
-            T,
-            bsde.BsdeGrid(N, T / N),
-            driver,
-            J=J,
-        )
+        def both(T, N, J=128):
+            mdl = make_benchmark_model(rate_r=0.05, c_default=0.1)
+            pay = bermudan.PayoffSpec(kind="put", strike=1.1)
+            res = bermudan.price_bermudan_xva(
+                mdl, pay, bermudan.ExerciseSchedule(T, 1, N), driver, J=J
+            )
+            sol = bsde.solve_bsde(
+                mdl,
+                lambda x: bermudan.payoff_eval(pay, T, x),
+                lambda x: bermudan.payoff_dx(pay, T, x),
+                T,
+                bsde.BsdeGrid(N, T / N),
+                driver,
+                J=J,
+            )
+            return res, sol
+
+        res, sol = both(0.5, 8)
         assert res.value == pytest.approx(sol.value, rel=1e-12)
         assert_allclose(res.y0, sol.y0, rtol=1e-12, atol=1e-14)
+        # A step that is not dyadic: (t + dt) - t rounds differently from
+        # step to step, so the solves agree bit for bit only because every
+        # kernel is built from dt alone.
+        res, sol = both(0.7, 10)
+        assert res.value == sol.value
+        assert np.array_equal(res.y0, sol.y0)
 
 
 class TestBermudanStructure:
