@@ -29,7 +29,6 @@ _EXPORTS = {
     "martingale_drift": "model",
     "jump_compensator_kappa": "model",
     "CharFuncApprox": "charfunc",
-    "build_order0": "charfunc",
     "build_order_n": "charfunc",
     "levy_symbol_psi": "charfunc",
     "cumulants": "charfunc",
@@ -53,7 +52,6 @@ _EXPORTS = {
     "price_bermudan_xva": "bermudan",
     "complexity_probe": "bermudan",
     "DefaultSpec": "cva",
-    "BoundaryTrace": "cva",
     "price_bermudan_cos": "cva",
     "cva_report": "cva",
     "greeks": "cva",

@@ -19,7 +19,8 @@ display, in which full-XVA mode is written against the PDE convention
 "parabolic operator applied to u equals f" (its adjustment-free limit is
 +r*y).  The scheme above consumes the BSDE-convention driver, which is the
 *negative* of the PDE-convention one; ``scheme_driver`` performs that flip.
-Simplified (-r_u*max(y,0)) and zero modes are already BSDE-convention.
+Simplified (-r*max(y,0), r the driver's ``rate_r``) and zero modes are
+already BSDE-convention.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ class DriverSpec:
     (lambda_B = r_B - r etc.), never stored.  ``margin_tc`` and
     ``margin_fc`` are the constant initial margins; the variation margin
     and capital are proportional to the live value, I_V = c2*y, K = c1*y.
+    The simplified driver -r*max(y, 0) discounts at ``rate_r``.
     """
 
     mode: str = "simplified"
@@ -67,7 +69,6 @@ class DriverSpec:
     capital_c1: float = 0.0
     margin_c2: float = 0.0
     closeout: str = "risky"
-    simplified_rate: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -75,8 +76,6 @@ class DriverSpec:
         if self.closeout not in _CLOSEOUTS:
             raise ValueError(f"unknown close-out rule {self.closeout!r}")
         modelmod._require_finite(self, *_FINITE_FIELDS)
-        if self.simplified_rate is not None:
-            modelmod._require_finite(self, "simplified_rate")
         for name in ("recovery_b", "recovery_c"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -94,11 +93,6 @@ class DriverSpec:
         return self.rate_f - self.rate_r
 
     @property
-    def r_u(self) -> float:
-        """Simplified-mode discount rate, defaulting to r."""
-        return self.rate_r if self.simplified_rate is None else self.simplified_rate
-
-    @property
     def needs_mtm(self) -> bool:
         return self.mode == "full" and self.closeout == "risk-free"
 
@@ -107,7 +101,7 @@ class DriverSpec:
         if self.mode == "zero":
             return 0.0
         if self.mode == "simplified":
-            return abs(self.r_u)
+            return abs(self.rate_r)
         c1, c2 = self.capital_c1, self.margin_c2
         if self.closeout == "risky":
             slope_b = max(1.0, abs(c2 + (1.0 - c2) * self.recovery_b))
@@ -135,7 +129,7 @@ def driver_eval(spec: DriverSpec, y, mtm=None):
     if spec.mode == "zero":
         return np.zeros_like(y)
     if spec.mode == "simplified":
-        return -spec.r_u * np.maximum(y, 0.0)
+        return -spec.rate_r * np.maximum(y, 0.0)
     if spec.closeout == "risky":
         m_val = y
     else:
@@ -259,7 +253,7 @@ def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) ->
     """Truncation interval from the order-0 increment cumulants at the spot."""
     x0 = mdl.spot_x0
     tay = modelmod.taylor_expand(mdl, 0.0, x0, 0)
-    c1, c2, c4 = charfunc.cumulants(tay, 0.0, T)
+    c1, c2, c4 = charfunc.cumulants(tay, T)
     a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
     return cosmod.CosGrid(a, b, J)
 
@@ -292,11 +286,12 @@ def solve_bsde(
 
     The expectation kernel is built once, from dt alone: the model
     coefficients are time-homogeneous, so the step length is the only time
-    input of the order-``charfunc.MAX_ORDER`` expansion.  z at the terminal
-    time is terminal_dx * sigma.  Each time level is transformed once, in
-    one stacked DCT of (y, z, f).  A risk-free close-out needs a
-    mark-to-market, which ``price_bermudan_xva`` supplies by its zero-driver
-    pre-pass (M = 1 is this European solve).
+    input of the order-``charfunc.MAX_ORDER`` expansion, and sigma is
+    evaluated at the nodes once.  z at the terminal time is terminal_dx *
+    sigma.  Each time level is transformed once, in one stacked DCT of
+    (y, z, f).  A risk-free close-out needs a mark-to-market, which
+    ``price_bermudan_xva`` supplies by its zero-driver pre-pass (M = 1 is
+    this European solve).
     """
     if not math.isclose(bgrid.n_steps * bgrid.dt, T, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("bgrid must tile [0, T]")
@@ -311,12 +306,13 @@ def solve_bsde(
     x = grid.nodes
     kernel = _node_kernel(mdl, grid, bgrid.dt)
 
+    sigma = mdl.vol(x)
     y = np.asarray(terminal(x), dtype=float)
-    z = np.asarray(terminal_dx(x), dtype=float) * mdl.sigma(T, x)
+    z = np.asarray(terminal_dx(x), dtype=float) * sigma
     f = scheme_driver(spec, y)
-    for n in range(bgrid.n_steps - 1, -1, -1):
+    for _ in range(bgrid.n_steps):
         hy, hz, hf = cosmod.dct_coeffs(np.stack((y, z, f)), grid)
-        z = z_step(hy, hz, hf, kernel, bgrid, mdl.sigma(n * bgrid.dt, x))
+        z = z_step(hy, hz, hf, kernel, bgrid, sigma)
         y, f = theta_step(hy, hf, kernel, bgrid, spec)
     # The t_1 coefficients of the last step also feed the step at the spot,
     # with the expansion re-based at X0.

@@ -121,8 +121,9 @@ def _row_block(taylor: TaylorData, rows: slice) -> TaylorData:
     )
 
 
-def cumulants(taylor: TaylorData, t: float, T: float):
-    """Increment cumulants (c1, c2, c4) of the frozen order-0 dynamics.
+def cumulants(taylor: TaylorData, tau: float):
+    """Increment cumulants (c1, c2, c4) of the frozen order-0 dynamics over
+    a horizon of length tau.
 
     c1 = tau*mu_0 (jumps are compensated, so they do not shift the mean),
     c2 = tau*(2 s_0 + a_0 (m^2 + d^2)),
@@ -133,7 +134,6 @@ def cumulants(taylor: TaylorData, t: float, T: float):
     Callers add the conditioning point x to c1 to center a truncation
     interval.
     """
-    tau = T - t
     m, d = taylor.jump_mean, taylor.jump_std
     s0, mu0, a0 = taylor.s[0], taylor.mu[0], taylor.a[0]
     c1 = tau * mu0
@@ -149,13 +149,13 @@ class CharFuncApprox:
     A scalar basepoint keeps ``g[k]`` of shape (J,) for k = 0..order, from
     which ``eval`` reconstructs Gamma_n(t, x; T, xi).  A vector basepoint
     keeps only ``g[0]``, shape (n_points, J): each of its expansions is read
-    at its own point, where x - xbar = 0.
+    at its own point, where x - xbar = 0.  The coefficients are
+    time-homogeneous, so the g_{n,k} depend on time only through the step
+    length tau = T - t they were built for, and no time is stored.
     """
 
     order: int
     basepoint: np.ndarray
-    t: float
-    T: float
     freqs: np.ndarray
     g: tuple
 
@@ -194,21 +194,15 @@ class CharFuncApprox:
         return np.stack(rows)
 
 
-def build_order0(taylor: TaylorData, t: float, T: float, freqs) -> CharFuncApprox:
-    """Order-0 approximation: g_{0,0} = e^{tau psi_0}, exact for constant
-    coefficients."""
-    xi = np.asarray(freqs, dtype=float)
-    tau = T - t
-    g0 = np.exp(tau * _symbol(taylor, 0, xi))
-    return CharFuncApprox(0, taylor.basepoint, t, T, xi, (g0,))
-
-
+# Only tau = T - t is read; perfbench/tracing.py reads ``t`` and ``T`` by name.
 def build_order_n(
     taylor: TaylorData, t: float, T: float, freqs, order: int, span: float = 0.0
 ) -> CharFuncApprox:
     """Order-n coefficient functions, n <= 2, by closed-form time integrals.
 
-    With tau = T - t and primes denoting d/dxi:
+    With tau = T - t, order 0 returns g_{0,0} = E = e^{tau psi_0} itself,
+    exact for constant coefficients.  Orders 1 and 2, with primes denoting
+    d/dxi:
 
         g_{1,1} = tau psi_1 * E
         g_{1,0} = (1 - (i tau^2/2) psi_1 psi_0') * E
@@ -263,7 +257,8 @@ def build_order_n(
     xi = np.asarray(freqs, dtype=float)
     tau = T - t
     if order == 0:
-        return build_order0(taylor, t, T, xi)
+        g0 = np.exp(tau * _symbol(taylor, 0, xi))
+        return CharFuncApprox(0, taylor.basepoint, xi, (g0,))
 
     F = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
     # The xi-derivatives of psi_h that the coefficients read, per order h.
@@ -312,4 +307,4 @@ def build_order_n(
             np.multiply(c, base, out=g[h, blk])
     if not vector:
         g = g[:, 0]
-    return CharFuncApprox(order, taylor.basepoint, t, T, xi, tuple(g))
+    return CharFuncApprox(order, taylor.basepoint, xi, tuple(g))

@@ -272,8 +272,8 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         schedule = bermudan.ExerciseSchedule(T=maturity, M=m_dates, N=n_inner)
         driver = bsde.DriverSpec(
             mode=mode,
-            rate_r=rate,
-            simplified_rate=simplified_rate,
+            # The simplified driver discounts at [driver] simplified_rate, else at r.
+            rate_r=rate if mode != "simplified" or simplified_rate is None else simplified_rate,
             closeout=closeout,
             **drv_kwargs,
         )

@@ -46,18 +46,6 @@ class DefaultSpec:
             raise ValueError("default intensity must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Early-exercise points x*_m per exercise date."""
-
-    times: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.times.shape != self.points.shape:
-            raise ValueError("times and points must align")
-
-
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 
@@ -149,7 +137,7 @@ def price_bermudan_cos(
     log_k = math.log(strike)
     x_up = min(max(log_k, grid.a), grid.b)
     x_star = log_k  # warm start; then each date starts from the later one's x*
-    points = []
+    boundary = []
     for m in range(M - 1, 0, -1):
         t_m = m * delta_t
         x_star = newton_exercise_point(
@@ -165,18 +153,17 @@ def price_bermudan_cos(
         for h in range(cf.order + 1):
             cont += cosmod.m_matrix_product(V, grid, x_star, grid.b, h, cf.g[h], x0)
         V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star) + disc * cont
-        points.append(x_star)
+        boundary.append((t_m, x_star))
 
     series = functools.partial(_leg_series, cf, grid, disc, V)
     value, delta, gamma = series(x0, 2)
     (y0,) = series(grid.nodes)
-    trace = BoundaryTrace(delta_t * np.arange(1, M), np.array(points[::-1]))
     return PricingResult(
         value=float(value),
         spot=x0,
         grid=grid,
         y0=y0,
-        boundary=list(zip(trace.times.tolist(), trace.points.tolist())),
+        boundary=boundary[::-1],
         delta=float(delta),
         gamma=float(gamma),
         timings={"total": time.perf_counter() - t_begin},
@@ -187,7 +174,7 @@ def price_bermudan_cos(
             "T": T,
             "strike": strike,
         },
-        extras={"trace": trace, "series": series},
+        extras={"series": series},
     )
 
 

@@ -147,7 +147,7 @@ def _guard_band(mdl, T):
     from . import charfunc
 
     tay = modelmod.taylor_expand(mdl, 0.0, mdl.spot_x0, 0)
-    c1, c2, c4 = charfunc.cumulants(tay, 0.0, T)
+    c1, c2, c4 = charfunc.cumulants(tay, T)
     spread = max(25.0 * math.sqrt(c2 + math.sqrt(c4)) + abs(c1), 1.0)
     return mdl.spot_x0 - spread, mdl.spot_x0 + spread
 
@@ -234,7 +234,7 @@ def _default_times(mdl, x, dt, clock) -> np.ndarray:
     default_time = np.full(clock.shape, np.inf)
     cumhaz = np.zeros(clock.shape)
     for k in range(x.shape[1] - 1):
-        new_haz = cumhaz + mdl.gamma(k * dt, x[:, k]) * dt
+        new_haz = cumhaz + mdl.default_intensity(x[:, k]) * dt
         hit = (clock > cumhaz) & (clock <= new_haz)
         default_time[hit] = (k + 1) * dt
         cumhaz = new_haz
@@ -344,7 +344,14 @@ def _fit_predict(xk: np.ndarray, target: np.ndarray, degree: int, mask=None) -> 
     return pred
 
 
+def _check_paths(batch: PathBatch) -> None:
+    """A sample standard deviation, and so an interval, needs two paths."""
+    if batch.n_paths < 2:
+        raise ValueError(f"estimators need at least 2 paths, got {batch.n_paths}")
+
+
 def _exercise_stride(batch: PathBatch, schedule: ExerciseSchedule) -> int:
+    _check_paths(batch)
     if batch.steps % schedule.M:
         raise ValueError("steps must be divisible by the number of exercise dates")
     if not math.isclose(batch.steps * batch.dt, schedule.T, rel_tol=1e-9):
@@ -445,6 +452,7 @@ def estimate_charfunc(batch: PathBatch, xis, weighted: bool = True) -> tuple:
     defaultable characteristic function; at xi = 0 an unweighted estimate
     is exactly 1.
     """
+    _check_paths(batch)
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     xt = batch.x[:, -1]
     w = batch.survival[:, -1] if weighted else np.ones_like(xt)

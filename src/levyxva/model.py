@@ -132,14 +132,9 @@ class ModelSpec:
             if getattr(self, name).level < 0.0:
                 raise ValueError(f"{name} level must be nonnegative")
 
-    def sigma(self, t, x):
-        return self.vol(x)
-
+    # ``t`` is never read; perfbench/tracing.py calls intensity_a(0.0, x).
     def intensity_a(self, t, x):
         return self.jump_intensity(x)
-
-    def gamma(self, t, x):
-        return self.default_intensity(x)
 
     def coeff_values(self, x) -> tuple:
         """(sigma(x), a(x), gamma(x)) with one exponential per distinct
@@ -171,8 +166,9 @@ def drift_from_coeffs(model: ModelSpec, sig, a, gamma):
     return gamma + model.rate_r - 0.5 * sig * sig - a * model.kappa
 
 
-def martingale_drift(model: ModelSpec, t, x):
-    """mu(x) = gamma + r - sigma^2/2 - a*kappa (martingale restriction)."""
+def martingale_drift(model: ModelSpec, x):
+    """mu(x) = gamma + r - sigma^2/2 - a*kappa (martingale restriction); the
+    coefficients are time-homogeneous, so the drift takes no time."""
     return drift_from_coeffs(model, *model.coeff_values(x))
 
 
@@ -206,6 +202,7 @@ class TaylorData:
                 raise ValueError(f"{name} must have order+1 coefficient rows")
 
 
+# ``t`` is never read; perfbench/test_smoke.py passes it positionally.
 def taylor_expand(model: ModelSpec, t, xbar, order: int) -> TaylorData:
     """Expand s = sigma^2/2, mu, a, gamma about xbar to the given order.
 

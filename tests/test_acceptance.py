@@ -133,7 +133,7 @@ def test_criterion_01_constant_coefficient_factor_is_exact():
     t0 = time.perf_counter()
     mdl = make_constant_model(gamma0=0.0, **params)
     tay0 = model.taylor_expand(mdl, 0.0, 0.0, 0)
-    c1, c2, c4 = charfunc.cumulants(tay0, 0.0, tau)
+    c1, c2, c4 = charfunc.cumulants(tay0, tau)
     a, b = cos.truncation_range(c1, c2, c4, L=10.0)
     xi = np.arange(256) * math.pi / (b - a)
     exact = exact_const_cf(gamma0=0.0, tau=tau, xi=xi, **params)
@@ -359,7 +359,7 @@ def test_criterion_08_bsde_reproduces_black_scholes():
     term = lambda x: np.maximum(np.exp(x) - K, 0.0)
     term_dx = lambda x: np.where(x >= math.log(K), np.exp(x), 0.0)
     bg = bsde.BsdeGrid(64, T / 64, 0.5, 0.5, picard=5)
-    spec = bsde.DriverSpec(mode="simplified", rate_r=r, simplified_rate=r)
+    spec = bsde.DriverSpec(mode="simplified", rate_r=r)
     sol = bsde.solve_bsde(mdl, term, term_dx, T, bg, spec, J=256)
     d1 = (spot - math.log(K) + (r + 0.5 * sig**2) * T) / (sig * math.sqrt(T))
     d2 = d1 - sig * math.sqrt(T)
@@ -380,7 +380,7 @@ def test_criterion_09_exercise_region_grows_with_default_intensity():
     for c in (0.0, 0.1, 0.2):
         mdl = make_benchmark_model(0.05, c)
         res = cva.price_bermudan_cos(mdl, _put(1.0), sched, J=100, L=10.0)
-        traces[c] = res.extras["trace"].points
+        traces[c] = np.array([x for _, x in res.boundary])
     gap10 = np.min(traces[0.1] - traces[0.0])
     gap21 = np.min(traces[0.2] - traces[0.1])
     ok = gap10 > 0.0 and gap21 > 0.0

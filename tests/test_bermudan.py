@@ -177,9 +177,7 @@ class TestEuropeanLimit:
         T, strike = 0.75, 1.1
         sched = bermudan.ExerciseSchedule(T, 1, 64)
         pay = bermudan.PayoffSpec(kind="put", strike=strike)
-        drv = bsde.DriverSpec(
-            mode="simplified", rate_r=0.03, simplified_rate=0.03
-        )
+        drv = bsde.DriverSpec(mode="simplified", rate_r=0.03)
         res = bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=256)
         want = math.exp(-0.03 * T) * put_expectation_jumpdiff(
             strike, -0.1, T, **self.params
@@ -239,9 +237,7 @@ class TestBermudanStructure:
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)
         sched = bermudan.ExerciseSchedule(T, M, N)
         pay = bermudan.PayoffSpec(kind="put", strike=self.strike)
-        drv = bsde.DriverSpec(
-            mode="simplified", rate_r=0.06, simplified_rate=0.06
-        )
+        drv = bsde.DriverSpec(mode="simplified", rate_r=0.06)
         return bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=J)
 
     def test_more_exercise_dates_cannot_hurt(self):
@@ -280,9 +276,7 @@ class TestBermudanStructure:
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)
         sched = bermudan.ExerciseSchedule(1.0, 2, 8)
         pay = bermudan.PayoffSpec(kind="put", strike=self.strike)
-        plain = bsde.DriverSpec(
-            mode="simplified", rate_r=0.06, simplified_rate=0.06
-        )
+        plain = bsde.DriverSpec(mode="simplified", rate_r=0.06)
         # A positive-value put only feels counterparty-side terms, so the
         # shift must come from a counterparty spread with partial recovery.
         loaded = bsde.DriverSpec(

@@ -56,16 +56,11 @@ class TestDriverSpec:
         assert_allclose(bsde.scheme_driver(spec, y), 0.0)
 
     def test_simplified_mode_discounts_positive_part(self):
-        spec = bsde.DriverSpec(mode="simplified", rate_r=0.1, simplified_rate=0.04)
-        assert spec.r_u == pytest.approx(0.04)
+        spec = bsde.DriverSpec(mode="simplified", rate_r=0.04)
         y = np.array([-2.0, 0.0, 5.0])
         assert_allclose(bsde.driver_eval(spec, y), [0.0, 0.0, -0.2])
         # Already in scheme convention: no sign flip.
         assert_allclose(bsde.scheme_driver(spec, y), [0.0, 0.0, -0.2])
-
-    def test_simplified_rate_defaults_to_r(self):
-        spec = bsde.DriverSpec(mode="simplified", rate_r=0.07)
-        assert spec.r_u == pytest.approx(0.07)
 
     def test_spreads_are_differences(self):
         spec = bsde.DriverSpec(
@@ -134,7 +129,7 @@ class TestDriverSpec:
         "name",
         [
             "rate_r", "rate_b", "rate_c", "rate_f", "rate_i", "rate_k", "rate_tc", "rate_fc",
-            "margin_tc", "margin_fc", "capital_c1", "margin_c2", "simplified_rate",
+            "margin_tc", "margin_fc", "capital_c1", "margin_c2",
         ],
     )
     def test_rejects_non_finite_numbers(self, name):
@@ -229,7 +224,7 @@ class TestThetaStep:
         mdl = make_constant_model(self.sig, 0.0, 0.0, 0.0, 0.06, 0.0)
         g = cos.CosGrid(-4.0, 4.0, J)
         tay = model.taylor_expand(mdl, 0.0, 0.0, 0)
-        cf = charfunc.build_order0(tay, 0.0, dt, g.freqs)
+        cf = charfunc.build_order_n(tay, 0.0, dt, g.freqs, 0)
         kern = cos.point_kernel(cf, g, g.nodes)
         bg = bsde.BsdeGrid(1, dt, theta1=0.5, theta2=theta2)
         return g, cf, kern, bg
@@ -309,9 +304,7 @@ class TestSolveBsde:
         mdl = self._model()
         term, term_dx = self._call_terminal(1.0)
         bg = bsde.BsdeGrid(64, 1.0 / 64, 0.5, 0.5, picard=5)
-        spec = bsde.DriverSpec(
-            mode="simplified", rate_r=self.rate_r, simplified_rate=self.rate_r
-        )
+        spec = bsde.DriverSpec(mode="simplified", rate_r=self.rate_r)
         sol = bsde.solve_bsde(mdl, term, term_dx, 1.0, bg, spec, J=256)
         assert abs(sol.value - self._bs_call(1.0, 1.0)) < 1e-4
 
@@ -320,9 +313,7 @@ class TestSolveBsde:
         mdl = self._model()
         term, term_dx = self._call_terminal(1.0)
         bg = bsde.BsdeGrid(64, 1.0 / 64, 0.5, 0.5, picard=5)
-        spec = bsde.DriverSpec(
-            mode="simplified", rate_r=self.rate_r, simplified_rate=self.rate_r
-        )
+        spec = bsde.DriverSpec(mode="simplified", rate_r=self.rate_r)
         grid = bsde.make_cos_grid(mdl, 1.0, 256)
         sol = bsde.solve_bsde(mdl, term, term_dx, 1.0, bg, spec, J=256, grid=grid)
         d1 = (
@@ -346,7 +337,7 @@ class TestSolveBsde:
             mdl, term, term_dx, T, bg, bsde.DriverSpec(mode="zero"), grid=grid
         )
         tay = model.taylor_expand(mdl, 0.0, -0.1, 0)
-        cf = charfunc.build_order0(tay, 0.0, T, grid.freqs)
+        cf = charfunc.build_order_n(tay, 0.0, T, grid.freqs, 0)
         # Same node-sampled projection of the terminal condition the
         # solver starts from, so only the step composition is under test.
         coeffs = cos.dct_coeffs(term(grid.nodes), grid)
@@ -362,9 +353,7 @@ class TestSolveBsde:
         term = lambda x: np.maximum(strike - np.exp(x), 0.0)
         term_dx = lambda x: np.where(x <= math.log(strike), -np.exp(x), 0.0)
         bg = bsde.BsdeGrid(64, T / 64, 0.5, 0.5)
-        spec = bsde.DriverSpec(
-            mode="simplified", rate_r=0.03, simplified_rate=0.03
-        )
+        spec = bsde.DriverSpec(mode="simplified", rate_r=0.03)
         sol = bsde.solve_bsde(mdl, term, term_dx, T, bg, spec, J=256)
         want = math.exp(-0.03 * T) * put_expectation_jumpdiff(
             strike, -0.1, T, **params

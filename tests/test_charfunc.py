@@ -69,7 +69,7 @@ class TestFrozenCoefficientLimit:
         mdl = make_constant_model(gamma0=0.0, **self.params)
         tay = model.taylor_expand(mdl, 0.0, 0.0, 2)
         xi = np.linspace(0.0, 25.0, 50)
-        lo = charfunc.build_order0(tay, 0.0, 0.5, xi)
+        lo = charfunc.build_order_n(tay, 0.0, 0.5, xi, 0)
         hi = charfunc.build_order_n(tay, 0.0, 0.5, xi, 2)
         assert lo.order == 0 and hi.order == 2
         assert_allclose(hi.g[0], lo.g[0], atol=1e-15)
@@ -81,7 +81,6 @@ class TestFrozenCoefficientLimit:
         cf = charfunc.build_order_n(tay, 0.2, 1.0, xi, 1)
         assert cf.order == 1
         assert cf.basepoint == pytest.approx(0.4)
-        assert cf.t == pytest.approx(0.2) and cf.T == pytest.approx(1.0)
         assert_allclose(cf.freqs, xi)
 
 
@@ -103,8 +102,8 @@ class TestSymbolProperties:
         mdl = make_constant_model(sig, lam, m, delta, 0.04, gamma0)
         tay = model.taylor_expand(mdl, 0.0, 0.0, 0)
         xi = np.linspace(0.25, 30.0, 17)
-        pos = charfunc.build_order0(tay, 0.0, tau, xi).g[0]
-        neg = charfunc.build_order0(tay, 0.0, tau, -xi).g[0]
+        pos = charfunc.build_order_n(tay, 0.0, tau, xi, 0).g[0]
+        neg = charfunc.build_order_n(tay, 0.0, tau, -xi, 0).g[0]
         # Real-valued increments force a Hermitian factor ...
         assert_allclose(neg, np.conj(pos), rtol=0.0, atol=1e-12)
         # ... whose modulus is capped by pure killing at rate gamma0.
@@ -146,7 +145,7 @@ class TestCumulants:
     @pytest.mark.parametrize("tau", [0.25, 1.0])
     def test_matches_derivatives(self, model_put, tau):
         tay = model.taylor_expand(model_put, 0.0, 0.0, 2)
-        c1, c2, c4 = charfunc.cumulants(tay, 0.0, tau)
+        c1, c2, c4 = charfunc.cumulants(tay, tau)
         f1, f2, f4 = self._fd_cumulants(tay, tau)
         assert_allclose(c1, f1, rtol=1e-6)
         assert_allclose(c2, f2, rtol=1e-6)
@@ -155,8 +154,8 @@ class TestCumulants:
 
     def test_linear_in_horizon(self, model_put):
         tay = model.taylor_expand(model_put, 0.0, 0.0, 0)
-        one = np.array(charfunc.cumulants(tay, 0.0, 0.5))
-        two = np.array(charfunc.cumulants(tay, 0.0, 1.0))
+        one = np.array(charfunc.cumulants(tay, 0.5))
+        two = np.array(charfunc.cumulants(tay, 1.0))
         assert_allclose(two, 2.0 * one, rtol=1e-13)
 
 
@@ -174,7 +173,7 @@ class TestMassAtZeroFrequency:
     def test_killed_leading_row(self, model_put):
         tay = model.taylor_expand(model_put, 0.0, 0.0, 0)
         tau = 0.6
-        cf = charfunc.build_order0(tay, 0.0, tau, np.array([0.0]))
+        cf = charfunc.build_order_n(tay, 0.0, tau, np.array([0.0]), 0)
         # gamma(0) = 0.1 for the defaultable benchmark model.
         assert_allclose(cf.g[0][0], math.exp(-tau * 0.1), rtol=1e-14)
 
@@ -189,7 +188,7 @@ class TestTrustRegion:
 
     def test_span_reverts_everything(self, model_linear):
         tay, xi = self._texas_grid(model_linear)
-        base = charfunc.build_order0(tay, 0.0, 0.5, xi)
+        base = charfunc.build_order_n(tay, 0.0, 0.5, xi, 0)
         capped = charfunc.build_order_n(tay, 0.0, 0.5, xi, 2, span=1e9)
         assert_allclose(capped.g[0], base.g[0], atol=0.0, rtol=0.0)
         assert_allclose(capped.g[1], 0.0, atol=0.0)
@@ -206,7 +205,7 @@ class TestTrustRegion:
         # At tau = 2 the quadratic-in-tau correction factors leave the
         # trust region well before the top of this frequency grid.
         tay, xi = self._texas_grid(model_linear)
-        base = charfunc.build_order0(tay, 0.0, 2.0, xi)
+        base = charfunc.build_order_n(tay, 0.0, 2.0, xi, 0)
         cf = charfunc.build_order_n(tay, 0.0, 2.0, xi, 2)
         tail = xi >= 100.0
         assert np.all(cf.g[1][tail] == 0.0)

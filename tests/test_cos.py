@@ -171,10 +171,10 @@ class TestCosExpectation:
     def _setup(self, sig, lam, m, delta, rate_r, tau, J=256, L=10.0):
         mdl = make_constant_model(sig, lam, m, delta, rate_r, 0.0)
         tay = model.taylor_expand(mdl, 0.0, 0.0, 0)
-        c1, c2, c4 = charfunc.cumulants(tay, 0.0, tau)
+        c1, c2, c4 = charfunc.cumulants(tay, tau)
         a, b = cos.truncation_range(c1, c2, c4, L)
         g = cos.CosGrid(a, b, J)
-        cf = charfunc.build_order0(tay, 0.0, tau, g.freqs)
+        cf = charfunc.build_order_n(tay, 0.0, tau, g.freqs, 0)
         return g, cf
 
     def test_diffusion_put_matches_closed_form(self):
@@ -332,7 +332,7 @@ class TestKernels:
     def _cf(self, tau, g):
         mdl = make_constant_model(0.2, 0.3, -0.1, 0.2, 0.05, 0.0)
         tay = model.taylor_expand(mdl, 0.0, 0.0, 0)
-        return charfunc.build_order0(tay, 0.0, tau, g.freqs)
+        return charfunc.build_order_n(tay, 0.0, tau, g.freqs, 0)
 
     def test_step_kernel_reproduces_expectation_at_nodes(self):
         # A node expansion of constant coefficients against the primed sum

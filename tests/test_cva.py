@@ -30,7 +30,7 @@ def _put(strike=1.05):
 
 
 def _discounting_driver(r):
-    return bsde.DriverSpec(mode="simplified", rate_r=r, simplified_rate=r)
+    return bsde.DriverSpec(mode="simplified", rate_r=r)
 
 
 class TestNewtonExercisePoint:
@@ -80,12 +80,6 @@ class TestNewtonExercisePoint:
         assert cva.newton_exercise_point(
             lambda x: (x, 1.0), lambda x: (x, 1.0), (1.0, 1.0)
         ) == 1.0
-
-
-class TestBoundaryTrace:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cva.BoundaryTrace(np.zeros(3), np.zeros(2))
 
 
 class TestDefaultableEuropean:
@@ -263,17 +257,15 @@ class TestExerciseBoundary:
         res = cva.price_bermudan_cos(
             model_put, _put(1.0), bermudan.ExerciseSchedule(1.0, 4, 10), J=64
         )
-        trace = res.extras["trace"]
-        assert isinstance(trace, cva.BoundaryTrace)
-        assert_allclose(trace.times, [0.25, 0.5, 0.75])
-        assert np.all(trace.points < math.log(1.0))
-        assert list(trace.points) == [x for _, x in res.boundary]
+        times, points = np.array(res.boundary).T
+        assert_allclose(times, [0.25, 0.5, 0.75])
+        assert np.all(points < math.log(1.0))
 
     def test_put_boundary_rises_toward_maturity(self, model_put):
         res = cva.price_bermudan_cos(
             model_put, _put(1.0), bermudan.ExerciseSchedule(1.0, 8, 10), J=100
         )
-        pts = res.extras["trace"].points
+        pts = np.array([x for _, x in res.boundary])
         assert np.all(np.diff(pts) > -1e-9)
 
     def test_higher_intensity_expands_the_exercise_region(self):
@@ -293,7 +285,7 @@ class TestExerciseBoundary:
             res = cva.price_bermudan_cos(
                 mdl_c, _put(1.0), bermudan.ExerciseSchedule(1.0, 4, 10), J=100
             )
-            traces[c] = res.extras["trace"].points
+            traces[c] = np.array([x for _, x in res.boundary])
         assert np.all(traces[0.2] > traces[0.1])
         assert np.all(traces[0.1] > traces[0.0])
 

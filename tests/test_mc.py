@@ -25,7 +25,7 @@ from test_cos import put_expectation_lognormal
 
 
 def _discounting_driver(r):
-    return bsde.DriverSpec(mode="simplified", rate_r=r, simplified_rate=r)
+    return bsde.DriverSpec(mode="simplified", rate_r=r)
 
 
 class TestSimulate:
@@ -55,7 +55,7 @@ class TestSimulate:
         T, n = 0.75, 400_000
         b = mc.simulate(mdl, T, 3, n, seed=21)
         tay = model.taylor_expand(mdl, 0.0, 0.0, 0)
-        c1, c2, c4 = charfunc.cumulants(tay, 0.0, T)
+        c1, c2, c4 = charfunc.cumulants(tay, T)
         xt = b.x[:, -1]
         se_mean = math.sqrt(c2 / n)
         assert abs(xt.mean() - (-0.2 + c1)) < 4.0 * se_mean
@@ -139,14 +139,14 @@ def _reference_batches(models, T, steps, n_paths, rng, shared_uniform, clock=Non
             jumps = m * counts + d * np.sqrt(counts) * z2
             x[:, k + 1] = np.clip(
                 xk
-                + model.martingale_drift(mdl, t_k, xk) * dt
-                + mdl.sigma(t_k, xk) * math.sqrt(dt) * z
+                + model.martingale_drift(mdl, xk) * dt
+                + mdl.vol(xk) * math.sqrt(dt) * z
                 + jumps
                 - lam * m * dt,
                 lo,
                 hi,
             )
-            haz = mdl.gamma(t_k, xk) * dt
+            haz = mdl.default_intensity(xk) * dt
             surv[:, k + 1] = surv[:, k] * np.exp(-haz)
             if clock is not None:
                 new_haz = cumhaz + haz
@@ -357,6 +357,20 @@ class TestRunChecks:
             mc.simulate(self.mdl, 0.5, steps, n_paths, seed=0)
         with pytest.raises(ValueError, match="n_paths >= 1"):
             mc.simulate_crn_pair(self.mdl, self.mdl, 0.5, steps, n_paths, seed=0)
+
+    @pytest.mark.parametrize("estimator", ["lsm_price", "lsm_cva", "estimate_charfunc"])
+    def test_estimators_need_two_paths(self, estimator):
+        # simulate accepts one path; a sample standard deviation needs two.
+        batch = mc.simulate(self.mdl, 0.5, 4, 1, seed=0)
+        pay = bermudan.PayoffSpec(kind="put", strike=1.0)
+        sched = bermudan.ExerciseSchedule(0.5, 2, 2)
+        run = {
+            "lsm_price": lambda: mc.lsm_price(batch, pay, sched, _discounting_driver(0.05)),
+            "lsm_cva": lambda: mc.lsm_cva(batch, batch, pay, sched),
+            "estimate_charfunc": lambda: mc.estimate_charfunc(batch, [0.0, 1.0]),
+        }[estimator]
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            run()
 
 
 class TestCrnPair:

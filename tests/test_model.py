@@ -87,7 +87,7 @@ class TestMartingaleDrift:
         """mu = gamma + r - sigma^2/2 - a*kappa pointwise."""
         mdl = make_constant_model(0.3, 0.5, -0.1, 0.2, 0.07, 0.04)
         kap = lx.jump_compensator_kappa(mdl.jump_law)
-        got = lx.martingale_drift(mdl, 0.0, np.array([0.0, 1.0]))
+        got = lx.martingale_drift(mdl, np.array([0.0, 1.0]))
         want = 0.04 + 0.07 - 0.5 * 0.09 - 0.5 * kap
         assert_allclose(got, want, rtol=1e-14)
 
@@ -101,7 +101,7 @@ class TestMartingaleDrift:
             - 0.5 * (0.15 * np.exp(-2 * x)) ** 2
             - 0.2 * np.exp(-2 * x) * kap
         )
-        assert_allclose(lx.martingale_drift(mdl, 0.0, x), want, rtol=1e-13)
+        assert_allclose(lx.martingale_drift(mdl, x), want, rtol=1e-13)
 
 
 class TestTaylorExpand:
