@@ -11,13 +11,16 @@ through ``bsde.spot_step``, both from the same coefficients.
 
 The node kernel is rebuilt at every step, matching the method's published
 per-step cost; ``timings["kernel"]`` reports the seconds spent building
-it.  The model is time-homogeneous, so the step length dt is the kernel's
-only time input and every step repeats the same build: one kernel would
-serve all steps.  But a build, which forms only g_{n,0}, still costs as
-much as ~90 steps with a cached kernel (8-9 ms against ~0.09 ms at J=256),
-so a once-built kernel leaves the run time nearly flat in N: the N 2->4
-time ratio drops below the band [1.3, 3.2] of the complexity acceptance
-check (criterion 10), and the fast-path speedup below its 5x gate.
+it.  Each build writes into one ``charfunc.NodeWorkspace`` that the solve
+allocates, so a step allocates no J x J array.  The model is
+time-homogeneous, so the step length dt is the kernel's only time input
+and every step repeats the same build: one kernel would serve all steps.
+But a build, which forms only g_{n,0}, still costs as much as ~80 steps
+with a cached kernel (4.5-4.8 ms against ~0.06 ms at J=256, one BLAS
+thread), so a once-built kernel leaves the run time nearly flat in N: the
+N 2->4 time ratio drops below the band [1.3, 3.2] of the complexity
+acceptance check (criterion 10), and the fast-path speedup below its 5x
+gate.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import cos as cosmod, model as modelmod
+from . import charfunc, cos as cosmod, model as modelmod
 from .bsde import (
     BsdeGrid,
     DriverSpec,
@@ -190,65 +193,73 @@ def _leftmost_crossing(x: np.ndarray, d: np.ndarray) -> float:
     return float(x[i] + (x[i + 1] - x[i]) * d0 / (d0 - d1))
 
 
-def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid, mtm_all=None, collect=False):
+def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid):
     """Backward recursion over all M*N steps on the grid nodes.
 
-    Returns (value at spot, t_0 node values, boundary list, collected
-    per-step value grids when requested, seconds spent building kernels).
+    Every step builds one node kernel, into a workspace allocated once per
+    solve.  A risk-free close-out advances the zero-driver mark-to-market
+    pass through the same steps and kernels, each step ahead of the main
+    pass, whose driver reads the pass's node values at that step.
+
+    Returns (value at spot, t_0 node values, boundary list, seconds spent
+    building kernels).
     """
     x = grid.nodes
     dt = bgrid.dt
     total = schedule.n_steps
+    work = charfunc.NodeWorkspace(grid.J)
+    passes = (DriverSpec(mode="zero"), driver) if driver.needs_mtm else (driver,)
     kernel_s = 0.0
 
     def node_kernel():
         nonlocal kernel_s
         start = time.perf_counter()
-        kern = _node_kernel(mdl, grid, dt)
+        kern = _node_kernel(mdl, grid, dt, work)
         kernel_s += time.perf_counter() - start
         return kern
-
-    def mtm_at(s):
-        return mtm_all[s] if mtm_all is not None else None
 
     def coeffs(y, f):
         return cosmod.dct_coeffs(np.stack((y, f)), grid)
 
     y = np.asarray(payoff_eval(payoff, schedule.T, x), dtype=float)
-    f = scheme_driver(driver, y, mtm_at(total))
-    collected = np.empty((total + 1, grid.J)) if collect else None
-    if collect:
-        collected[total] = y
+    # (y, f) per pass; each pass's y at a step is the next pass's mtm there.
+    state = [(y, scheme_driver(drv, y, mtm)) for drv, mtm in zip(passes, (None, y))]
     boundary = []
     for s in range(total - 1, 0, -1):
         t_now = s * dt
         kern = node_kernel()
-        y, f = theta_step(*coeffs(y, f), kern, bgrid, driver, mtm_at(s))
-        if s % schedule.N == 0:
+        exercise = s % schedule.N == 0
+        if exercise:
             phi = np.asarray(payoff_eval(payoff, t_now, x), dtype=float)
-            x_star = _leftmost_crossing(x, phi - y)
-            if not math.isnan(x_star) and (
-                x_star - grid.a < grid.dx or grid.b - x_star < grid.dx
-            ):
-                warnings.warn(
-                    f"exercise boundary {x_star:.4g} at t={t_now:.4g} touches the "
-                    f"truncation bounds [{grid.a:.4g}, {grid.b:.4g}]",
-                    stacklevel=3,
-                )
-            boundary.append((t_now, x_star))
-            y = np.where(phi > y, phi, y)
-            f = scheme_driver(driver, y, mtm_at(s))
-        if collect:
-            collected[s] = y
+        mtm = None
+        for i, drv in enumerate(passes):
+            y, f = theta_step(*coeffs(*state[i]), kern, bgrid, drv, mtm)
+            if exercise:
+                x_star = _leftmost_crossing(x, phi - y)
+                if not math.isnan(x_star) and (
+                    x_star - grid.a < grid.dx or grid.b - x_star < grid.dx
+                ):
+                    warnings.warn(
+                        f"exercise boundary {x_star:.4g} at t={t_now:.4g} touches the "
+                        f"truncation bounds [{grid.a:.4g}, {grid.b:.4g}]",
+                        stacklevel=3,
+                    )
+                if drv is driver:
+                    boundary.append((t_now, x_star))
+                y = np.where(phi > y, phi, y)
+                f = scheme_driver(drv, y, mtm)
+            state[i] = (y, f)
+            mtm = y
 
     kern = node_kernel()
-    hy, hf = coeffs(y, f)
-    y0, _ = theta_step(hy, hf, kern, bgrid, driver, mtm_at(0))
-    if collect:
-        collected[0] = y0
-    value = spot_step(mdl, hy, hf, grid, bgrid, driver, mtm_at(0))
+    y0 = None
+    for drv, (y, f) in zip(passes, state):
+        mtm = y0
+        hy, hf = coeffs(y, f)
+        y0, _ = theta_step(hy, hf, kern, bgrid, drv, mtm)
+    value = spot_step(mdl, hy, hf, grid, bgrid, driver, mtm)
     boundary.reverse()
-    return value, y0, boundary, collected, kernel_s
+    return value, y0, boundary, kernel_s
 
 
 def price_bermudan_xva(
@@ -266,24 +277,17 @@ def price_bermudan_xva(
 
     With M = 1 this is exactly the European BSDE solve, bit for bit at any
     dt, since both build their kernels from dt alone.  A full driver with
-    risk-free close-out triggers a zero-driver pre-pass whose value grids
-    feed the mark-to-market argument of the main pass.
+    risk-free close-out also runs the zero-driver pass whose node values
+    feed the mark-to-market argument of the main pass, step by step on the
+    same kernels.
     """
     t_begin = time.perf_counter()
     bgrid = BsdeGrid(schedule.N, schedule.dt, theta1, picard=picard)
     check_contraction(bgrid, driver)
     if grid is None:
         grid = make_cos_grid(mdl, schedule.T, J, L)
-    mtm_all = None
-    mtm_kernel_s = 0.0
-    if driver.needs_mtm:
-        _, _, _, mtm_all, mtm_kernel_s = _backward_xva(
-            mdl, payoff, schedule, DriverSpec(mode="zero"), grid, bgrid, collect=True
-        )
     t_loop = time.perf_counter()
-    value, u0, boundary, _, kernel_s = _backward_xva(
-        mdl, payoff, schedule, driver, grid, bgrid, mtm_all
-    )
+    value, u0, boundary, kernel_s = _backward_xva(mdl, payoff, schedule, driver, grid, bgrid)
     done = time.perf_counter()
     return PricingResult(
         value=value,
@@ -294,7 +298,7 @@ def price_bermudan_xva(
         timings={
             "total": done - t_begin,
             "backward": done - t_loop,
-            "kernel": mtm_kernel_s + kernel_s,
+            "kernel": kernel_s,
         },
         config={
             "J": grid.J,

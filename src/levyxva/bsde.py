@@ -259,16 +259,29 @@ def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) ->
 
 
 def _expansion(
-    mdl: modelmod.ModelSpec, grid: cosmod.CosGrid, x, dt: float, span: float = 0.0
+    mdl: modelmod.ModelSpec,
+    grid: cosmod.CosGrid,
+    x,
+    dt: float,
+    span: float = 0.0,
+    out: charfunc.NodeWorkspace | None = None,
 ) -> charfunc.CharFuncApprox:
     """Order-``charfunc.MAX_ORDER`` expansion about the basepoint(s) x over
     one step of length dt, the only time input of the time-homogeneous model."""
     tay = modelmod.taylor_expand(mdl, 0.0, x, charfunc.MAX_ORDER)
-    return charfunc.build_order_n(tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, span=span)
+    return charfunc.build_order_n(
+        tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, span=span, out=out
+    )
 
 
-def _node_kernel(mdl: modelmod.ModelSpec, grid: cosmod.CosGrid, dt: float) -> cosmod.StepKernel:
-    return cosmod.step_kernel(_expansion(mdl, grid, grid.nodes, dt), grid)
+def _node_kernel(
+    mdl: modelmod.ModelSpec,
+    grid: cosmod.CosGrid,
+    dt: float,
+    out: charfunc.NodeWorkspace | None = None,
+) -> cosmod.StepKernel:
+    """The step kernel on the grid nodes, built into ``out`` when given."""
+    return cosmod.step_kernel(_expansion(mdl, grid, grid.nodes, dt, out=out), grid, out=out)
 
 
 def solve_bsde(
@@ -290,8 +303,8 @@ def solve_bsde(
     evaluated at the nodes once.  z at the terminal time is terminal_dx *
     sigma.  Each time level is transformed once, in one stacked DCT of
     (y, z, f).  A risk-free close-out needs a mark-to-market, which
-    ``price_bermudan_xva`` supplies by its zero-driver pre-pass (M = 1 is
-    this European solve).
+    ``price_bermudan_xva`` supplies by its zero-driver pass (M = 1 is this
+    European solve).
     """
     if not math.isclose(bgrid.n_steps * bgrid.dt, T, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("bgrid must tile [0, T]")
@@ -299,7 +312,7 @@ def solve_bsde(
     if spec.needs_mtm:
         raise ValueError(
             "risk-free close-out needs a mark-to-market; use price_bermudan_xva "
-            "with M=1, which runs the zero-driver pre-pass"
+            "with M=1, which runs the zero-driver mark-to-market pass"
         )
     if grid is None:
         grid = make_cos_grid(mdl, T, J, L)

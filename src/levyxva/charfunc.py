@@ -43,9 +43,56 @@ _TRUST = 0.5
 # while still letting the low-frequency corrections through.
 _TRUST_SPAN = 0.05
 # Bytes of one (rows, J) complex temporary in a vector-basepoint build: 64
-# node rows at J = 256.  A block's temporaries stay in cache, and the
-# allocator recycles them instead of faulting in fresh pages.
+# node rows at J = 256, so a block's working set stays in cache.  Above
+# glibc's 128 KB mmap threshold such a temporary is not recycled: built
+# into fresh arrays, a J = 256 XVA solve took ~624 minor page faults per
+# step (62 400 per request), which is why a repeated build writes into a
+# ``NodeWorkspace`` instead.
 _BLOCK_BYTES = 1 << 18
+# The xi-derivatives of psi_h that the order-n coefficients read, per h.
+_DERIVS = ((), ((1,), (0,)), ((1, 2), (0, 1), (0,)))
+
+
+def _block_rows(J: int) -> int:
+    """Node rows per block of a vector-basepoint build."""
+    return max(1, _BLOCK_BYTES // (16 * J))
+
+
+class _BlockTemps:
+    """The (rows, J) temporaries that every row block of a build writes
+    into: seven complex ones in ``cplx`` (the symbol, E, the three shared
+    products and two for the correction polynomial), the real panel
+    products of each order h in ``panels`` (flat, read as contiguous
+    (rows, width) arrays), and the trust ``mask`` with its real magnitudes
+    ``mag``.  Each is its own allocation of at most 2 * _BLOCK_BYTES.  A
+    single larger block, freed at the end of a solve, raises glibc's
+    dynamic mmap threshold past 1 MB and changes how the whole process
+    reuses memory: the benchmark's ``dense_complex`` calibration kernel
+    then took 184 minor faults per call instead of 1024, which skews the
+    benchmark's machine-speed calibration."""
+
+    def __init__(self, rows: int, J: int):
+        self.cplx = [np.empty((rows, J), dtype=complex) for _ in range(7)]
+        self.panels = [np.empty(rows * 2 * J * len(ks)) for ks in _DERIVS[MAX_ORDER]]
+        self.mag = np.empty((rows, J))
+        self.mask = np.empty((rows, J), dtype=bool)
+
+
+class NodeWorkspace:
+    """Storage that a backward solve allocates once and every node-kernel
+    build of it reuses, so that a step allocates no J x J array.
+
+    ``g`` (1, J, J) complex receives g_{n,0} of ``build_order_n``; ``psi``
+    and ``psi_dw`` (J, J) float64, C-contiguous, receive the weights of
+    ``cos.step_kernel``; both write their row blocks through ``temps``.
+    Each build overwrites what the previous one returned.
+    """
+
+    def __init__(self, J: int):
+        self.g = np.empty((1, J, J), dtype=complex)
+        self.psi = np.empty((J, J))
+        self.psi_dw = np.empty((J, J))
+        self.temps = _BlockTemps(min(J, _block_rows(J)), J)
 
 
 def _lift(row: np.ndarray) -> np.ndarray:
@@ -74,16 +121,21 @@ def levy_symbol_psi(taylor: TaylorData, xi) -> np.ndarray:
     return _symbol(taylor, 0, xi)
 
 
-def _symbol(taylor: TaylorData, h: int, xi: np.ndarray) -> np.ndarray:
+def _symbol(taylor: TaylorData, h: int, xi: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """psi_h(xi) = i xi mu_h - s_h xi^2 - gamma_h + a_h (nuhat - 1 - i m xi),
+    evaluated term by term into the complex array ``out`` with ``tmp`` of
+    the same shape as scratch (both fresh when not given)."""
     nu, _, _ = _jump_transform(xi, taylor.jump_mean, taylor.jump_std)
     s, mu = _lift(taylor.s[h]), _lift(taylor.mu[h])
     a, gam = _lift(taylor.a[h]), _lift(taylor.gamma[h])
-    return (
-        1j * xi * mu
-        - s * xi**2
-        - gam
-        + a * (nu - 1.0 - 1j * taylor.jump_mean * xi)
-    )
+    if out is None:
+        out = np.empty(np.broadcast_shapes(xi.shape, mu.shape), dtype=complex)
+        tmp = np.empty_like(out)
+    np.multiply(1j * xi, mu, out=out)
+    np.subtract(out, np.multiply(s, xi**2, out=tmp), out=out)
+    np.subtract(out, gam, out=out)
+    np.multiply(a, nu - 1.0 - 1j * taylor.jump_mean * xi, out=tmp)
+    return np.add(out, tmp, out=out)
 
 
 def _frequency_factors(xi: np.ndarray, m: float, d: float) -> np.ndarray:
@@ -196,7 +248,13 @@ class CharFuncApprox:
 
 # Only tau = T - t is read; perfbench/tracing.py reads ``t`` and ``T`` by name.
 def build_order_n(
-    taylor: TaylorData, t: float, T: float, freqs, order: int, span: float = 0.0
+    taylor: TaylorData,
+    t: float,
+    T: float,
+    freqs,
+    order: int,
+    span: float = 0.0,
+    out: NodeWorkspace | None = None,
 ) -> CharFuncApprox:
     """Order-n coefficient functions, n <= 2, by closed-form time integrals.
 
@@ -243,9 +301,20 @@ def build_order_n(
     per order h.  A vector basepoint is built in blocks of node rows sized
     so that each (rows, J) temporary stays near _BLOCK_BYTES (64 rows at
     J = 256) and the block's working set stays in cache; a scalar
-    basepoint is a single block.  psi_0 and E are evaluated exactly as in
+    basepoint is a single block.  Every block operation writes into one
+    set of block temporaries, in the operation order of the formulas
+    above.  psi_0 and E are evaluated by the same ``_symbol`` as
     ``levy_symbol_psi``, so fallback entries equal
     exp(tau * levy_symbol_psi) bit for bit.
+
+    With ``out``, a ``NodeWorkspace`` of J basepoints, a vector build
+    writes g_{n,0} and its temporaries there, and the returned g[0] is a
+    view that the next build into ``out`` overwrites; the values are bit
+    for bit those of a build into fresh arrays (``out=None``).  The
+    allocator does not recycle temporaries of this size (see
+    _BLOCK_BYTES): a J = 256, N = M = 10 XVA request took 62 400 minor
+    page faults building into fresh arrays, and 1 345, the workspace's
+    first touch, building into one workspace.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"approximation order must be in 0..{MAX_ORDER}")
@@ -256,55 +325,73 @@ def build_order_n(
         raise ValueError("span applies to scalar basepoints only")
     xi = np.asarray(freqs, dtype=float)
     tau = T - t
-    if order == 0:
-        g0 = np.exp(tau * _symbol(taylor, 0, xi))
-        return CharFuncApprox(0, taylor.basepoint, xi, (g0,))
+    n, J = taylor.basepoint.size, xi.size
+    step = _block_rows(J)
+    if out is None:
+        g = np.empty((1 if vector else order + 1, n, J), dtype=complex)
+        temps = _BlockTemps(min(n, step), J)
+    elif vector and out.g.shape[1:] == (n, J):
+        g, temps = out.g, out.temps
+    else:
+        raise ValueError("out takes a vector basepoint with one point per frequency")
 
     F = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
-    # The xi-derivatives of psi_h that the coefficients read, per order h.
-    derivs = ((1,), (0,)) if order == 1 else ((1, 2), (0, 1), (0,))
+    derivs = _DERIVS[order]
     panels = [np.concatenate(F[list(ks)], axis=-1).view(float) for ks in derivs]
-    rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
-    n, J = rows[0].shape[0], xi.size
-    g = np.empty((1 if vector else order + 1, n, J), dtype=complex)
-    step = max(1, _BLOCK_BYTES // g[0, 0].nbytes)
+    rows = [_coeff_rows(taylor, h) for h in range(len(derivs))]
+    c = temps.cplx
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)
-        p0 = _symbol(_row_block(taylor, blk), 0, xi)
-        base = np.exp(tau * p0)
+        k = min(step, n - lo)
+        p0 = _symbol(_row_block(taylor, blk), 0, xi, out=c[0][:k], tmp=c[6][:k])
+        np.multiply(tau, p0, out=p0)
+        if not order:
+            np.exp(p0, out=g[0, blk])
+            continue
+        base = np.exp(p0, out=c[1][:k])
         # Real coefficient rows times the real view of the complex panels.
-        sym = [
-            np.split((r[blk] @ w).view(complex), len(ks), axis=-1)
-            for r, w, ks in zip(rows, panels, derivs)
-        ]
+        sym = []
+        for r, panel, ks, flat in zip(rows, panels, derivs, temps.panels):
+            prod = np.matmul(r[blk], panel, out=flat[: k * panel.shape[1]].reshape(k, -1))
+            sym.append(np.split(prod.view(complex), len(ks), axis=-1))
         # corr[0] = g_{n,0}/E - 1 and corr[h] = g_{n,h}/E for h >= 1.
+        x, y = c[5][:k], c[6][:k]
         if order == 1:
             (dp0,), (p1,) = sym
-            corr = [-0.5j * tau**2 * p1 * dp0]
+            np.multiply(np.multiply(-0.5j * tau**2, p1, out=x), dp0, out=x)
+            corr = [x]
             if not vector:
                 corr.append(tau * p1)
         else:
             (dp0, d2p0), (p1, dp1), (p2,) = sym
             # psi_1^2, psi_1 psi_0' and psi_2 psi_0' serve all three rows;
             # psi_0'^2 psi_1^2 = (psi_1 psi_0')^2.
-            q, u, w = p1 * p1, p1 * dp0, p2 * dp0
-            corr = [
-                (-0.5j * tau**2 - tau**3 / 6.0 * dp1 - tau**4 / 8.0 * u) * u
-                - (tau**3 / 6.0 * q + 0.5 * tau**2 * p2) * d2p0
-                - tau**3 / 3.0 * w * dp0
-            ]
+            q = np.multiply(p1, p1, out=c[2][:k])
+            u = np.multiply(p1, dp0, out=c[3][:k])
+            w = np.multiply(p2, dp0, out=c[4][:k])
+            # (-i tau^2/2 - tau^3/6 psi_1' - tau^4/8 u) u
+            #   - (tau^3/6 q + tau^2/2 psi_2) psi_0'' - tau^3/3 w psi_0'
+            np.subtract(-0.5j * tau**2, np.multiply(tau**3 / 6.0, dp1, out=x), out=x)
+            np.subtract(x, np.multiply(tau**4 / 8.0, u, out=y), out=x)
+            np.multiply(x, u, out=x)
+            np.multiply(tau**3 / 6.0, q, out=y)
+            np.add(y, np.multiply(0.5 * tau**2, p2, out=p0), out=y)
+            np.subtract(x, np.multiply(y, d2p0, out=y), out=x)
+            np.multiply(np.multiply(tau**3 / 3.0, w, out=y), dp0, out=y)
+            np.subtract(x, y, out=x)
+            corr = [x]
             if not vector:
                 corr.append(tau * p1 - 1j * tau**2 * (0.5 * p1 * (tau * u + dp1) + w))
                 corr.append(0.5 * tau**2 * q + tau * p2)
-        bad = np.abs(corr[0]) > _TRUST
+        bad = np.greater(np.abs(x, out=temps.mag[:k]), _TRUST, out=temps.mask[:k])
         if span > 0.0:
             for h in range(1, order + 1):
                 bad |= span**h * np.abs(corr[h]) > _TRUST_SPAN
-        for c in corr:
-            c[bad] = 0.0
-        corr[0] += 1.0
-        for h, c in enumerate(corr):
-            np.multiply(c, base, out=g[h, blk])
+        for cr in corr:
+            cr[bad] = 0.0
+        x += 1.0
+        for h, cr in enumerate(corr):
+            np.multiply(cr, base, out=g[h, blk])
     if not vector:
         g = g[:, 0]
     return CharFuncApprox(order, taylor.basepoint, xi, tuple(g))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .charfunc import CharFuncApprox
+from .charfunc import CharFuncApprox, NodeWorkspace
 
 
 @dataclass(frozen=True)
@@ -153,19 +153,36 @@ def expectation_weights(cf: CharFuncApprox, grid: CosGrid, x, d: int = 0) -> np.
     return cf.eval(x, d) * _phase(grid)
 
 
-def step_kernel(cf: CharFuncApprox, grid: CosGrid) -> StepKernel:
+def step_kernel(
+    cf: CharFuncApprox, grid: CosGrid, out: NodeWorkspace | None = None
+) -> StepKernel:
     """Expectation weights on the grid nodes from a characteristic function
     expanded there (vector basepoint at ``grid.nodes``).
 
     A node expansion reduces to g[0] at its own node, so its weights are
     Re(g[0] * _node_phase(J)) with no exponential to evaluate, and both
     arrays come back C-contiguous for the step's matrix-vector products.
+    With ``out`` they are its ``psi`` and ``psi_dw``, which the next step
+    into ``out`` overwrites, and the product runs over its row blocks;
+    without, they are fresh arrays and the product is one block.  Either
+    way each entry takes the same operations.
     """
     _check_shared(grid, cf)
     if cf.basepoint.shape != (grid.J,) or not np.allclose(cf.basepoint, grid.nodes):
         raise ValueError("step_kernel needs an expansion at the grid nodes")
-    weighted = cf.g[0] * _node_phase(grid.J)
-    return StepKernel(psi=weighted.real.copy(), psi_dw=-grid.freqs * weighted.imag)
+    J = grid.J
+    if out is None:
+        psi, psi_dw, block = np.empty((J, J)), np.empty((J, J)), np.empty((J, J), complex)
+    else:
+        psi, psi_dw, block = out.psi, out.psi_dw, out.temps.cplx[0]
+    phase, neg_xi = _node_phase(J), -grid.freqs
+    rows = block.shape[0]
+    for lo in range(0, J, rows):
+        blk = slice(lo, lo + rows)
+        weighted = np.multiply(cf.g[0][blk], phase[blk], out=block[: min(rows, J - lo)])
+        psi[blk] = weighted.real
+        np.multiply(neg_xi, weighted.imag, out=psi_dw[blk])
+    return StepKernel(psi=psi, psi_dw=psi_dw)
 
 
 def point_kernel(cf: CharFuncApprox, grid: CosGrid, x_points) -> StepKernel:

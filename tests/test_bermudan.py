@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import levyxva as lx
-from levyxva import bermudan, bsde
+from levyxva import bermudan, bsde, charfunc, cos
 
 from conftest import make_benchmark_model, make_constant_model
 
@@ -313,6 +313,74 @@ class TestBermudanStructure:
         a = bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=64)
         b = bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=64, grid=grid)
         assert a.value == b.value
+
+
+class TestNodeWorkspace:
+    """The XVA solve builds every step's node kernel into one workspace.
+
+    A build into storage that already holds another build must give the
+    same g[0], psi and psi_dw bit for bit as a build into fresh arrays, at
+    the benchmark's model, step (N = M = 10) and sizes; at J = 100 the
+    step kernel's last row block is partial (54-row blocks at J = 300 in
+    the charfunc tests cover the build's)."""
+
+    @pytest.mark.parametrize("J", [32, 100, 256])
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    def test_in_place_rebuild_equals_fresh_build(self, model_put, T, J):
+        grid = bsde.make_cos_grid(model_put, T, J)
+        dt = T / 100
+        work = charfunc.NodeWorkspace(J)
+        for arr in (work.g, work.psi, work.psi_dw, *work.temps.cplx, *work.temps.panels):
+            arr.fill(np.nan)
+        fresh_cf = bsde._expansion(model_put, grid, grid.nodes, dt)
+        fresh = cos.step_kernel(fresh_cf, grid)
+        for _ in range(2):
+            cf = bsde._expansion(model_put, grid, grid.nodes, dt, out=work)
+            kern = cos.step_kernel(cf, grid, out=work)
+            assert np.array_equal(cf.g[0], fresh_cf.g[0])
+            assert np.array_equal(kern.psi, fresh.psi)
+            assert np.array_equal(kern.psi_dw, fresh.psi_dw)
+        assert np.shares_memory(cf.g[0], work.g) and kern.psi is work.psi
+
+    def test_steps_of_one_solve_share_storage(self, model_put, monkeypatch):
+        kernels = []
+        step_kernel = cos.step_kernel
+
+        def recorded(*args, **kwargs):
+            kernels.append(step_kernel(*args, **kwargs))
+            return kernels[-1]
+
+        monkeypatch.setattr(cos, "step_kernel", recorded)
+        sched = bermudan.ExerciseSchedule(1.0, 2, 2)
+        pay = bermudan.PayoffSpec(kind="put", strike=1.0)
+        drv = bsde.DriverSpec(mode="simplified", rate_r=0.05)
+        bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=32)
+        assert len(kernels) == sched.n_steps
+        first = kernels[0]
+        for kern in kernels[1:]:
+            assert np.shares_memory(kern.psi, first.psi)
+            assert np.shares_memory(kern.psi_dw, first.psi_dw)
+        grid = bsde.make_cos_grid(model_put, 1.0, 32)
+        one, two = (bsde._node_kernel(model_put, grid, 0.25) for _ in range(2))
+        assert not np.shares_memory(one.psi, two.psi)
+        assert not np.shares_memory(one.psi_dw, two.psi_dw)
+
+    def test_risk_free_pass_shares_each_step_kernel(self, model_put, monkeypatch):
+        # The mark-to-market pass and the main pass read one kernel per step.
+        builds = []
+        step_kernel = cos.step_kernel
+
+        def counted(*args, **kwargs):
+            builds.append(args[1].J)
+            return step_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cos, "step_kernel", counted)
+        sched = bermudan.ExerciseSchedule(1.0, 2, 2)
+        pay = bermudan.PayoffSpec(kind="put", strike=1.0)
+        drv = bsde.DriverSpec(mode="full", rate_r=0.05, rate_c=0.06, closeout="risk-free")
+        res = bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=32)
+        assert builds == [32] * sched.n_steps
+        assert np.isfinite(res.value) and len(res.boundary) == sched.M - 1
 
 
 class TestComplexityProbe:

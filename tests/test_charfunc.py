@@ -312,6 +312,32 @@ class TestBlockedBuild:
             charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=0.7)
 
 
+class TestFallbackEntries:
+    """A trust-region fallback entry of g[0] is exp(tau * levy_symbol_psi)
+    bit for bit: the benchmark's ``charfunc.fallback_frac`` counts fallbacks
+    by that equality.  With constant coefficients every correction
+    vanishes, so every entry must match; on the benchmark model the
+    left-tail nodes fall back at the benchmark's step."""
+
+    @pytest.mark.parametrize("node", [True, False])
+    def test_constant_coefficients_match_everywhere(self, node):
+        mdl = make_constant_model(0.2, 0.3, -0.1, 0.2, 0.05, 0.02)
+        grid = bsde.make_cos_grid(mdl, 1.0, 32)
+        tay = model.taylor_expand(mdl, 0.0, grid.nodes if node else 0.0, 2)
+        cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, 2)
+        order0 = np.exp(0.1 * charfunc.levy_symbol_psi(tay, grid.freqs))
+        assert np.array_equal(cf.g[0], order0)
+        for gk in cf.g[1:]:
+            assert not gk.any()
+
+    def test_benchmark_model_falls_back_somewhere(self, model_put):
+        grid = bsde.make_cos_grid(model_put, 1.0, 256)
+        tay = model.taylor_expand(model_put, 0.0, grid.nodes, 2)
+        cf = charfunc.build_order_n(tay, 0.0, 0.01, grid.freqs, 2)
+        same = cf.g[0] == np.exp(0.01 * charfunc.levy_symbol_psi(tay, grid.freqs))
+        assert same.any() and not same.all()
+
+
 class TestEvalDerivatives:
     """eval(x, d) stacks Gamma_n and its x-derivatives up to order d.
 
@@ -402,6 +428,14 @@ class TestValidation:
         tay = model.taylor_expand(model_linear, 0.0, 0.0, 2)
         with pytest.raises(ValueError):
             charfunc.build_order_n(tay, 0.0, 0.5, np.array([1.0]), 3)
+
+    def test_rejects_workspace_of_another_shape(self, model_put):
+        work = charfunc.NodeWorkspace(8)
+        xi = np.linspace(0.0, 3.0, 8)
+        for x in (0.0, np.linspace(-1.0, 1.0, 9)):
+            tay = model.taylor_expand(model_put, 0.0, x, 2)
+            with pytest.raises(ValueError, match="one point per frequency"):
+                charfunc.build_order_n(tay, 0.0, 0.5, xi, 2, out=work)
 
     def test_rejects_underresolved_taylor_rows(self, model_linear):
         tay = model.taylor_expand(model_linear, 0.0, 0.0, 0)
