@@ -313,7 +313,7 @@ def build_order_n(
     for bit those of a build into fresh arrays (``out=None``).  The
     allocator does not recycle temporaries of this size (see
     _BLOCK_BYTES): a J = 256, N = M = 10 XVA request took 62 400 minor
-    page faults building into fresh arrays, and 1 345, the workspace's
+    page faults building into fresh arrays, and 1 280-1 345, the workspace's
     first touch, building into one workspace.
     """
     if not 0 <= order <= MAX_ORDER:

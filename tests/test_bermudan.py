@@ -341,6 +341,10 @@ class TestNodeWorkspace:
             assert np.array_equal(kern.psi, fresh.psi)
             assert np.array_equal(kern.psi_dw, fresh.psi_dw)
         assert np.shares_memory(cf.g[0], work.g) and kern.psi is work.psi
+        # A strided psi would move the step's matvec off BLAS, and with it
+        # the bit-identity of in-place and fresh kernels.
+        for arr in (kern.psi, kern.psi_dw):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
 
     def test_steps_of_one_solve_share_storage(self, model_put, monkeypatch):
         kernels = []
