@@ -68,10 +68,6 @@ class ExerciseSchedule:
             raise ValueError("need T > 0, M >= 1, N >= 1")
 
     @property
-    def dates(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.M + 1)
-
-    @property
     def spacing(self) -> float:
         return self.T / self.M
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .charfunc import CharFuncApprox, NodeWorkspace
+from .charfunc import MAX_ORDER, CharFuncApprox, NodeWorkspace
 
 
 @dataclass(frozen=True)
@@ -233,36 +233,66 @@ def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) 
     )
 
 
+def _check_limits_and_order(grid: CosGrid, x_lo: float, x_hi: float, h: int) -> None:
+    if not (grid.a <= x_lo <= x_hi <= grid.b + 1e-12):
+        raise ValueError("integration limits must lie inside [a, b]")
+    if not 0 <= h <= MAX_ORDER:
+        raise ValueError(f"monomial order must be in 0..{MAX_ORDER}")
+
+
+@functools.lru_cache(maxsize=8)
+def _integral_table(grid: CosGrid, p_max: int) -> tuple:
+    """Read-only i om_p and its powers (i om_p)^{l+1}, l = 0..MAX_ORDER (rows),
+    for om_p = p pi / (b - a), p = 1..p_max: every restricted integral on
+    the grid divides by the same powers."""
+    iom = 1j * (np.arange(1, p_max + 1) * math.pi / grid.width)
+    powers = np.stack([iom ** (l + 1) for l in range(MAX_ORDER + 1)])
+    iom.setflags(write=False)
+    powers.setflags(write=False)
+    return iom, powers
+
+
+@functools.lru_cache(maxsize=32)
+def _wave(grid: CosGrid, x: float, p_max: int) -> np.ndarray:
+    """Read-only e^{i om_p (x - a)}, p = 1..p_max: the orders at one limit
+    share it, and so do all dates at a fixed limit such as b."""
+    wave = np.exp(_integral_table(grid, p_max)[0] * (x - grid.a))
+    wave.setflags(write=False)
+    return wave
+
+
 def monomial_exp_integrals(
     grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float, p_max: int
 ) -> np.ndarray:
     """I_p = (1/(b-a)) int_{x_lo}^{x_hi} (x - xbar)^h e^{i p pi (x-a)/(b-a)} dx
-    for p = 0..p_max; negative orders follow by conjugation.
+    for p = 0..p_max and h = 0..MAX_ORDER; negative orders follow by
+    conjugation.
 
     For p != 0 the antiderivative is
         F_p(x) = e^{i om_p (x-a)} sum_{l=0..h} (-1)^l h!/(h-l)!
                  (x - xbar)^{h-l} / (i om_p)^{l+1},
-    om_p = p pi / (b - a), obtained by repeated integration by parts.
+    om_p = p pi / (b - a), obtained by repeated integration by parts.  The
+    powers of i om_p and the exponential at each limit come from shared
+    read-only tables (``_integral_table``, ``_wave``), each entry computed
+    by the same operations as inline.
     """
-    if not (grid.a <= x_lo <= x_hi <= grid.b + 1e-12):
-        raise ValueError("integration limits must lie inside [a, b]")
-    p = np.arange(1, p_max + 1)
-    om = p * math.pi / grid.width
+    _check_limits_and_order(grid, x_lo, x_hi, h)
     out = np.empty(p_max + 1, dtype=complex)
     out[0] = ((x_hi - basepoint) ** (h + 1) - (x_lo - basepoint) ** (h + 1)) / (
         (h + 1) * grid.width
     )
     if p_max == 0:
         return out
+    powers = _integral_table(grid, p_max)[1]
 
     def anti(x: float) -> np.ndarray:
-        acc = np.zeros_like(om, dtype=complex)
+        acc = np.zeros(p_max, dtype=complex)
         coef = 1.0
         for l in range(h + 1):
             if l > 0:
                 coef *= -(h - l + 1)
-            acc += coef * (x - basepoint) ** (h - l) / (1j * om) ** (l + 1)
-        return np.exp(1j * om * (x - grid.a)) * acc
+            acc += coef * (x - basepoint) ** (h - l) / powers[l]
+        return _wave(grid, x, p_max) * acc
 
     out[1:] = (anti(x_hi) - anti(x_lo)) / grid.width
     return out
@@ -282,28 +312,23 @@ def m_matrix_product(
     h: int,
     lam: np.ndarray,
     basepoint: float,
-    method: str = "fft",
 ) -> np.ndarray:
     """Restricted-interval product c_k = Re sum'_j M^h_{k,j} lam_j V_j.
 
     M^h_{k,j} = I_{j+k} + I_{j-k} with I_p from ``monomial_exp_integrals``;
     the primed sum halves j = 0.  The Hankel part I_{j+k} is a linear
     convolution against the reversed input, the Toeplitz part I_{j-k} a
-    length-2J circular convolution; both run in O(J log J).  The dense
-    O(J^2) path materializes M and is kept as the validation reference.
+    length-2J circular convolution; both run in O(J log J).  After the
+    limits are checked, an all-zero weight row ``lam`` (an expansion order
+    whose corrections the trust region rejected) returns zeros at once.
     """
     J = grid.J
     u = lam * np.asarray(V, dtype=complex)
+    _check_limits_and_order(grid, x_lo, x_hi, h)
+    if not np.any(lam):
+        return np.zeros(J)
     u[0] *= 0.5
     I = monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2)
-    if method == "dense":
-        k = np.arange(J)
-        hank = I[np.add.outer(k, k)]
-        toep_full = np.concatenate((np.conj(I[J - 1:0:-1]), I[:J]))
-        toep = toep_full[np.add.outer(-k, np.arange(J)) + J - 1]
-        return np.real((hank + toep) @ u)
-    if method != "fft":
-        raise ValueError("method must be 'fft' or 'dense'")
     conv = _linear_convolve(I, u[::-1])
     hankel_part = conv[J - 1 : 2 * J - 1]
     t_circ = np.concatenate((I[:1], np.conj(I[1:J]), np.zeros(1, complex), I[J - 1 : 0 : -1]))

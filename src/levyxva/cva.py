@@ -17,8 +17,9 @@ coefficients come from Hankel-plus-Toeplitz products in O(J log J),
 with n = ``charfunc.MAX_ORDER`` and the expansion based at X0 throughout,
 built once per leg over one exercise interval.  Every other leg quantity is
 one series e^{-r dt} Re sum'_j d^d/dx^d Gamma_n(x; xi_j) e^{-i xi_j a} V_j:
-value and slope (d = 1) in the Newton search for x*, and against V(t_1)
-the value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at``.
+the value at the bracket ends and value and slope (d = 1) at the iterates
+of the Newton search for x*, and against V(t_1) the value, delta and
+gamma at X0 (d = 2), y0 and ``leg_value_at``.
 """
 from __future__ import annotations
 
@@ -50,25 +51,32 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 
 
-def newton_exercise_point(c_fn, phi_fn, bracket, x0: float | None = None) -> float:
+def newton_exercise_point(
+    c_fn, phi_fn, bracket, x0: float | None = None, c_value=None
+) -> float:
     """Root of c - phi on the bracket by safeguarded Newton.
 
     ``c_fn`` and ``phi_fn`` each return (value, slope) at x, so one call per
-    iterate gives both f and f'.  An iterate that leaves the live bracket,
-    or a zero slope, falls back to bisection.  Without a sign change the
-    split is degenerate: c > phi everywhere means never exercise (returns
-    the lower end), c < phi everywhere means always exercise (returns the
-    upper end).
+    iterate gives both f and f'.  The sign test at the two bracket ends
+    reads values only: there c comes from ``c_value(x)`` (by default the
+    value of ``c_fn``), which must equal ``c_fn(x)[0]``.  An iterate that
+    leaves the live bracket, or a zero slope, falls back to bisection.
+    Without a sign change the split is degenerate: c > phi everywhere
+    means never exercise (returns the lower end), c < phi everywhere means
+    always exercise (returns the upper end).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if hi <= lo:
         return lo
+    if c_value is None:
+        def c_value(x):
+            return c_fn(x)[0]
 
     def f(x):
         (c, dc), (p, dp) = c_fn(x), phi_fn(x)
         return float(c) - float(p), float(dc) - float(dp)
 
-    flo, fhi = f(lo)[0], f(hi)[0]
+    flo, fhi = (float(c_value(x)) - float(phi_fn(x)[0]) for x in (lo, hi))
     if abs(flo) < _NEWTON_TOL:
         return lo
     if abs(fhi) < _NEWTON_TOL:
@@ -137,12 +145,15 @@ def price_bermudan_cos(
     log_k = math.log(strike)
     x_up = min(max(log_k, grid.a), grid.b)
     x_star = log_k  # warm start; then each date starts from the later one's x*
+    # The bracket ends are the same at every date, so their value rows are
+    # built once per leg; each date only takes their product with its V.
+    end_rows = {x: np.real(cosmod.expectation_weights(cf, grid, x)) for x in (grid.a, x_up)}
     boundary = []
     for m in range(M - 1, 0, -1):
         t_m = m * delta_t
         x_star = newton_exercise_point(
             lambda x: _leg_series(cf, grid, disc, V, x, 1), exercise_value,
-            (grid.a, x_up), x0=x_star,
+            (grid.a, x_up), x0=x_star, c_value=lambda x: disc * (end_rows[x] @ V),
         )
         if x_star <= grid.a or x_star >= grid.b:
             warnings.warn(

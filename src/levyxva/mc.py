@@ -56,14 +56,13 @@ class PathBatch:
 
     ``x`` and ``survival`` have shape (paths, steps+1) and are transposed
     views of time-major stores, so ``x[:, k]`` is contiguous; copy with
-    ``np.ascontiguousarray`` where path-major bytes are needed.
-    ``poisson_truncated`` counts the jump draws the CRN pair's inverse CDF
-    cut off at ``_POISSON_CAP + 1``; ``simulate`` draws its counts exactly
-    and leaves it 0.
+    ``np.ascontiguousarray`` where path-major bytes are needed.  Column k
+    is time k ``dt``.  ``poisson_truncated`` counts the jump draws the CRN
+    pair's inverse CDF cut off at ``_POISSON_CAP + 1``; ``simulate`` draws
+    its counts exactly and leaves it 0.
     """
 
     x: np.ndarray
-    times: np.ndarray
     survival: np.ndarray
     default_time: np.ndarray | None
     seed: int
@@ -210,9 +209,8 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts) -> list:
             truncated[leg] += cut
             x[k + 1], haz = _euler_step(mdl, dt, x[k], vals, counts, z, z2, band)
             surv[k + 1] = surv[k] * np.exp(-haz)
-    times = np.arange(steps + 1) * dt
     return [
-        PathBatch(x.T, times, surv.T, None, seed, dt, mdl.rate_r, poisson_truncated=cut)
+        PathBatch(x.T, surv.T, None, seed, dt, mdl.rate_r, poisson_truncated=cut)
         for mdl, x, surv, cut in zip(models, xs, survs, truncated)
     ]
 

@@ -5,7 +5,9 @@ no default intensity); ``model_put`` is the CVA benchmark (Bermudan put,
 r = 0.05, exponential default intensity c = 0.1).  Both use the same
 exponential coefficient families sigma(x) = 0.15 e^{-2x},
 a(x) = 0.2 e^{-2x} with N(-0.2, 0.2^2) jumps.  ``dct_calls`` records the
-shape of every ``cos.dct_coeffs`` call a test makes.
+shape of every ``cos.dct_coeffs`` call a test makes.  ``dense_m_product``
+materializes the restricted-interval matrix: the O(J^2) oracle of the
+engine's FFT product ``cos.m_matrix_product``.
 """
 
 import dataclasses
@@ -59,6 +61,20 @@ def model_put():
 @pytest.fixture(scope="session")
 def model_put_riskfree():
     return make_benchmark_model(rate_r=0.05, c_default=0.0, x0=0.0)
+
+
+def dense_m_product(V, grid, x_lo, x_hi, h, lam, basepoint):
+    """Re sum'_j M^h_{k,j} lam_j V_j with M^h_{k,j} = I_{j+k} + I_{j-k}
+    built as a dense J x J matrix from ``cos.monomial_exp_integrals``."""
+    J = grid.J
+    u = lam * np.asarray(V, dtype=complex)
+    u[0] *= 0.5
+    I = cos.monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2)
+    k = np.arange(J)
+    hank = I[np.add.outer(k, k)]
+    toep_full = np.concatenate((np.conj(I[J - 1:0:-1]), I[:J]))
+    toep = toep_full[np.add.outer(-k, np.arange(J)) + J - 1]
+    return np.real((hank + toep) @ u)
 
 
 def replace_spot(mdl, x0):

@@ -20,7 +20,7 @@ from scipy import integrate, stats
 import levyxva as lx
 from levyxva import bsde, charfunc, cos, model
 
-from conftest import make_constant_model
+from conftest import dense_m_product, make_constant_model
 
 
 def put_expectation_lognormal(strike, mean, std):
@@ -270,6 +270,53 @@ class TestMonomialExpIntegrals:
         want[1:] = (np.exp(1j * np.pi * p) - 1.0) / (1j * np.pi * p)
         assert_allclose(got, want, atol=1e-14)
 
+    def test_shared_tables_match_inline_arithmetic(self):
+        # A leg's pattern: every order at each exercise point, the upper
+        # limit b at every date, a repeated point, and two grids with the
+        # same J on different intervals.  Bit for bit against the powers
+        # and exponentials written out inline.
+        cos._integral_table.cache_clear()
+        cos._wave.cache_clear()
+        for g in (cos.CosGrid(-1.2, 1.5, 16), cos.CosGrid(-0.9, 2.1, 16)):
+            for x_star in (-0.4, 0.3, -0.4):
+                for h in (0, 1, 2):
+                    got = cos.monomial_exp_integrals(g, x_star, g.b, h, 0.2, 2 * g.J - 2)
+                    want = _inline_integrals(g, x_star, g.b, h, 0.2, 2 * g.J - 2)
+                    assert got.tobytes() == want.tobytes()
+        info = cos._wave.cache_info()
+        assert (info.misses, info.hits) == (6, 30)
+
+    def test_tables_are_shared_per_grid_and_read_only(self):
+        g = cos.CosGrid(-1.0, 1.0, 8)
+        iom, powers = cos._integral_table(g, 14)
+        assert cos._integral_table(cos.CosGrid(-1.0, 1.0, 8), 14)[1] is powers
+        assert cos._integral_table(cos.CosGrid(-1.0, 2.0, 8), 14)[1] is not powers
+        assert powers.shape == (charfunc.MAX_ORDER + 1, 14)
+        wave = cos._wave(g, 0.5, 14)
+        assert cos._wave(g, 0.5, 14) is wave
+        for table in (iom, powers, wave):
+            assert not table.flags.writeable
+
+
+def _inline_integrals(g, x_lo, x_hi, h, xbar, p_max):
+    """``cos.monomial_exp_integrals`` with every power of i om_p and every
+    exponential computed inline at each call."""
+    om = np.arange(1, p_max + 1) * math.pi / g.width
+    out = np.empty(p_max + 1, dtype=complex)
+    out[0] = ((x_hi - xbar) ** (h + 1) - (x_lo - xbar) ** (h + 1)) / ((h + 1) * g.width)
+
+    def anti(x):
+        acc = np.zeros_like(om, dtype=complex)
+        coef = 1.0
+        for l in range(h + 1):
+            if l > 0:
+                coef *= -(h - l + 1)
+            acc += coef * (x - xbar) ** (h - l) / (1j * om) ** (l + 1)
+        return np.exp(1j * om * (x - g.a)) * acc
+
+    out[1:] = (anti(x_hi) - anti(x_lo)) / g.width
+    return out
+
 
 class TestMMatrixProduct:
     """Restricted-interval re-projection against direct quadrature."""
@@ -299,7 +346,7 @@ class TestMMatrixProduct:
         g = cos.CosGrid(-1.2, 1.5, 8)
         V = rng.normal(size=g.J)
         lam = rng.normal(size=g.J) + 1j * rng.normal(size=g.J)
-        got = cos.m_matrix_product(V, g, -0.4, 1.1, h, lam, 0.2, method="dense")
+        got = dense_m_product(V, g, -0.4, 1.1, h, lam, 0.2)
         assert_allclose(got, self._oracle(V, g, -0.4, 1.1, h, lam, 0.2), atol=1e-12)
 
     @pytest.mark.parametrize("h", [0, 1, 2])
@@ -309,16 +356,28 @@ class TestMMatrixProduct:
         V = rng.normal(size=g.J)
         lam = np.exp(-0.05 * g.freqs**2) * np.exp(0.3j * g.freqs)
         args = (V, g, -1.1, 0.7, h, lam, -0.2)
-        dense = cos.m_matrix_product(*args, method="dense")
-        fast = cos.m_matrix_product(*args, method="fft")
-        assert_allclose(fast, dense, atol=1e-10, rtol=0.0)
+        assert_allclose(cos.m_matrix_product(*args), dense_m_product(*args), atol=1e-10, rtol=0.0)
 
-    def test_rejects_unknown_method(self):
+    def test_zero_weight_row_gives_exact_zeros_without_integrals(self, monkeypatch):
         g = cos.CosGrid(-1.0, 1.0, 8)
+        calls = []
+        monkeypatch.setattr(cos, "monomial_exp_integrals", lambda *a: calls.append(a))
+        for h in (0, 1, 2):
+            out = cos.m_matrix_product(np.ones(8), g, -0.5, 1.0, h, np.zeros(8, complex), 0.1)
+            assert out.dtype == np.float64 and np.array_equal(out, np.zeros(8))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "x_lo, x_hi, h",
+        [(-1.5, 0.5, 0), (-0.5, 1.5, 1), (0.5, -0.5, 2), (-0.5, 0.5, 3), (-0.5, 0.5, -1)],
+        ids=["below-a", "above-b", "reversed", "order-3", "order-minus-1"],
+    )
+    @pytest.mark.parametrize("zero", [True, False], ids=["zero-row", "live-row"])
+    def test_rejects_bad_limits_and_orders(self, x_lo, x_hi, h, zero):
+        g = cos.CosGrid(-1.0, 1.0, 8)
+        lam = np.zeros(8, complex) if zero else np.ones(8, complex)
         with pytest.raises(ValueError):
-            cos.m_matrix_product(
-                np.ones(8), g, -0.5, 0.5, 0, np.ones(8), 0.0, method="nope"
-            )
+            cos.m_matrix_product(np.ones(8), g, x_lo, x_hi, h, lam, 0.0)
 
     def test_empty_interval_gives_zero(self):
         g = cos.CosGrid(-1.0, 1.0, 8)

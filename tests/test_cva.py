@@ -9,7 +9,6 @@ intensity, leg sharing, monotonicity in the intensity level) pin the
 adjustment itself.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy import stats
 import levyxva as lx
 from levyxva import bermudan, bsde, cos, cva
 
-from conftest import make_benchmark_model, make_constant_model, replace_spot
+from conftest import dense_m_product, make_benchmark_model, make_constant_model, replace_spot
 
 from test_cos import put_expectation_jumpdiff, put_expectation_lognormal
 
@@ -80,6 +79,66 @@ class TestNewtonExercisePoint:
         assert cva.newton_exercise_point(
             lambda x: (x, 1.0), lambda x: (x, 1.0), (1.0, 1.0)
         ) == 1.0
+
+
+def _kinked_put(x):
+    ex = math.exp(x)
+    return max(1.0 - ex, 0.0), (-ex if ex < 1.0 else 0.0)
+
+
+# (c_fn, phi_fn, bracket, x0) of the TestNewtonExercisePoint cases above.
+_NEWTON_CASES = {
+    "linear": (lambda x: (x, 1.0), lambda x: (0.5, 0.0), (0.0, 1.0), None),
+    "smooth": (lambda x: (math.exp(x), math.exp(x)), lambda x: (2.0, 0.0), (0.0, 2.0), None),
+    "kinked": (lambda x: (0.3, 0.0), _kinked_put, (-1.0, 0.5), -0.9),
+    "zero-slope": (lambda x: (x**3, 3.0 * x**2), lambda x: (1e-3, 0.0), (-1.0, 1.0), 0.0),
+    "never": (lambda x: (x + 2.0, 1.0), lambda x: (x, 1.0), (-1.0, 1.0), None),
+    "always": (lambda x: (x - 2.0, 1.0), lambda x: (x, 1.0), (-1.0, 1.0), None),
+    "degenerate": (lambda x: (x, 1.0), lambda x: (x, 1.0), (1.0, 1.0), None),
+}
+
+
+class TestNewtonValueOnlyEnds:
+    """The sign test at the bracket ends reads values, never slopes."""
+
+    @pytest.mark.parametrize("case", sorted(_NEWTON_CASES))
+    def test_no_slope_at_the_bracket_ends(self, case):
+        c_fn, phi_fn, bracket, x0 = _NEWTON_CASES[case]
+        slope_at, value_at = [], []
+
+        def counted(x):
+            slope_at.append(x)
+            return c_fn(x)
+
+        def value(x):
+            value_at.append(x)
+            return c_fn(x)[0]
+
+        got = cva.newton_exercise_point(counted, phi_fn, bracket, x0=x0, c_value=value)
+        assert got == cva.newton_exercise_point(c_fn, phi_fn, bracket, x0=x0)
+        assert not set(slope_at) & set(bracket)
+        assert value_at == ([] if case == "degenerate" else list(bracket))
+
+    def test_leg_roots_use_value_only_ends(self, model_put, monkeypatch):
+        newton = cva.newton_exercise_point
+        seen = []
+
+        def recorded(c_fn, phi_fn, bracket, x0=None, c_value=None):
+            slope_at = []
+
+            def counted(x):
+                slope_at.append(x)
+                return c_fn(x)
+
+            root = newton(counted, phi_fn, bracket, x0=x0, c_value=c_value)
+            seen.append((c_value is not None, set(slope_at) & set(bracket)))
+            assert root == newton(c_fn, phi_fn, bracket, x0=x0)
+            assert [c_value(x) for x in bracket] == [c_fn(x)[0] for x in bracket]
+            return root
+
+        monkeypatch.setattr(cva, "newton_exercise_point", recorded)
+        cva.price_bermudan_cos(model_put, _put(1.0), bermudan.ExerciseSchedule(1.0, 10, 1), J=100)
+        assert seen == [(True, set())] * 9
 
 
 class TestDefaultableEuropean:
@@ -294,9 +353,7 @@ class TestMethodEquivalence:
     def test_fft_and_dense_agree_end_to_end(self, model_put, monkeypatch):
         sched = bermudan.ExerciseSchedule(1.0, 4, 10)
         fast = cva.price_bermudan_cos(model_put, _put(1.0), sched, J=128)
-        monkeypatch.setattr(
-            cos, "m_matrix_product", functools.partial(cos.m_matrix_product, method="dense")
-        )
+        monkeypatch.setattr(cos, "m_matrix_product", dense_m_product)
         dense = cva.price_bermudan_cos(model_put, _put(1.0), sched, J=128)
         assert_allclose(fast.value, dense.value, atol=1e-11)
         assert_allclose(fast.y0, dense.y0, atol=1e-10)

@@ -33,7 +33,7 @@ class TestSimulate:
         mdl = make_constant_model(0.2, 0.0, 0.0, 0.0, 0.05, 0.0, x0=0.1)
         b = mc.simulate(mdl, 0.5, 4, 60, seed=9)
         assert b.x.shape == (60, 5)
-        assert_allclose(b.times, [0.0, 0.125, 0.25, 0.375, 0.5])
+        assert_allclose(np.arange(b.steps + 1) * b.dt, [0.0, 0.125, 0.25, 0.375, 0.5])
         assert b.dt == pytest.approx(0.125)
         assert b.seed == 9 and b.rate_r == pytest.approx(0.05)
         assert_allclose(b.x[:, 0], 0.1)
@@ -74,7 +74,7 @@ class TestSimulate:
         g0 = 0.08
         mdl = make_constant_model(0.2, 0.0, 0.0, 0.0, 0.05, g0)
         b = mc.simulate(mdl, 0.5, 4, 200, seed=5)
-        want = np.exp(-g0 * b.times)
+        want = np.exp(-g0 * np.arange(b.steps + 1) * b.dt)
         assert_allclose(b.survival, np.broadcast_to(want, b.survival.shape),
                         rtol=1e-12)
 
