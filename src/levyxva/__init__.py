@@ -40,7 +40,6 @@ _EXPORTS = {
     "DriverSpec": "bsde",
     "BsdeGrid": "bsde",
     "BsdeSolution": "bsde",
-    "driver_eval": "bsde",
     "scheme_driver": "bsde",
     "solve_bsde": "bsde",
     "make_cos_grid": "bsde",

@@ -28,7 +28,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -44,14 +43,7 @@ from .bsde import (
     theta_step,
 )
 
-_PAYOFF_KINDS = (
-    "portfolio-linear",
-    "portfolio-exp",
-    "put",
-    "call",
-    "swaption-payer",
-    "swaption-receiver",
-)
+_PAYOFF_KINDS = ("portfolio-linear", "portfolio-exp", "put", "call")
 
 
 @dataclass(frozen=True)
@@ -64,8 +56,10 @@ class ExerciseSchedule:
 
     def __post_init__(self) -> None:
         modelmod._require_finite(self, "T")
-        if self.T <= 0.0 or self.M < 1 or self.N < 1:
-            raise ValueError("need T > 0, M >= 1, N >= 1")
+        if self.T <= 0.0:
+            raise ValueError(f"need T > 0, got {self.T!r}")
+        modelmod._require_count("M", self.M)
+        modelmod._require_count("N", self.N)
 
     @property
     def spacing(self) -> float:
@@ -82,27 +76,15 @@ class ExerciseSchedule:
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Exercise payoff phi(t_m, x).
+    """Exercise payoff phi(x), a function of the state alone.
 
     Kinds: "portfolio-linear" phi = x, "portfolio-exp" phi = e^x,
-    "put" (K - e^x)^+, "call" (e^x - K)^+, and "swaption-payer"/"-receiver".
-    The swaption needs ``bond_curve(t, T_pay, x)`` (zero-coupon prices,
-    vectorized in x) and the exercise schedule: exercising at t_m enters a
-    swap paying at t_{m+1}, ..., t_{M+1}.  The payoff is expressed in units
-    of the t_M-maturity bond (the pricing numeraire),
-
-        phi = notional * (A / P(t_m, t_M, x)) * max(cp (S - K), 0),
-        A   = spacing * sum_{k=m..M} P(t_m, t_{k+1}, x),
-        S   = (1 - P(t_m, t_{M+1}, x)) / A,
-
-    with S the standard forward swap rate of that payment ladder.
+    "put" (K - e^x)^+ and "call" (e^x - K)^+, each times the notional.
     """
 
     kind: str
     strike: float = 0.0
     notional: float = 1.0
-    bond_curve: Callable | None = None
-    schedule: ExerciseSchedule | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _PAYOFF_KINDS:
@@ -112,23 +94,9 @@ class PayoffSpec:
             raise ValueError("option payoffs need a positive strike")
         if self.kind.startswith("portfolio") and self.strike != 0.0:
             raise ValueError("portfolio payoffs take no strike")
-        if self.kind.startswith("swaption") and (
-            self.bond_curve is None or self.schedule is None
-        ):
-            raise ValueError("swaption payoffs need bond_curve and schedule")
 
 
-def _swaption_parts(spec: PayoffSpec, t: float, x: np.ndarray):
-    sched = spec.schedule
-    m = int(round(t / sched.spacing))
-    pay_dates = (np.arange(m, sched.M + 1) + 1) * sched.spacing
-    bonds = np.stack([np.asarray(spec.bond_curve(t, tk, x), dtype=float) for tk in pay_dates])
-    annuity = sched.spacing * bonds.sum(axis=0)
-    swap_rate = (1.0 - bonds[-1]) / annuity
-    numeraire = np.asarray(spec.bond_curve(t, sched.T, x), dtype=float)
-    return annuity, swap_rate, numeraire
-
-
+# ``t`` is never read; perfbench/workloads.py passes it positionally.
 def payoff_eval(spec: PayoffSpec, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if spec.kind == "portfolio-linear":
@@ -137,13 +105,10 @@ def payoff_eval(spec: PayoffSpec, t: float, x) -> np.ndarray:
         return spec.notional * np.exp(x)
     if spec.kind == "put":
         return spec.notional * np.maximum(spec.strike - np.exp(x), 0.0)
-    if spec.kind == "call":
-        return spec.notional * np.maximum(np.exp(x) - spec.strike, 0.0)
-    annuity, swap_rate, numeraire = _swaption_parts(spec, t, x)
-    cp = 1.0 if spec.kind == "swaption-payer" else -1.0
-    return spec.notional * (annuity / numeraire) * np.maximum(cp * (swap_rate - spec.strike), 0.0)
+    return spec.notional * np.maximum(np.exp(x) - spec.strike, 0.0)
 
 
+# ``t`` is never read; perfbench/workloads.py passes it positionally.
 def payoff_dx(spec: PayoffSpec, t: float, x) -> np.ndarray:
     """d phi / dx with the deterministic one-sided rule at kinks:
     left derivative for the put, right derivative for the call."""
@@ -155,10 +120,7 @@ def payoff_dx(spec: PayoffSpec, t: float, x) -> np.ndarray:
     logk = math.log(spec.strike)
     if spec.kind == "put":
         return np.where(x <= logk, -spec.notional * np.exp(x), 0.0)
-    if spec.kind == "call":
-        return np.where(x >= logk, spec.notional * np.exp(x), 0.0)
-    h = 1e-6
-    return (payoff_eval(spec, t, x + h) - payoff_eval(spec, t, x - h)) / (2.0 * h)
+    return np.where(x >= logk, spec.notional * np.exp(x), 0.0)
 
 
 @dataclass
@@ -217,16 +179,16 @@ def _backward_xva(mdl, payoff, schedule, driver, grid, bgrid):
     def coeffs(y, f):
         return cosmod.dct_coeffs(np.stack((y, f)), grid)
 
-    y = np.asarray(payoff_eval(payoff, schedule.T, x), dtype=float)
+    # The payoff reads the state alone, so one node evaluation serves as the
+    # terminal value and as the exercise value at every interior date.
+    phi = np.asarray(payoff_eval(payoff, schedule.T, x), dtype=float)
     # (y, f) per pass; each pass's y at a step is the next pass's mtm there.
-    state = [(y, scheme_driver(drv, y, mtm)) for drv, mtm in zip(passes, (None, y))]
+    state = [(phi, scheme_driver(drv, phi, mtm)) for drv, mtm in zip(passes, (None, phi))]
     boundary = []
     for s in range(total - 1, 0, -1):
         t_now = s * dt
         kern = node_kernel()
         exercise = s % schedule.N == 0
-        if exercise:
-            phi = np.asarray(payoff_eval(payoff, t_now, x), dtype=float)
         mtm = None
         for i, drv in enumerate(passes):
             y, f = theta_step(*coeffs(*state[i]), kern, bgrid, drv, mtm)

@@ -14,13 +14,9 @@ level.  The XVA drivers read only y and, for the risk-free close-out, a
 mark-to-market, so ``theta_step`` runs the y recursion alone; ``z_step``
 runs the z recursion for the z0 that ``solve_bsde`` returns.
 
-Driver sign conventions: ``driver_eval`` returns each mode's textbook
-display, in which full-XVA mode is written against the PDE convention
-"parabolic operator applied to u equals f" (its adjustment-free limit is
-+r*y).  The scheme above consumes the BSDE-convention driver, which is the
-*negative* of the PDE-convention one; ``scheme_driver`` performs that flip.
-Simplified (-r*max(y,0), r the driver's ``rate_r``) and zero modes are
-already BSDE-convention.
+``scheme_driver`` gives every mode's driver in the BSDE convention that the
+scheme consumes (Ruijter & Oosterlee 2015), in which the full driver's
+adjustment-free limit is -r*y.
 """
 from __future__ import annotations
 
@@ -119,8 +115,8 @@ class DriverSpec:
         )
 
 
-def driver_eval(spec: DriverSpec, y, mtm=None):
-    """Driver in each mode's documented convention (see module docstring).
+def scheme_driver(spec: DriverSpec, y, mtm=None):
+    """BSDE-convention driver consumed by the theta-scheme.
 
     ``mtm`` supplies the external mark-to-market for the risk-free
     close-out; risky close-out uses y itself.
@@ -142,7 +138,8 @@ def driver_eval(spec: DriverSpec, y, mtm=None):
     wc = m_val - iv - spec.margin_fc
     theta_b = iv - spec.margin_tc + np.maximum(wb, 0.0) + spec.recovery_b * np.minimum(wb, 0.0)
     theta_c = iv + spec.margin_fc + spec.recovery_c * np.maximum(wc, 0.0) + np.minimum(wc, 0.0)
-    return (
+    # Minus the PDE-convention display, summed in the display's order.
+    return -(
         -(theta_b - y) * spec.lambda_b
         - (theta_c - y) * spec.lambda_c
         + (spec.rate_tc + spec.rate_r) * spec.margin_tc
@@ -152,12 +149,6 @@ def driver_eval(spec: DriverSpec, y, mtm=None):
         + spec.rate_r * y
         + spec.lambda_f * np.minimum(theta_b - iv + spec.margin_tc, 0.0)
     )
-
-
-def scheme_driver(spec: DriverSpec, y, mtm=None):
-    """BSDE-convention driver consumed by the theta-scheme."""
-    f = driver_eval(spec, y, mtm)
-    return -f if spec.mode == "full" else f
 
 
 @dataclass(frozen=True)

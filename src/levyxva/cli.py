@@ -193,15 +193,15 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     maturity = rd.get("payoff", "maturity", _to_float)
     if maturity <= 0.0:
         raise ConfigError(f"[payoff] maturity must be positive, got {maturity}")
-    if kind.startswith("swaption"):
-        raise ConfigError(
-            "[payoff] swaption payoffs need a bond curve; use the library interface"
-        )
 
     mode = rd.get("driver", "mode", str, "simplified")
     if mode not in ("zero", "simplified", "full"):
         raise ConfigError(f"[driver] mode must be zero/simplified/full, got {mode!r}")
-    simplified_rate = rd.get("driver", "simplified_rate", _to_float, None)
+    # Only the simplified driver has its own rate (unset: [model] r); another
+    # mode that sets one is rejected as an unknown key.
+    simplified_rate = (
+        rd.get("driver", "simplified_rate", _to_float, None) if mode == "simplified" else None
+    )
     closeout = rd.get("driver", "closeout", str, "risky")
     drv_kwargs = {
         key: rd.get("driver", key, _to_float, 0.0)
@@ -221,6 +221,22 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     }
     drv_kwargs["recovery_b"] = rd.get("driver", "recovery_b", _to_float, 1.0)
     drv_kwargs["recovery_c"] = rd.get("driver", "recovery_c", _to_float, 1.0)
+
+    # Build the specs before reading [job], so an unknown payoff kind is
+    # reported as unknown, not as one the job cannot price.
+    from . import bermudan, bsde
+
+    try:
+        payoff = bermudan.PayoffSpec(kind=kind, strike=strike, notional=notional)
+        schedule = bermudan.ExerciseSchedule(T=maturity, M=m_dates, N=n_inner)
+        driver = bsde.DriverSpec(
+            mode=mode,
+            rate_r=rate if simplified_rate is None else simplified_rate,
+            closeout=closeout,
+            **drv_kwargs,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     mc_enabled = rd.get("mc", "enabled", _to_bool, False)
     mc_paths = rd.get("mc", "n_paths", int, 100_000)
@@ -251,7 +267,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     n_list = rd.get("job", "n_list", _to_int_list, [1, 10, 20, 30])
     bench_n_list = rd.get("job", "bench_n_list", _to_int_list, [2, 4, 8])
 
-    from . import bermudan, bsde
     from . import model as modelmod
 
     def _family(level):
@@ -267,18 +282,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         rate_r=rate,
         spot_x0=x0,
     )
-    try:
-        payoff = bermudan.PayoffSpec(kind=kind, strike=strike, notional=notional)
-        schedule = bermudan.ExerciseSchedule(T=maturity, M=m_dates, N=n_inner)
-        driver = bsde.DriverSpec(
-            mode=mode,
-            # The simplified driver discounts at [driver] simplified_rate, else at r.
-            rate_r=rate if mode != "simplified" or simplified_rate is None else simplified_rate,
-            closeout=closeout,
-            **drv_kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     rd.check_unknown()
     echo_lines = rd.echo()
 

@@ -371,6 +371,7 @@ def lsm_price(
     payoff against the regressed continuation.  Returns (estimate,
     (lo, hi)) with a 95% interval from the final cross-path average.
     """
+    modelmod._require_count("degree", degree)
     stride = _exercise_stride(batch, schedule)
     x, dt = batch.x, batch.dt
     v = np.asarray(payoff_eval(payoff, schedule.T, x[:, -1]), dtype=float)
@@ -435,6 +436,7 @@ def lsm_cva(
     default-free companion; both must come from one CRN pair.  Returns
     (estimate, (lo, hi)).
     """
+    modelmod._require_count("degree", degree)
     v_d = _bermudan_leg_paths(batch_d, payoff, schedule, degree)
     v_r = _bermudan_leg_paths(batch_r, payoff, schedule, degree)
     diff = v_r - v_d

@@ -23,6 +23,7 @@ directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,12 @@ def _require_finite(obj, *names: str) -> None:
     for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+
+
+def _require_count(name: str, value) -> None:
+    """Reject anything but an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

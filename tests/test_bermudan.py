@@ -20,25 +20,6 @@ from conftest import make_benchmark_model, make_constant_model
 from test_cos import put_expectation_jumpdiff
 
 
-def flat_short_rate_curve(t, t_pay, x):
-    """Toy zero-coupon curve P(t, T, x) = exp(-e^x (T - t))."""
-    return np.exp(-np.exp(np.asarray(x, dtype=float)) * (t_pay - t))
-
-
-def swaption_hand_value(kind, notional, strike, schedule, t, x):
-    """Exercise value of the swaption, recomputed with plain loops."""
-    m = int(round(t / schedule.spacing))
-    bonds = [
-        flat_short_rate_curve(t, (k + 1) * schedule.spacing, x)
-        for k in range(m, schedule.M + 1)
-    ]
-    annuity = schedule.spacing * sum(bonds)
-    swap_rate = (1.0 - bonds[-1]) / annuity
-    numeraire = flat_short_rate_curve(t, schedule.T, x)
-    cp = 1.0 if kind == "swaption-payer" else -1.0
-    return notional * (annuity / numeraire) * max(cp * (swap_rate - strike), 0.0)
-
-
 class TestExerciseSchedule:
     def test_dates_and_steps(self):
         sched = bermudan.ExerciseSchedule(2.0, 4, 8)
@@ -54,6 +35,13 @@ class TestExerciseSchedule:
             bermudan.ExerciseSchedule(1.0, 0, 8)
         with pytest.raises(ValueError):
             bermudan.ExerciseSchedule(1.0, 4, 0)
+
+    @pytest.mark.parametrize(
+        "M, N", [(2.5, 3), (3, 2.5), (2.0, 3), (3, 2.0), (True, 3), (3, True)]
+    )
+    def test_rejects_non_integer_counts(self, M, N):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            bermudan.ExerciseSchedule(1.0, M, N)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_rejects_non_finite_maturity(self, T):
@@ -75,12 +63,10 @@ class TestPayoffSpec:
             bermudan.PayoffSpec(kind=kind, strike=1.0)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            bermudan.PayoffSpec(kind="straddle", strike=1.0)
-
-    def test_swaption_needs_curve_and_schedule(self):
-        with pytest.raises(ValueError):
-            bermudan.PayoffSpec(kind="swaption-payer", strike=0.02)
+        # Swaptions need a bond curve that the log-price state cannot supply.
+        for kind in ("straddle", "swaption-payer"):
+            with pytest.raises(ValueError, match="unknown payoff kind"):
+                bermudan.PayoffSpec(kind=kind, strike=1.0)
 
     @pytest.mark.parametrize(
         "kind, name, value",
@@ -130,41 +116,6 @@ class TestPayoffEval:
         assert_allclose(
             bermudan.payoff_dx(p, 0.0, pts), [0.0, 3.6, 3.0 * math.e]
         )
-
-    @pytest.mark.parametrize("kind", ["swaption-payer", "swaption-receiver"])
-    def test_swaption_matches_hand_computation(self, kind):
-        sched = bermudan.ExerciseSchedule(1.0, 2, 4)
-        p = bermudan.PayoffSpec(
-            kind=kind,
-            strike=1.0,
-            notional=1.5,
-            bond_curve=flat_short_rate_curve,
-            schedule=sched,
-        )
-        for t in [0.0, 0.5]:
-            for x in [-0.4, 0.0, 0.3]:
-                want = swaption_hand_value(kind, 1.5, 1.0, sched, t, x)
-                assert_allclose(
-                    bermudan.payoff_eval(p, t, np.array([x]))[0],
-                    want,
-                    rtol=1e-12,
-                )
-
-    def test_swaption_derivative_consistent_with_bumping(self):
-        sched = bermudan.ExerciseSchedule(1.0, 2, 4)
-        p = bermudan.PayoffSpec(
-            kind="swaption-payer",
-            strike=1.0,
-            notional=1.0,
-            bond_curve=flat_short_rate_curve,
-            schedule=sched,
-        )
-        x, h = np.array([0.1]), 1e-5
-        fd = (
-            swaption_hand_value("swaption-payer", 1.0, 1.0, sched, 0.5, 0.1 + h)
-            - swaption_hand_value("swaption-payer", 1.0, 1.0, sched, 0.5, 0.1 - h)
-        ) / (2.0 * h)
-        assert_allclose(bermudan.payoff_dx(p, 0.5, x)[0], fd, rtol=1e-4)
 
 
 class TestEuropeanLimit:
@@ -303,6 +254,29 @@ class TestBermudanStructure:
         drv = bsde.DriverSpec(mode="full", rate_r=0.06, rate_c=0.08, closeout=closeout)
         bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=32)
         assert dct_calls == [(2, 32)] * (passes * sched.M * sched.N)
+
+    @pytest.mark.parametrize(
+        "kind, strike, closeout",
+        [("portfolio-linear", 0.0, "risky"), ("put", 1.1, "risk-free")],
+    )
+    def test_one_payoff_evaluation_per_solve(self, monkeypatch, kind, strike, closeout):
+        # The payoff reads the state alone and the nodes are fixed, so the
+        # terminal node payoff is also every exercise date's.
+        calls = []
+        payoff_eval = bermudan.payoff_eval
+
+        def counted(*args):
+            calls.append(args)
+            return payoff_eval(*args)
+
+        monkeypatch.setattr(bermudan, "payoff_eval", counted)
+        mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)
+        sched = bermudan.ExerciseSchedule(1.0, 3, 2)
+        pay = bermudan.PayoffSpec(kind=kind, strike=strike)
+        drv = bsde.DriverSpec(mode="full", rate_r=0.06, rate_c=0.08, closeout=closeout)
+        res = bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=32)
+        assert len(calls) == 1
+        assert np.isfinite(res.value) and len(res.boundary) == sched.M - 1
 
     def test_grid_reuse_is_deterministic(self):
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)

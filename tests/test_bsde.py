@@ -52,14 +52,11 @@ class TestDriverSpec:
     def test_zero_mode(self):
         spec = bsde.DriverSpec(mode="zero", rate_r=0.3)
         y = np.array([-2.0, 0.0, 5.0])
-        assert_allclose(bsde.driver_eval(spec, y), 0.0)
         assert_allclose(bsde.scheme_driver(spec, y), 0.0)
 
     def test_simplified_mode_discounts_positive_part(self):
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.04)
         y = np.array([-2.0, 0.0, 5.0])
-        assert_allclose(bsde.driver_eval(spec, y), [0.0, 0.0, -0.2])
-        # Already in scheme convention: no sign flip.
         assert_allclose(bsde.scheme_driver(spec, y), [0.0, 0.0, -0.2])
 
     def test_spreads_are_differences(self):
@@ -93,28 +90,25 @@ class TestDriverSpec:
         for y in [-1.5, -0.1, 0.0, 0.4, 2.0]:
             mtm = 0.7 * y + 0.1
             want = full_driver_display(spec, y, mtm)
-            got = bsde.driver_eval(spec, y, mtm=mtm)
-            assert_allclose(got, want, rtol=1e-13)
             # Scheme convention is the PDE display negated.
-            got_scheme = bsde.scheme_driver(spec, y, mtm=mtm)
-            assert_allclose(got_scheme, -want, rtol=1e-13)
+            got = bsde.scheme_driver(spec, y, mtm=mtm)
+            assert_allclose(-got, want, rtol=1e-13)
 
     def test_full_adjustment_free_limit(self):
         # All financing at the risk-free rate, no margins, no capital:
-        # the display collapses to +r*y (scheme convention -r*y).
+        # the scheme-convention driver collapses to -r*y.
         r = 0.04
         spec = bsde.DriverSpec(
             mode="full", rate_r=r, rate_b=r, rate_c=r, rate_f=r
         )
         y = np.array([-1.0, 0.5, 2.0])
-        assert_allclose(bsde.driver_eval(spec, y), r * y, rtol=1e-14)
         assert_allclose(bsde.scheme_driver(spec, y), -r * y, rtol=1e-14)
 
     def test_risk_free_closeout_requires_mtm(self):
         spec = bsde.DriverSpec(mode="full", rate_r=0.02, closeout="risk-free")
         assert spec.needs_mtm
         with pytest.raises(ValueError):
-            bsde.driver_eval(spec, 1.0)
+            bsde.scheme_driver(spec, 1.0)
         assert not bsde.DriverSpec(mode="full", rate_r=0.02).needs_mtm
 
     def test_validation(self):
@@ -182,8 +176,8 @@ class TestDriverSpec:
             capital_c1=capital_c1,
             margin_c2=margin_c2,
         )
-        f1 = bsde.driver_eval(spec, y1)
-        f2 = bsde.driver_eval(spec, y2)
+        f1 = bsde.scheme_driver(spec, y1)
+        f2 = bsde.scheme_driver(spec, y2)
         bound = spec.lipschitz_bound()
         assert abs(f1 - f2) <= bound * abs(y1 - y2) + 1e-12
 

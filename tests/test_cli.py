@@ -106,7 +106,7 @@ class TestConfigErrors:
             ("cos", "l", "0", "[cos] l must be positive"),
             ("cos", "theta1", "1.5", "theta1 must lie in (0, 1]"),
             ("payoff", "maturity", "0", "maturity must be positive"),
-            ("payoff", "kind", "swaption-payer", "bond curve"),
+            ("payoff", "kind", "swaption-payer", "unknown payoff kind"),
             ("driver", "mode", "fancy", "mode must be zero/simplified/full"),
             ("job", "kind", "price-everything", "unknown job"),
             ("job", "seed", "-1", "unsigned 64-bit"),
@@ -133,6 +133,13 @@ class TestConfigErrors:
         code, _, err = run_cli(["--config", path], capsys)
         assert code == 2
         assert "[payoff] unknown key 'strike'" in err
+
+    @pytest.mark.parametrize("mode", ["zero", "full"])
+    def test_simplified_rate_is_unknown_outside_simplified_mode(self, tmp_path, capsys, mode):
+        path = write_config(tmp_path, driver={"mode": mode, "simplified_rate": "0.05"})
+        code, _, err = run_cli(["--config", path], capsys)
+        assert code == 2
+        assert "[driver] unknown key 'simplified_rate'" in err
 
     @pytest.mark.parametrize("job", ["price-cva", "greeks", "boundary"])
     @pytest.mark.parametrize("kind", ["call", "portfolio-linear"])
@@ -220,7 +227,6 @@ class TestEchoAndHash:
             "payoff": {"kind": "put", "strike": "1.1", "notional": "2.0", "maturity": "0.5"},
             "driver": {
                 "mode": "full",
-                "simplified_rate": "0.05",
                 "closeout": "risk-free",
                 **{
                     key: "0.01"

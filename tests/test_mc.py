@@ -372,6 +372,17 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="at least 2 paths"):
             run()
 
+    @pytest.mark.parametrize("degree", [-3, 0, 2.5])
+    def test_regression_degree_must_be_a_positive_integer(self, degree):
+        batch = mc.simulate(self.mdl, 0.5, 4, 50, seed=0)
+        pay = bermudan.PayoffSpec(kind="put", strike=1.0)
+        sched = bermudan.ExerciseSchedule(0.5, 2, 2)
+        drv = _discounting_driver(0.05)
+        with pytest.raises(ValueError, match="degree must be an integer >= 1"):
+            mc.lsm_price(batch, pay, sched, drv, degree=degree)
+        with pytest.raises(ValueError, match="degree must be an integer >= 1"):
+            mc.lsm_cva(batch, batch, pay, sched, degree=degree)
+
 
 class TestCrnPair:
     def test_same_model_gives_identical_paths(self):
