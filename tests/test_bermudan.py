@@ -63,10 +63,15 @@ class TestPayoffSpec:
             bermudan.PayoffSpec(kind=kind, strike=1.0)
 
     def test_unknown_kind_rejected(self):
-        # Swaptions need a bond curve that the log-price state cannot supply.
-        for kind in ("straddle", "swaption-payer"):
+        with pytest.raises(ValueError, match="unknown payoff kind"):
+            bermudan.PayoffSpec(kind="straddle", strike=1.0)
+
+    def test_swaption_needs_curve_and_schedule(self):
+        # Swaptions need a bond curve and a payment schedule that the
+        # log-price state cannot supply, so the kinds are not offered.
+        for kind in ("swaption-payer", "swaption-receiver"):
             with pytest.raises(ValueError, match="unknown payoff kind"):
-                bermudan.PayoffSpec(kind=kind, strike=1.0)
+                bermudan.PayoffSpec(kind=kind, strike=0.02)
 
     @pytest.mark.parametrize(
         "kind, name, value",
