@@ -24,7 +24,8 @@ form because the coefficients are time-homogeneous.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +50,16 @@ _TRUST_SPAN = 0.05
 # step (62 400 per request), which is why a repeated build writes into a
 # ``NodeWorkspace`` instead.
 _BLOCK_BYTES = 1 << 18
-# The xi-derivatives of psi_h that the order-n coefficients read, per h.
-_DERIVS = ((), ((1,), (0,)), ((1, 2), (0, 1), (0,)))
+# exp(z) rounds to +-0 for Re z below this (exp(-745.14) is under half the
+# smallest subnormal).
+_EXP_UNDERFLOW = -745.2
+# The symbols of an order-n build as (h, k) for tau psi_h^(k), k the
+# xi-derivative: a = tau psi_1, b = tau psi_0', c = tau psi_0'',
+# e = tau psi_1', f = tau psi_2 (see build_order_n).
+_SYMBOLS = ((), ((1, 0), (0, 1)), ((1, 0), (0, 1), (0, 2), (1, 1), (2, 0)))
+# Complex block temporaries: E, one per symbol, then U = a b and two for
+# the correction polynomial.
+_TEMPS = 1 + len(_SYMBOLS[MAX_ORDER]) + 3
 
 
 def _block_rows(J: int) -> int:
@@ -60,22 +69,25 @@ def _block_rows(J: int) -> int:
 
 class _BlockTemps:
     """The (rows, J) temporaries that every row block of a build writes
-    into: seven complex ones in ``cplx`` (the symbol, E, the three shared
-    products and two for the correction polynomial), the real panel
-    products of each order h in ``panels`` (flat, read as contiguous
-    (rows, width) arrays), and the trust ``mask`` with its real magnitudes
-    ``mag``.  Each is its own allocation of at most 2 * _BLOCK_BYTES.  A
-    single larger block, freed at the end of a solve, raises glibc's
-    dynamic mmap threshold past 1 MB and changes how the whole process
-    reuses memory: the benchmark's ``dense_complex`` calibration kernel
-    then took 184 minor faults per call instead of 1024, which skews the
-    benchmark's machine-speed calibration."""
+    into: nine complex ones in ``cplx`` (tau psi_0 and then E in place,
+    the five symbols a, b, c, e, f, U = a b and two for the correction
+    polynomial), the three ``_symbol_terms`` repeated over the rows in
+    ``terms`` (so that no ufunc of a block broadcasts an operand), the
+    trust ``mask`` with its real magnitudes ``mag``, and the ``dead``
+    mask of entries whose exponential underflows.  Each is its own
+    allocation of at most 2 * _BLOCK_BYTES.  A single larger block, freed
+    at the end of a solve, raises glibc's dynamic mmap threshold past 1 MB
+    and changes how the whole process reuses memory: the benchmark's
+    ``dense_complex`` calibration kernel then took 184 minor faults per
+    call instead of 1024, which skews the benchmark's machine-speed
+    calibration."""
 
     def __init__(self, rows: int, J: int):
-        self.cplx = [np.empty((rows, J), dtype=complex) for _ in range(7)]
-        self.panels = [np.empty(rows * 2 * J * len(ks)) for ks in _DERIVS[MAX_ORDER]]
+        self.cplx = [np.empty((rows, J), dtype=complex) for _ in range(_TEMPS)]
+        self.terms = [np.empty((rows, J), dtype=complex) for _ in range(3)]
         self.mag = np.empty((rows, J))
         self.mask = np.empty((rows, J), dtype=bool)
+        self.dead = np.empty((rows, J), dtype=bool)
 
 
 class NodeWorkspace:
@@ -84,7 +96,8 @@ class NodeWorkspace:
 
     ``g`` (1, J, J) complex receives g_{n,0} of ``build_order_n``; ``psi``
     and ``psi_dw`` (J, J) float64, C-contiguous, receive the weights of
-    ``cos.step_kernel``; both write their row blocks through ``temps``.
+    ``cos.step_kernel``; both write their row blocks through ``temps``
+    (``_BlockTemps``: twelve complex (rows, J) arrays, 3 MB at J = 256).
     Each build overwrites what the previous one returned.
     """
 
@@ -95,10 +108,12 @@ class NodeWorkspace:
         self.temps = _BlockTemps(min(J, _block_rows(J)), J)
 
 
-def _lift(row: np.ndarray) -> np.ndarray:
-    """Lift a coefficient row for broadcasting against a frequency axis."""
-    row = np.asarray(row, dtype=float)
-    return row[..., None] if row.ndim else row
+def _coeff_columns(taylor: TaylorData, h: int) -> np.ndarray:
+    """Order-h rows (mu_h, s_h, gamma_h, a_h) as complex, stacked on a
+    leading axis of 4 and lifted for broadcasting against a frequency axis."""
+    rows = (taylor.mu[h], taylor.s[h], taylor.gamma[h], taylor.a[h])
+    cols = np.array(rows, dtype=complex)
+    return cols[..., None] if cols.ndim > 1 else cols
 
 
 def _jump_transform(xi: np.ndarray, m: float, d: float):
@@ -106,6 +121,12 @@ def _jump_transform(xi: np.ndarray, m: float, d: float):
     nu = np.exp(1j * m * xi - 0.5 * d**2 * xi**2)
     slope = 1j * m - d**2 * xi
     return nu, slope * nu, (slope**2 - d**2) * nu
+
+
+def _symbol_terms(xi: np.ndarray, m: float, nu: np.ndarray):
+    """The complex frequency terms (i xi, xi^2, nuhat - 1 - i m xi) that
+    psi_h pairs with (mu_h, s_h, gamma_h, a_h)."""
+    return 1j * xi, np.asarray(xi**2, dtype=complex), nu - 1.0 - 1j * m * xi
 
 
 def levy_symbol_psi(taylor: TaylorData, xi) -> np.ndarray:
@@ -118,59 +139,63 @@ def levy_symbol_psi(taylor: TaylorData, xi) -> np.ndarray:
     xi = np.asarray(xi)
     if not np.iscomplexobj(xi):
         xi = xi.astype(float)
-    return _symbol(taylor, 0, xi)
+    m = taylor.jump_mean
+    nu, _, _ = _jump_transform(xi, m, taylor.jump_std)
+    return _symbol(_coeff_columns(taylor, 0), _symbol_terms(xi, m, nu))
 
 
-def _symbol(taylor: TaylorData, h: int, xi: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """psi_h(xi) = i xi mu_h - s_h xi^2 - gamma_h + a_h (nuhat - 1 - i m xi),
-    evaluated term by term into the complex array ``out`` with ``tmp`` of
-    the same shape as scratch (both fresh when not given)."""
-    nu, _, _ = _jump_transform(xi, taylor.jump_mean, taylor.jump_std)
-    s, mu = _lift(taylor.s[h]), _lift(taylor.mu[h])
-    a, gam = _lift(taylor.a[h]), _lift(taylor.gamma[h])
+def _symbol(coef, terms, out=None, tmp=None) -> np.ndarray:
+    """psi_h(xi) = i xi mu_h - s_h xi^2 - gamma_h + a_h (nuhat - 1 - i m xi)
+    from the complex coefficients ``coef`` = (mu_h, s_h, gamma_h, a_h) and
+    frequency terms of ``_symbol_terms``, evaluated term by term into the
+    complex array ``out`` with ``tmp`` of the same shape as scratch (both
+    fresh when not given).
+
+    Every operand is complex, so no ufunc casts; (x + 0i)(y + 0i) rounds
+    as the real product x y does, so a real operand lifted to complex
+    gives the bytes of the real one.  Each coefficient is first copied
+    into ``out`` or ``tmp`` across the frequency axis: with terms of the
+    full shape no operand of an arithmetic ufunc broadcasts, and numpy
+    allocates no iteration buffer (one of up to 128 KB per broadcast
+    complex operand)."""
+    mu, s, gam, a = coef
+    ixi, xi2, jump = terms
     if out is None:
-        out = np.empty(np.broadcast_shapes(xi.shape, mu.shape), dtype=complex)
+        out = np.empty(np.broadcast_shapes(ixi.shape, mu.shape), dtype=complex)
         tmp = np.empty_like(out)
-    np.multiply(1j * xi, mu, out=out)
-    np.subtract(out, np.multiply(s, xi**2, out=tmp), out=out)
-    np.subtract(out, gam, out=out)
-    np.multiply(a, nu - 1.0 - 1j * taylor.jump_mean * xi, out=tmp)
+    np.multiply(ixi, _fill(out, mu), out=out)
+    np.subtract(out, np.multiply(_fill(tmp, s), xi2, out=tmp), out=out)
+    np.subtract(out, _fill(tmp, gam), out=out)
+    np.multiply(_fill(tmp, a), jump, out=tmp)
     return np.add(out, tmp, out=out)
 
 
-def _frequency_factors(xi: np.ndarray, m: float, d: float) -> np.ndarray:
-    """F[k] such that psi_h^(k)(xi) = (mu_h, s_h, gamma_h, a_h) @ F[k].
+def _fill(dst: np.ndarray, value) -> np.ndarray:
+    """``dst`` with ``value`` broadcast into it."""
+    np.copyto(dst, value)
+    return dst
+
+
+def _frequency_factors(xi: np.ndarray, m: float, d: float):
+    """F[k] such that psi_h^(k)(xi) = (mu_h, s_h, gamma_h, a_h) @ F[k],
+    and the ``_symbol_terms`` of xi, from one jump transform.
 
     Each symbol is linear in its coefficient row, so it and its first two
     xi-derivatives are rank-4 products with these frequency vectors.
     """
     nu, dnu, d2nu = _jump_transform(xi, m, d)
+    terms = _symbol_terms(xi, m, nu)
     F = np.zeros((3, 4, xi.size), dtype=complex)
-    F[0, 0], F[0, 1], F[0, 2], F[0, 3] = 1j * xi, -(xi**2), -1.0, nu - 1.0 - 1j * m * xi
+    F[0, 0], F[0, 1], F[0, 2], F[0, 3] = terms[0], -(xi**2), -1.0, terms[2]
     F[1, 0], F[1, 1], F[1, 3] = 1j, -2.0 * xi, dnu - 1j * m
     F[2, 1], F[2, 3] = -2.0, d2nu
-    return F
+    return F, terms
 
 
 def _coeff_rows(taylor: TaylorData, h: int) -> np.ndarray:
     """Order-h rows (mu_h, s_h, gamma_h, a_h), one per basepoint: (points, 4)."""
     rows = (taylor.mu[h], taylor.s[h], taylor.gamma[h], taylor.a[h])
     return np.stack(rows, axis=-1).reshape(-1, 4)
-
-
-def _row_block(taylor: TaylorData, rows: slice) -> TaylorData:
-    """The Taylor data of a block of vector basepoints; a scalar basepoint is
-    its own single block."""
-    if not taylor.basepoint.ndim:
-        return taylor
-    return replace(
-        taylor,
-        basepoint=taylor.basepoint[rows],
-        s=taylor.s[:, rows],
-        mu=taylor.mu[:, rows],
-        a=taylor.a[:, rows],
-        gamma=taylor.gamma[:, rows],
-    )
 
 
 def cumulants(taylor: TaylorData, tau: float):
@@ -222,6 +247,8 @@ class CharFuncApprox:
             d2/dx2 Gamma_n = e^{i xi x} (i xi (i xi P + 2 P') + P''),
 
         all from one e^{i xi x}; row 0 is the d = 0 value bit for bit.
+        Correction rows that the trust region zeroed entirely are skipped:
+        they would only add zeros.
         """
         if self.basepoint.ndim:
             raise ValueError("eval needs a scalar-basepoint approximation")
@@ -230,20 +257,30 @@ class CharFuncApprox:
         x = np.asarray(x, dtype=float)
         dx = (x - self.basepoint)[..., None]
         acc = self.g[0] * np.ones_like(dx, dtype=complex)
-        for k in range(1, self.order + 1):
+        for k in self._live_orders:
             acc = acc + dx**k * self.g[k]
         wave = np.exp(1j * self.freqs * x[..., None])
         out = (wave * acc).reshape(x.shape + self.freqs.shape)
         if not d:
             return out
-        # P' = g_1 + 2 dx g_2 and P'' = 2 g_2, rows above the order read 0.
-        g1, g2 = (*self.g[1:], 0.0, 0.0)[:2]
-        dp = g1 + 2.0 * dx * g2
-        first = 1j * self.freqs * acc + dp
+        first = 1j * self.freqs * acc
+        if self._live_orders:
+            # P' = g_1 + 2 dx g_2 and P'' = 2 g_2, rows above the order read 0.
+            g1, g2 = (*self.g[1:], 0.0, 0.0)[:2]
+            dp = g1 + 2.0 * dx * g2
+            first = first + dp
         rows = [out, wave * first]
         if d == 2:
-            rows.append(wave * (1j * self.freqs * (first + dp) + 2.0 * g2))
+            if self._live_orders:
+                rows.append(wave * (1j * self.freqs * (first + dp) + 2.0 * g2))
+            else:
+                rows.append(wave * (1j * self.freqs * first))
         return np.stack(rows)
+
+    @functools.cached_property
+    def _live_orders(self) -> tuple:
+        """Orders k >= 1 whose row g[k] has a nonzero entry."""
+        return tuple(k for k in range(1, self.order + 1) if self.g[k].any())
 
 
 # Only tau = T - t is read; perfbench/tracing.py reads ``t`` and ``T`` by name.
@@ -297,15 +334,33 @@ def build_order_n(
 
     Each symbol is linear in its Taylor row, psi_h = (mu_h, s_h, gamma_h,
     a_h) . (i xi, -xi^2, -1, nuhat - 1 - i m xi), and so are its
-    xi-derivatives; all of them come from one small real matrix product
-    per order h.  A vector basepoint is built in blocks of node rows sized
-    so that each (rows, J) temporary stays near _BLOCK_BYTES (64 rows at
-    J = 256) and the block's working set stays in cache; a scalar
-    basepoint is a single block.  Every block operation writes into one
-    set of block temporaries, in the operation order of the formulas
-    above.  psi_0 and E are evaluated by the same ``_symbol`` as
-    ``levy_symbol_psi``, so fallback entries equal
-    exp(tau * levy_symbol_psi) bit for bit.
+    xi-derivatives.  With the frequency vectors scaled by tau once per
+    build, one small real matrix product per symbol writes the real view
+    of its own contiguous (rows, J) complex array:
+
+        a = tau psi_1, b = tau psi_0', c = tau psi_0'', e = tau psi_1',
+        f = tau psi_2,
+
+    so that, with U = a b, the correction factors carry no tau:
+
+        g_{2,0}/E - 1 = U (-i/2 - e/6 - U/8) - c (a^2/6 + f/2) - f b^2/3
+        g_{2,1}/E     = a - i (a (U + e)/2 + f b)
+        g_{2,2}/E     = a^2/2 + f
+        g_{1,0}/E - 1 = -(i/2) U,   g_{1,1}/E = a.
+
+    Every product of the first row runs on contiguous arrays of one
+    shape, in the order written, and scalar and vector basepoints share
+    it, so the two agree on every trust-region entry.  A vector basepoint
+    is built in blocks of node rows sized so that each (rows, J) temporary
+    stays near _BLOCK_BYTES (64 rows at J = 256) and the block's working
+    set stays in cache; a scalar basepoint is a single block.  Every block
+    operation writes into one set of block temporaries.  psi_0 and E are
+    evaluated by the same ``_symbol`` as ``levy_symbol_psi``, with E =
+    exp(tau psi_0) taken in place, so fallback entries equal
+    exp(tau * levy_symbol_psi) bit for bit; where Re(tau psi_0) <
+    _EXP_UNDERFLOW that exponential is exactly +-0, and E is written as 0
+    there without evaluating it.  Rejected corrections are zeroed by a
+    masked copy, and (1 + 0) E rounds to E.
 
     With ``out``, a ``NodeWorkspace`` of J basepoints, a vector build
     writes g_{n,0} and its temporaries there, and the returned g[0] is a
@@ -335,60 +390,75 @@ def build_order_n(
     else:
         raise ValueError("out takes a vector basepoint with one point per frequency")
 
-    F = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
-    derivs = _DERIVS[order]
-    panels = [np.concatenate(F[list(ks)], axis=-1).view(float) for ks in derivs]
-    rows = [_coeff_rows(taylor, h) for h in range(len(derivs))]
-    c = temps.cplx
+    F, terms = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
+    # tau times the real view of the complex frequency vectors: a real
+    # coefficient row times panels[k] is the real view of tau psi_h^(k).
+    F *= tau
+    panels = F.view(float)
+    cols = _coeff_columns(taylor, 0)
+    terms = [_fill(full, term) for full, term in zip(temps.terms, terms)]
+    rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
+    symbols = _SYMBOLS[order]
+    # Rows that can reach _EXP_UNDERFLOW: |nuhat| <= 1, so Re(tau psi_0) >=
+    # -tau (|s_0| xi^2 + |gamma_0| + 2 |a_0|).  Only their blocks are tested
+    # entry by entry.
+    reach = np.abs(taylor.s[0]) * np.max(xi**2, initial=0.0)
+    reach = tau * (reach + np.abs(taylor.gamma[0]) + 2.0 * np.abs(taylor.a[0]))
+    deep = np.atleast_1d(reach > -_EXP_UNDERFLOW)
+    buf = temps.cplx
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)
         k = min(step, n - lo)
-        p0 = _symbol(_row_block(taylor, blk), 0, xi, out=c[0][:k], tmp=c[6][:k])
-        np.multiply(tau, p0, out=p0)
-        if not order:
-            np.exp(p0, out=g[0, blk])
-            continue
-        base = np.exp(p0, out=c[1][:k])
-        # Real coefficient rows times the real view of the complex panels.
-        sym = []
-        for r, panel, ks, flat in zip(rows, panels, derivs, temps.panels):
-            prod = np.matmul(r[blk], panel, out=flat[: k * panel.shape[1]].reshape(k, -1))
-            sym.append(np.split(prod.view(complex), len(ks), axis=-1))
-        # corr[0] = g_{n,0}/E - 1 and corr[h] = g_{n,h}/E for h >= 1.
-        x, y = c[5][:k], c[6][:k]
-        if order == 1:
-            (dp0,), (p1,) = sym
-            np.multiply(np.multiply(-0.5j * tau**2, p1, out=x), dp0, out=x)
-            corr = [x]
-            if not vector:
-                corr.append(tau * p1)
+        coef = cols[:, blk] if vector else cols
+        base = _symbol(coef, [full[:k] for full in terms], out=buf[0][:k], tmp=buf[1][:k])
+        np.multiply(tau, base, out=base)
+        E = base if order else g[0, blk]
+        # Below _EXP_UNDERFLOW, e^{tau psi_0} is exactly +-0 and costs more
+        # to evaluate than a live entry, so it is written instead.
+        dead = temps.dead[:k]
+        if deep[blk].any() and np.less(base.real, _EXP_UNDERFLOW, out=dead).any():
+            np.exp(base, out=E, where=np.logical_not(dead, out=temps.mask[:k]))
+            np.copyto(E, 0.0, where=dead)
         else:
-            (dp0, d2p0), (p1, dp1), (p2,) = sym
-            # psi_1^2, psi_1 psi_0' and psi_2 psi_0' serve all three rows;
-            # psi_0'^2 psi_1^2 = (psi_1 psi_0')^2.
-            q = np.multiply(p1, p1, out=c[2][:k])
-            u = np.multiply(p1, dp0, out=c[3][:k])
-            w = np.multiply(p2, dp0, out=c[4][:k])
-            # (-i tau^2/2 - tau^3/6 psi_1' - tau^4/8 u) u
-            #   - (tau^3/6 q + tau^2/2 psi_2) psi_0'' - tau^3/3 w psi_0'
-            np.subtract(-0.5j * tau**2, np.multiply(tau**3 / 6.0, dp1, out=x), out=x)
-            np.subtract(x, np.multiply(tau**4 / 8.0, u, out=y), out=x)
-            np.multiply(x, u, out=x)
-            np.multiply(tau**3 / 6.0, q, out=y)
-            np.add(y, np.multiply(0.5 * tau**2, p2, out=p0), out=y)
-            np.subtract(x, np.multiply(y, d2p0, out=y), out=x)
-            np.multiply(np.multiply(tau**3 / 3.0, w, out=y), dp0, out=y)
-            np.subtract(x, y, out=x)
+            np.exp(base, out=E)
+        if not order:
+            continue
+        # a = tau psi_1, b = tau psi_0', then c = tau psi_0'', e = tau psi_1'
+        # and f = tau psi_2 at order 2; U = a b.
+        a, b, *rest = (
+            np.matmul(rows[h][blk], panels[d], out=sym[:k].view(float)).view(complex)
+            for (h, d), sym in zip(symbols, buf[1:])
+        )
+        u, x, y = buf[6][:k], buf[7][:k], buf[8][:k]
+        np.multiply(a, b, out=u)
+        # corr[0] = g_{n,0}/E - 1 and corr[h] = g_{n,h}/E for h >= 1.
+        if order == 1:
+            np.multiply(u, -0.5j, out=x)
+            corr = [x] if vector else [x, a]
+        else:
+            c, e, f = rest
             corr = [x]
             if not vector:
-                corr.append(tau * p1 - 1j * tau**2 * (0.5 * p1 * (tau * u + dp1) + w))
-                corr.append(0.5 * tau**2 * q + tau * p2)
+                corr.append(a - 1j * (0.5 * a * (u + e) + f * b))
+                corr.append(0.5 * a * a + f)
+            # U (-i/2 - e/6 - U/8) - c (a^2/6 + f/2) - f b^2/3
+            np.multiply(e, -1.0 / 6.0, out=x)
+            np.subtract(x, 0.5j, out=x)
+            np.subtract(x, np.multiply(u, 0.125, out=y), out=x)
+            np.multiply(x, u, out=x)
+            np.multiply(a, a, out=y)
+            np.multiply(y, 1.0 / 6.0, out=y)
+            np.add(y, np.multiply(f, 0.5, out=u), out=y)
+            np.subtract(x, np.multiply(y, c, out=y), out=x)
+            np.multiply(b, b, out=y)
+            np.multiply(y, f, out=y)
+            np.subtract(x, np.multiply(y, 1.0 / 3.0, out=y), out=x)
         bad = np.greater(np.abs(x, out=temps.mag[:k]), _TRUST, out=temps.mask[:k])
         if span > 0.0:
             for h in range(1, order + 1):
                 bad |= span**h * np.abs(corr[h]) > _TRUST_SPAN
         for cr in corr:
-            cr[bad] = 0.0
+            np.copyto(cr, 0.0, where=bad)
         x += 1.0
         for h, cr in enumerate(corr):
             np.multiply(cr, base, out=g[h, blk])

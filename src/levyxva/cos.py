@@ -51,9 +51,13 @@ class CosGrid:
     def dx(self) -> float:
         return self.width / self.J
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return self.a + (np.arange(self.J) + 0.5) * self.dx
+        """x_i = a + (i + 1/2) dx, i = 0..J-1: one read-only array per grid,
+        so an expansion at the nodes is checked by identity."""
+        x = self.a + (np.arange(self.J) + 0.5) * self.dx
+        x.setflags(write=False)
+        return x
 
     @functools.cached_property
     def freqs(self) -> np.ndarray:
@@ -168,7 +172,8 @@ def step_kernel(
     way each entry takes the same operations.
     """
     _check_shared(grid, cf)
-    if cf.basepoint.shape != (grid.J,) or not np.allclose(cf.basepoint, grid.nodes):
+    x = cf.basepoint
+    if x is not grid.nodes and not np.array_equal(x, grid.nodes):
         raise ValueError("step_kernel needs an expansion at the grid nodes")
     J = grid.J
     if out is None:

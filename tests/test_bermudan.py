@@ -7,6 +7,7 @@ sets, boundary location below the strike) cover the multi-date path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,8 +310,10 @@ class TestNodeWorkspace:
         grid = bsde.make_cos_grid(model_put, T, J)
         dt = T / 100
         work = charfunc.NodeWorkspace(J)
-        for arr in (work.g, work.psi, work.psi_dw, *work.temps.cplx, *work.temps.panels):
+        for arr in (work.g, work.psi, work.psi_dw, *work.temps.cplx, work.temps.mag):
             arr.fill(np.nan)
+        for arr in (work.temps.mask, work.temps.dead):
+            arr.fill(True)
         fresh_cf = bsde._expansion(model_put, grid, grid.nodes, dt)
         fresh = cos.step_kernel(fresh_cf, grid)
         for _ in range(2):
@@ -324,6 +327,22 @@ class TestNodeWorkspace:
         # the bit-identity of in-place and fresh kernels.
         for arr in (kern.psi, kern.psi_dw):
             assert arr.dtype == np.float64 and arr.flags.c_contiguous
+
+    def test_build_allocates_less_than_one_block(self, model_put):
+        # Every (rows, J) temporary of a build lives in the workspace, and no
+        # ufunc of the build broadcasts or casts an operand (numpy buffers
+        # those), so a warm J = 256 node kernel at the benchmark's step
+        # allocates less than one (64, 256) complex block.
+        grid = bsde.make_cos_grid(model_put, 1.0, 256)
+        work = charfunc.NodeWorkspace(256)
+        bsde._node_kernel(model_put, grid, 0.01, work)
+        tracemalloc.start()
+        try:
+            bsde._node_kernel(model_put, grid, 0.01, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 256 * 16
 
     def test_steps_of_one_solve_share_storage(self, model_put, monkeypatch):
         kernels = []

@@ -261,24 +261,34 @@ class TestBlockedBuild:
     of its rows must equal g[0] of the scalar-basepoint build at that node,
     trust-region fallbacks included: at span 0 an entry falls back when
     |g_{n,0}/E - 1| > 0.5, so a mismatched mask moves it by more than a
-    third.  At J = 300 the last block is partial (54-row blocks); the
-    left-tail rows of the benchmark model fall back at every J."""
+    third.  Both run at tau = 0.1 and at the XVA benchmark's step 0.01,
+    where about a third of the node-kernel entries fall back.  At J = 300
+    the last block is partial (54-row blocks); the left-tail rows of the
+    benchmark model fall back at every J."""
 
     @pytest.mark.parametrize("span", [0.0, 0.7])
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_written_out_coefficients(self, model_put, order, span):
+        self._check_written_out(model_put, order, span, 0.1)
+
+    @pytest.mark.parametrize("span", [0.0, 0.7])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_written_out_coefficients_at_xva_step(self, model_put, order, span):
+        self._check_written_out(model_put, order, span, 0.01)
+
+    def _check_written_out(self, model_put, order, span, tau):
         grid = bsde.make_cos_grid(model_put, 1.0, 256)
         tay = model.taylor_expand(model_put, 0.0, grid.nodes, order)
-        want = written_out_coefficients(tay, 0.1, grid.freqs, order, span)
+        want = written_out_coefficients(tay, tau, grid.freqs, order, span)
         if span == 0.0:
-            cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order)
+            cf = charfunc.build_order_n(tay, 0.0, tau, grid.freqs, order)
             assert len(cf.g) == 1
             assert_allclose(cf.g[0], want[0], rtol=1e-12, atol=0.0)
         else:
             # Only a scalar basepoint takes a span, and it keeps every row.
             for i, x in enumerate(grid.nodes):
                 one = charfunc.build_order_n(
-                    model.taylor_expand(model_put, 0.0, x, order), 0.0, 0.1, grid.freqs, order,
+                    model.taylor_expand(model_put, 0.0, x, order), 0.0, tau, grid.freqs, order,
                     span=span,
                 )
                 for got, ref in zip(one.g, want):
@@ -289,14 +299,22 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("J", [33, 100, 256, 300])
     def test_rows_equal_scalar_builds(self, model_put, J, order, span):
+        self._check_rows(model_put, J, order, span, 0.1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("J", [33, 100, 256, 300])
+    def test_rows_equal_scalar_builds_at_xva_step(self, model_put, J, order):
+        self._check_rows(model_put, J, order, 0.0, 0.01)
+
+    def _check_rows(self, model_put, J, order, span, tau):
         grid = bsde.make_cos_grid(model_put, 1.0, J)
         tay = model.taylor_expand(model_put, 0.0, grid.nodes, order)
-        cf = charfunc.build_order_n(tay, 0.0, 0.1, grid.freqs, order, span=span)
+        cf = charfunc.build_order_n(tay, 0.0, tau, grid.freqs, order, span=span)
         assert len(cf.g) == 1 and cf.order == order
         fallback = np.empty((J, J), dtype=bool)
         for i, x in enumerate(grid.nodes):
             one = charfunc.build_order_n(
-                model.taylor_expand(model_put, 0.0, x, order), 0.0, 0.1, grid.freqs, order, span=span
+                model.taylor_expand(model_put, 0.0, x, order), 0.0, tau, grid.freqs, order, span=span
             )
             # Only a live entry (g[0] != 0) shows the mask: where e^{tau psi0}
             # underflows, g[1] is zero whatever the mask does.
@@ -381,6 +399,22 @@ class TestEvalDerivatives:
         assert np.array_equal(cf.eval(x), want)
         assert np.array_equal(cf.eval(x, 2)[0], want)
         assert np.array_equal(cf.eval(x[1]), want[1])
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_fully_rejected_expansion_is_the_order0_formula(self, model_put, d):
+        # A span this wide rejects every correction, so g[1] and g[2] are
+        # zero and eval skips them: Gamma = e^{i xi x} g0 and each
+        # x-derivative multiplies by i xi.
+        tay = model.taylor_expand(model_put, 0.0, 0.0, 2)
+        cf = charfunc.build_order_n(tay, 0.0, 0.5, self.xi, 2, span=1e9)
+        assert not cf.g[1].any() and not cf.g[2].any()
+        x = np.array([-0.4, 0.0, 0.15, 0.3])
+        wave = np.exp(1j * cf.freqs * x[:, None])
+        acc = cf.g[0] * np.ones((x.size, 1), dtype=complex)
+        first = 1j * cf.freqs * acc
+        rows = [wave * acc, wave * first, wave * (1j * cf.freqs * first)]
+        want = rows[0] if d == 0 else np.stack(rows[: d + 1])
+        assert np.array_equal(cf.eval(x, d), want)
 
     @pytest.mark.parametrize("d", [-1, 3, 0.5])
     def test_rejects_unsupported_derivative_order(self, model_put, d):

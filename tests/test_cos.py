@@ -58,6 +58,7 @@ class TestCosGrid:
         assert_allclose(g.freqs, np.arange(8) * math.pi / 4.0)
         assert g.freqs is g.freqs and not g.freqs.flags.writeable
         assert_allclose(g.nodes, -1.0 + (np.arange(8) + 0.5) * 0.5)
+        assert g.nodes is g.nodes and not g.nodes.flags.writeable
 
     def test_truncation_range_formula(self):
         lo, hi = cos.truncation_range(0.1, 0.04, 1e-4, L=10.0)
@@ -411,6 +412,23 @@ class TestKernels:
         g = cos.CosGrid(-2.0, 2.0, 32)
         with pytest.raises(ValueError):
             cos.step_kernel(self._cf(0.25, g), g)
+
+    def test_step_kernel_checks_nodes_exactly(self):
+        # Nodes shifted by 1e-9 pass np.allclose; the kernel must not treat
+        # them as the grid's.  An equal grid's nodes are equal, not the same.
+        g = cos.CosGrid(-2.0, 2.0, 32)
+        mdl = make_constant_model(0.2, 0.3, -0.1, 0.2, 0.05, 0.0)
+        for x in (g.nodes + 1e-9, g.nodes[:-1]):
+            cf = charfunc.build_order_n(model.taylor_expand(mdl, 0.0, x, 0), 0.0, 0.25, g.freqs, 0)
+            with pytest.raises(ValueError, match="expansion at the grid nodes"):
+                cos.step_kernel(cf, g)
+        same = cos.CosGrid(-2.0, 2.0, 32)
+        tay = model.taylor_expand(mdl, 0.0, same.nodes, 0)
+        kern = cos.step_kernel(charfunc.build_order_n(tay, 0.0, 0.25, g.freqs, 0), g)
+        tay = model.taylor_expand(mdl, 0.0, g.nodes, 0)
+        assert tay.basepoint is g.nodes
+        want = cos.step_kernel(charfunc.build_order_n(tay, 0.0, 0.25, g.freqs, 0), g)
+        assert np.array_equal(kern.psi, want.psi)
 
     def test_node_expansion_kernel_matches_direct_phase(self, model_put):
         """psi = Re(w g0 e^{i xi (x - a)}) and psi_dw = Re(i xi w g0 e^{i xi (x - a)})
