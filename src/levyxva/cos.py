@@ -167,9 +167,12 @@ def step_kernel(
     Re(g[0] * _node_phase(J)) with no exponential to evaluate, and both
     arrays come back C-contiguous for the step's matrix-vector products.
     With ``out`` they are its ``psi`` and ``psi_dw``, which the next step
-    into ``out`` overwrites, and the product runs over its row blocks;
-    without, they are fresh arrays and the product is one block.  Either
-    way each entry takes the same operations.
+    into ``out`` overwrites, and the product runs over its row blocks with
+    -xi_j repeated over the rows in its real temporary ``mag``; without,
+    they are fresh arrays and the product is one block.  Either way each
+    entry takes the same operations.  The real and imaginary parts are
+    copied out first, so the -xi_j scaling runs on contiguous operands of
+    one shape and numpy allocates no iteration buffer.
     """
     _check_shared(grid, cf)
     x = cf.basepoint
@@ -177,16 +180,21 @@ def step_kernel(
         raise ValueError("step_kernel needs an expansion at the grid nodes")
     J = grid.J
     if out is None:
-        psi, psi_dw, block = np.empty((J, J)), np.empty((J, J)), np.empty((J, J), complex)
+        psi, psi_dw = np.empty((J, J)), np.empty((J, J))
+        block, neg_xi = np.empty((J, J), complex), np.empty((J, J))
     else:
-        psi, psi_dw, block = out.psi, out.psi_dw, out.temps.cplx[0]
-    phase, neg_xi = _node_phase(J), -grid.freqs
+        psi, psi_dw = out.psi, out.psi_dw
+        block, neg_xi = out.temps.cplx[0], out.temps.mag
+    np.copyto(neg_xi, grid.freqs)
+    np.negative(neg_xi, out=neg_xi)
+    phase = _node_phase(J)
     rows = block.shape[0]
     for lo in range(0, J, rows):
-        blk = slice(lo, lo + rows)
-        weighted = np.multiply(cf.g[0][blk], phase[blk], out=block[: min(rows, J - lo)])
-        psi[blk] = weighted.real
-        np.multiply(neg_xi, weighted.imag, out=psi_dw[blk])
+        blk, k = slice(lo, lo + rows), min(rows, J - lo)
+        weighted = np.multiply(cf.g[0][blk], phase[blk], out=block[:k])
+        np.copyto(psi[blk], weighted.real)
+        np.copyto(psi_dw[blk], weighted.imag)
+        np.multiply(psi_dw[blk], neg_xi[:k], out=psi_dw[blk])
     return StepKernel(psi=psi, psi_dw=psi_dw)
 
 
@@ -303,12 +311,6 @@ def monomial_exp_integrals(
     return out
 
 
-def _linear_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = x.shape[0] + y.shape[0] - 1
-    nf = scipy.fft.next_fast_len(n)
-    return scipy.fft.ifft(scipy.fft.fft(x, nf) * scipy.fft.fft(y, nf))[:n]
-
-
 def m_matrix_product(
     V: np.ndarray,
     grid: CosGrid,
@@ -320,10 +322,17 @@ def m_matrix_product(
 ) -> np.ndarray:
     """Restricted-interval product c_k = Re sum'_j M^h_{k,j} lam_j V_j.
 
-    M^h_{k,j} = I_{j+k} + I_{j-k} with I_p from ``monomial_exp_integrals``;
-    the primed sum halves j = 0.  The Hankel part I_{j+k} is a linear
-    convolution against the reversed input, the Toeplitz part I_{j-k} a
-    length-2J circular convolution; both run in O(J log J).  After the
+    M^h_{k,j} = I_{j+k} + I_{j-k} with I_p from ``monomial_exp_integrals``
+    and I_{-p} = conj(I_p); the primed sum halves j = 0.  Both parts are
+    linear convolutions read at J - 1 + k, k = 0..J-1:
+
+        Hankel    sum_j I_{j+k} u_j   = (I * reversed u)[J - 1 + k],
+        Toeplitz  sum_j I_{j-k} u_j   = (T * u)[J - 1 + k],
+                  T = (I_{J-1}, ..., I_1, I_0, conj I_1, ..., conj I_{J-1}),
+
+    so at one length n >= 3J - 2 the two kernels and the two inputs are
+    the rows of one forward FFT, and the sum of the two spectral products
+    takes one inverse: O(J log J) in two transform calls.  After the
     limits are checked, an all-zero weight row ``lam`` (an expansion order
     whose corrections the trust region rejected) returns zeros at once.
     """
@@ -334,10 +343,15 @@ def m_matrix_product(
         return np.zeros(J)
     u[0] *= 0.5
     I = monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2)
-    conv = _linear_convolve(I, u[::-1])
-    hankel_part = conv[J - 1 : 2 * J - 1]
-    t_circ = np.concatenate((I[:1], np.conj(I[1:J]), np.zeros(1, complex), I[J - 1 : 0 : -1]))
-    toeplitz_part = scipy.fft.ifft(
-        scipy.fft.fft(t_circ) * scipy.fft.fft(u, 2 * J)
-    )[:J]
-    return np.real(hankel_part + toeplitz_part)
+    # rows: Hankel kernel, Toeplitz kernel, reversed u, u
+    rows = np.zeros((4, scipy.fft.next_fast_len(3 * J - 2)), dtype=complex)
+    rows[0, : 2 * J - 1] = I
+    rows[1, :J] = I[J - 1 :: -1]
+    np.conjugate(I[1:J], out=rows[1, J : 2 * J - 1])
+    rows[2, :J] = u[::-1]
+    rows[3, :J] = u
+    spec = scipy.fft.fft(rows, axis=-1, overwrite_x=True)
+    spec[0] *= spec[2]
+    spec[1] *= spec[3]
+    spec[0] += spec[1]
+    return scipy.fft.ifft(spec[0], overwrite_x=True)[J - 1 : 2 * J - 1].real

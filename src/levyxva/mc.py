@@ -178,7 +178,7 @@ def _euler_step(mdl, dt, xk, coeffs, counts, z, z2, band):
     return x_next, gam * dt
 
 
-def _paths(models, T, steps, n_paths, seed, rng, draw_counts) -> list:
+def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=False) -> list:
     """Euler paths of every model on one random stream, one batch each.
 
     Each step evaluates sigma, a and gamma of every model in one
@@ -188,29 +188,39 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts) -> list:
     share.  Every model is absorbed on one band, the union of their guard
     bands.  The stores are time-major, so step k reads row k and writes
     row k + 1; each batch gets their transposed (paths, steps+1) views,
-    without a copy.
+    without a copy.  With ``terminal_only`` the stores keep two rows, time
+    k in row k % 2, and each batch holds times 0 and T alone (dt = T); every
+    step runs the same operations on the same draws, so the terminal rows
+    are those of the full stores bit for bit.
     """
     dt = T / steps
     los, his = zip(*(_guard_band(mdl, T) for mdl in models))
     band = (min(los), max(his))
-    xs = [np.empty((steps + 1, n_paths)) for _ in models]
-    survs = [np.empty((steps + 1, n_paths)) for _ in models]
+    rows = 2 if terminal_only else steps + 1
+    xs = [np.empty((rows, n_paths)) for _ in models]
+    survs = [np.empty((rows, n_paths)) for _ in models]
     truncated = [0] * len(models)
     for x, surv, mdl in zip(xs, survs, models):
         x[0] = mdl.spot_x0
         surv[0] = 1.0
     for k in range(steps):
-        coeffs = [mdl.coeff_values(x[k]) for mdl, x in zip(models, xs)]
+        now, nxt = k % rows, (k + 1) % rows
+        coeffs = [mdl.coeff_values(x[now]) for mdl, x in zip(models, xs)]
         draws = draw_counts(rng, [lam * dt for _, lam, _ in coeffs])
         z = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
         for leg, (mdl, x, surv, vals) in enumerate(zip(models, xs, survs, coeffs)):
             counts, cut = draws[leg]
             truncated[leg] += cut
-            x[k + 1], haz = _euler_step(mdl, dt, x[k], vals, counts, z, z2, band)
-            surv[k + 1] = surv[k] * np.exp(-haz)
+            x[nxt], haz = _euler_step(mdl, dt, x[now], vals, counts, z, z2, band)
+            surv[nxt] = surv[now] * np.exp(-haz)
+    if terminal_only:
+        for x, surv, mdl in zip(xs, survs, models):
+            x[1], surv[1] = x[steps % 2], surv[steps % 2]
+            x[0], surv[0] = mdl.spot_x0, 1.0
+    spacing = T if terminal_only else dt
     return [
-        PathBatch(x.T, surv.T, None, seed, dt, mdl.rate_r, poisson_truncated=cut)
+        PathBatch(x.T, surv.T, None, seed, spacing, mdl.rate_r, poisson_truncated=cut)
         for mdl, x, surv, cut in zip(models, xs, survs, truncated)
     ]
 
@@ -246,19 +256,25 @@ def simulate(
     n_paths: int,
     seed: int,
     default_mode: str = "weight",
+    terminal_only: bool = False,
 ) -> PathBatch:
     """Euler simulation of the model on [0, T]; reproducible under the seed.
 
     ``default_mode`` "weight" carries only the survival weights; "thin"
     additionally samples default times against an exponential clock, drawn
     before the paths.  Jump counts are exact Poisson draws.
+    ``terminal_only`` runs the same steps on two rows of storage and returns
+    the batch at times 0 and T alone (one column step, dt = T), with the
+    terminal column of the full batch bit for bit; "weight" mode only.
     """
     _check_run(T, steps, n_paths)
     if default_mode not in ("weight", "thin"):
         raise ValueError("default_mode must be 'weight' or 'thin'")
+    if terminal_only and default_mode == "thin":
+        raise ValueError("default times need every step: terminal_only takes 'weight' mode")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     clock = rng.exponential(1.0, n_paths) if default_mode == "thin" else None
-    [batch] = _paths([mdl], T, steps, n_paths, seed, rng, _poisson_counts)
+    [batch] = _paths([mdl], T, steps, n_paths, seed, rng, _poisson_counts, terminal_only)
     if clock is None:
         return batch
     return replace(batch, default_time=_default_times(mdl, batch.x, batch.dt, clock))

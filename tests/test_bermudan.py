@@ -344,6 +344,22 @@ class TestNodeWorkspace:
             tracemalloc.stop()
         assert peak < 64 * 256 * 16
 
+    def test_step_kernel_allocates_no_iteration_buffer(self, model_put):
+        # psi_dw is scaled on contiguous operands of one shape; a broadcast
+        # (J,) operand times a strided .imag view made numpy allocate
+        # ~68 KB of iteration buffers per warm J = 256 call.
+        grid = bsde.make_cos_grid(model_put, 1.0, 256)
+        work = charfunc.NodeWorkspace(256)
+        cf = bsde._expansion(model_put, grid, grid.nodes, 0.01, out=work)
+        cos.step_kernel(cf, grid, out=work)
+        tracemalloc.start()
+        try:
+            cos.step_kernel(cf, grid, out=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024
+
     def test_steps_of_one_solve_share_storage(self, model_put, monkeypatch):
         kernels = []
         step_kernel = cos.step_kernel

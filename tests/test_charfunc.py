@@ -9,6 +9,7 @@ the order-0/1/2 approximations must improve in that order.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,11 +431,18 @@ class TestEvalDerivatives:
 
 @pytest.fixture(scope="module")
 def mc_estimate():
+    # Only the terminal column is read, so the paths run on a two-row
+    # store; the estimate is that of the full batch bit for bit.
     mdl = replace_spot(make_benchmark_model(0.1, 0.0), 0.3)
-    batch = mc.simulate(mdl, 0.5, 300, 300_000, seed=1234)
-    xi = np.linspace(0.5, 8.0, 12)
-    est, _ = mc.estimate_charfunc(batch, xi)
-    return mdl, xi, est
+    tracemalloc.start()
+    try:
+        batch = mc.simulate(mdl, 0.5, 300, 300_000, seed=1234, terminal_only=True)
+        xi = np.linspace(0.5, 8.0, 12)
+        est, _ = mc.estimate_charfunc(batch, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return mdl, xi, est, peak
 
 
 class TestStateCorrectionsImprove:
@@ -447,7 +455,7 @@ class TestStateCorrectionsImprove:
     """
 
     def test_error_drops_with_order(self, mc_estimate):
-        mdl, xi, est = mc_estimate
+        mdl, xi, est, _ = mc_estimate
         errs = []
         for order in range(3):
             tay = model.taylor_expand(mdl, 0.0, 0.0, order)
@@ -455,6 +463,10 @@ class TestStateCorrectionsImprove:
             errs.append(np.max(np.abs(cf.eval(0.3) - est)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.4 * errs[0]
+
+    def test_oracle_keeps_two_rows_of_paths(self, mc_estimate):
+        # A full (301, 3e5) store takes 722 MB per array.
+        assert mc_estimate[3] < 200e6
 
 
 class TestValidation:

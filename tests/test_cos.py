@@ -350,13 +350,26 @@ class TestMMatrixProduct:
         got = dense_m_product(V, g, -0.4, 1.1, h, lam, 0.2)
         assert_allclose(got, self._oracle(V, g, -0.4, 1.1, h, lam, 0.2), atol=1e-12)
 
-    @pytest.mark.parametrize("h", [0, 1, 2])
-    def test_fft_matches_dense(self, h):
+    # Transform lengths at 3J - 2 (J = 8) and above it (110, 300, 384), with
+    # limits inside, from a, and empty; the J = 128 inner cases keep ids 0-2.
+    @pytest.mark.parametrize(
+        "J, h, limits",
+        [pytest.param(128, h, "inner", id=str(h)) for h in range(3)]
+        + [
+            pytest.param(J, h, limits, id=f"J{J}-h{h}-{limits}")
+            for J in (8, 37, 100, 128)
+            for h in range(3)
+            for limits in ("inner", "from-a", "empty")
+            if (J, limits) != (128, "inner")
+        ],
+    )
+    def test_fft_matches_dense(self, J, h, limits):
         rng = np.random.default_rng(11)
-        g = cos.CosGrid(-2.0, 2.4, 128)
-        V = rng.normal(size=g.J)
+        g = cos.CosGrid(-2.0, 2.4, J)
+        x_lo, x_hi = {"inner": (-1.1, 0.7), "from-a": (g.a, 0.3), "empty": (0.3, 0.3)}[limits]
+        V = rng.normal(size=J)
         lam = np.exp(-0.05 * g.freqs**2) * np.exp(0.3j * g.freqs)
-        args = (V, g, -1.1, 0.7, h, lam, -0.2)
+        args = (V, g, x_lo, x_hi, h, lam, -0.2)
         assert_allclose(cos.m_matrix_product(*args), dense_m_product(*args), atol=1e-10, rtol=0.0)
 
     def test_zero_weight_row_gives_exact_zeros_without_integrals(self, monkeypatch):

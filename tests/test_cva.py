@@ -349,6 +349,53 @@ class TestExerciseBoundary:
         assert np.all(traces[0.1] > traces[0.0])
 
 
+class TestFoldedNewtonSeries:
+    """The Newton search reads the leg series from V folded into the live
+    expansion rows; it must be the unfolded series to rounding.  On the
+    default-free benchmark model the leg expansion keeps both correction
+    orders at T = 0.5 and none at T = 1 (M = 10, J = 100)."""
+
+    @pytest.mark.parametrize("T, live", [(0.5, (1, 2)), (1.0, ())])
+    def test_value_and_slope_match_the_leg_series(self, model_put_riskfree, T, live):
+        mdl, dt = model_put_riskfree, T / 10
+        grid = bsde.make_cos_grid(mdl, T, 100)
+        cf = bsde._expansion(mdl, grid, mdl.spot_x0, dt, span=max(grid.b, -grid.a))
+        assert cf._live_orders == live
+        disc = math.exp(-mdl.rate_r * dt)
+        payoff = cos.put_payoff_coeffs(1.0, grid)
+        # the payoff, and a continuation value restricted to x > -0.3
+        cont = sum(cos.m_matrix_product(payoff, grid, -0.3, grid.b, h, cf.g[h], 0.0)
+                   for h in range(cf.order + 1))
+        for V in (payoff, payoff + disc * cont):
+            folded = cva._folded_series(cf, grid, disc, V)
+            for x in np.linspace(grid.a, grid.b, 13):
+                got = folded(np.exp(1j * grid.freqs * x), x)
+                want = cva._leg_series(cf, grid, disc, V, x, 1)
+                assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    def test_roots_match_the_leg_series_roots(self, model_put_riskfree, T, monkeypatch):
+        sched = bermudan.ExerciseSchedule(T, 10, 1)
+        folded = cva.price_bermudan_cos(model_put_riskfree, _put(1.0), sched, J=100)
+
+        def unfolded(cf, grid, disc, V):
+            return lambda wave, x: cva._leg_series(cf, grid, disc, V, x, 1)
+
+        monkeypatch.setattr(cva, "_folded_series", unfolded)
+        plain = cva.price_bermudan_cos(model_put_riskfree, _put(1.0), sched, J=100)
+        assert_allclose(
+            np.array(folded.boundary), np.array(plain.boundary), rtol=0.0, atol=1e-12
+        )
+
+    def test_rejects_J_other_than_the_grids(self, model_put):
+        sched = bermudan.ExerciseSchedule(1.0, 4, 1)
+        grid = bsde.make_cos_grid(model_put, 1.0, 64)
+        with pytest.raises(ValueError, match="J=100"):
+            cva.price_bermudan_cos(model_put, _put(1.0), sched, J=100, grid=grid)
+        got = cva.price_bermudan_cos(model_put, _put(1.0), sched, J=64, grid=grid)
+        assert got.value == cva.price_bermudan_cos(model_put, _put(1.0), sched, J=64).value
+
+
 class TestMethodEquivalence:
     def test_fft_and_dense_agree_end_to_end(self, model_put, monkeypatch):
         sched = bermudan.ExerciseSchedule(1.0, 4, 10)
