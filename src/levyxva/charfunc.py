@@ -277,6 +277,36 @@ class CharFuncApprox:
                 rows.append(wave * (1j * self.freqs * first))
         return np.stack(rows)
 
+    def fold(self, weights):
+        """Value and x-slope of Re sum_j weights_j Gamma_n(x; xi_j) as a
+        function ``series(wave, x)`` of x and wave = e^{i xi x}; scalar
+        basepoint only.
+
+        With Q_k = weights g_{n,k} for k = 0 and each live order, the value
+        is Re(wave . sum_k dx^k Q_k) and the slope is
+        Re(wave . (i xi sum_k dx^k Q_k + sum_k k dx^{k-1} Q_k)), the rule of
+        ``eval`` with dx = x - xbar: the rows Q_k and i xi Q_k are stacked
+        once, and a call takes their product with the wave and a few scalar
+        operations.
+        """
+        if self.basepoint.ndim:
+            raise ValueError("fold needs a scalar-basepoint approximation")
+        orders = (0, *self._live_orders)
+        q = np.stack([self.g[k] for k in orders]) * weights
+        rows = np.concatenate((q, 1j * self.freqs * q))
+        xbar, K = float(self.basepoint), len(orders)
+
+        def series(wave, x):
+            dots = (rows @ wave).tolist()
+            dx = x - xbar
+            value = slope = 0j
+            for k, qk, rk in zip(orders, dots[:K], dots[K:]):
+                value += dx**k * qk
+                slope += dx**k * rk + (k * dx ** (k - 1) * qk if k else 0.0)
+            return value.real, slope.real
+
+        return series
+
     @functools.cached_property
     def _live_orders(self) -> tuple:
         """Orders k >= 1 whose row g[k] has a nonzero entry."""

@@ -18,16 +18,13 @@ with n = ``charfunc.MAX_ORDER`` and the expansion based at X0 throughout,
 built once per leg over one exercise interval.  Every other leg quantity is
 one series e^{-r dt} Re sum'_j d^d/dx^d Gamma_n(x; xi_j) e^{-i xi_j a} V_j.
 
-The Newton search for x* reads it through ``_folded_series``: each date
-folds e^{-r dt} w_j e^{-i xi_j a} V_j into the live expansion rows once,
-Q_k = e^{-r dt} w e^{-i xi a} V g_{n,k}, so an iterate costs one J-vector
-e^{i xi x} and one (2K x J) complex product for K live rows, and the
-bracket ends reuse two waves built once per leg.  Against V(t_1) the
+The Newton search for x* reads it through ``CharFuncApprox.fold``: each
+date folds e^{-r dt} w_j e^{-i xi_j a} V_j into the live expansion rows
+once, Q_k = e^{-r dt} w e^{-i xi a} V g_{n,k}, so an iterate costs one
+J-vector e^{i xi x} and one (2K x J) complex product for K live rows, and
+the bracket ends reuse two waves built once per leg.  Against V(t_1) the
 value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at`` read
-``cos.expectation_weights`` (``_leg_series``).  On the CVA benchmark
-(two legs, J = 100, M = 10, one BLAS thread) a request takes 6.6-6.8 ms,
-of which the Newton search is 1.1-1.3 ms (18 roots, ~5 iterates each)
-and the 54 restricted products 2.6 ms.
+``cos.expectation_weights`` (``_leg_series``).
 """
 from __future__ import annotations
 
@@ -116,33 +113,6 @@ def _leg_series(cf, grid, disc, V, x, d: int = 0) -> tuple:
     return tuple(disc * (row @ V) for row in (w if d else (w,)))
 
 
-def _folded_series(cf, grid, disc, V):
-    """Value and slope of ``_leg_series(cf, grid, disc, V, x, 1)`` as a
-    function ``series(wave, x)`` of x and wave = e^{i xi x}.
-
-    With Q_k = disc w e^{-i xi a} V g_{n,k} for k = 0 and each live order,
-    the value is Re(wave . sum_k dx^k Q_k) and the slope
-    Re(wave . (i xi sum_k dx^k Q_k + sum_k k dx^{k-1} Q_k)), dx = x - xbar:
-    the rows Q_k and i xi Q_k are stacked once, and a call takes their
-    product with the wave and a few scalar operations.
-    """
-    orders = (0, *cf._live_orders)
-    q = np.stack([cf.g[k] for k in orders]) * (disc * cosmod._phase(grid) * V)
-    rows = np.concatenate((q, 1j * grid.freqs * q))
-    xbar, K = float(cf.basepoint), len(orders)
-
-    def series(wave, x):
-        dots = (rows @ wave).tolist()
-        dx = x - xbar
-        value = slope = 0j
-        for k, qk, rk in zip(orders, dots[:K], dots[K:]):
-            value += dx**k * qk
-            slope += dx**k * rk + (k * dx ** (k - 1) * qk if k else 0.0)
-        return value.real, slope.real
-
-    return series
-
-
 def price_bermudan_cos(
     mdl: modelmod.ModelSpec,
     payoff: PayoffSpec,
@@ -184,12 +154,12 @@ def price_bermudan_cos(
     x_star = log_k  # warm start; then each date starts from the later one's x*
     # The bracket ends are the same at every date, so their waves are built
     # once per leg; an iterate builds its own.
-    xi = grid.freqs
+    xi, phase = grid.freqs, cosmod._phase(grid)
     end_waves = {x: np.exp(1j * xi * x) for x in (grid.a, x_up)}
     boundary = []
     for m in range(M - 1, 0, -1):
         t_m = m * delta_t
-        folded = _folded_series(cf, grid, disc, V)
+        folded = cf.fold(disc * phase * V)
         x_star = newton_exercise_point(
             lambda x: folded(np.exp(1j * xi * x), x), exercise_value,
             (grid.a, x_up), x0=x_star, c_value=lambda x: folded(end_waves[x], x)[0],

@@ -189,9 +189,11 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=Fals
     bands.  The stores are time-major, so step k reads row k and writes
     row k + 1; each batch gets their transposed (paths, steps+1) views,
     without a copy.  With ``terminal_only`` the stores keep two rows, time
-    k in row k % 2, and each batch holds times 0 and T alone (dt = T); every
-    step runs the same operations on the same draws, so the terminal rows
-    are those of the full stores bit for bit.
+    k in row k % 2, and each batch holds times 0 and T alone (dt = T), fit
+    only for readers of the terminal column such as ``estimate_charfunc``,
+    not for the path pricers; every step runs the same operations on the
+    same draws, so the terminal rows are those of the full stores bit for
+    bit.
     """
     dt = T / steps
     los, his = zip(*(_guard_band(mdl, T) for mdl in models))
@@ -256,25 +258,19 @@ def simulate(
     n_paths: int,
     seed: int,
     default_mode: str = "weight",
-    terminal_only: bool = False,
 ) -> PathBatch:
     """Euler simulation of the model on [0, T]; reproducible under the seed.
 
     ``default_mode`` "weight" carries only the survival weights; "thin"
     additionally samples default times against an exponential clock, drawn
     before the paths.  Jump counts are exact Poisson draws.
-    ``terminal_only`` runs the same steps on two rows of storage and returns
-    the batch at times 0 and T alone (one column step, dt = T), with the
-    terminal column of the full batch bit for bit; "weight" mode only.
     """
     _check_run(T, steps, n_paths)
     if default_mode not in ("weight", "thin"):
         raise ValueError("default_mode must be 'weight' or 'thin'")
-    if terminal_only and default_mode == "thin":
-        raise ValueError("default times need every step: terminal_only takes 'weight' mode")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     clock = rng.exponential(1.0, n_paths) if default_mode == "thin" else None
-    [batch] = _paths([mdl], T, steps, n_paths, seed, rng, _poisson_counts, terminal_only)
+    [batch] = _paths([mdl], T, steps, n_paths, seed, rng, _poisson_counts)
     if clock is None:
         return batch
     return replace(batch, default_time=_default_times(mdl, batch.x, batch.dt, clock))

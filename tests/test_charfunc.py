@@ -427,16 +427,21 @@ class TestEvalDerivatives:
         cf = charfunc.build_order_n(tay, 0.0, 0.5, self.xi, 2)
         with pytest.raises(ValueError, match="scalar-basepoint"):
             cf.eval(0.0)
+        with pytest.raises(ValueError, match="scalar-basepoint"):
+            cf.fold(np.ones(self.xi.shape, complex))
 
 
 @pytest.fixture(scope="module")
 def mc_estimate():
-    # Only the terminal column is read, so the paths run on a two-row
-    # store; the estimate is that of the full batch bit for bit.
+    # Only the terminal column is read, so simulate's stream (seed 1234) runs
+    # on a two-row store; the estimate is that of the full batch bit for bit.
     mdl = replace_spot(make_benchmark_model(0.1, 0.0), 0.3)
     tracemalloc.start()
     try:
-        batch = mc.simulate(mdl, 0.5, 300, 300_000, seed=1234, terminal_only=True)
+        rng = np.random.default_rng(np.random.SeedSequence(1234).spawn(1)[0])
+        [batch] = mc._paths(
+            [mdl], 0.5, 300, 300_000, 1234, rng, mc._poisson_counts, terminal_only=True
+        )
         xi = np.linspace(0.5, 8.0, 12)
         est, _ = mc.estimate_charfunc(batch, xi)
         peak = tracemalloc.get_traced_memory()[1]

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import levyxva as lx
-from levyxva import bermudan, bsde, cos, cva
+from levyxva import bermudan, bsde, charfunc, cos, cva
 
 from conftest import dense_m_product, make_benchmark_model, make_constant_model, replace_spot
 
@@ -367,7 +367,7 @@ class TestFoldedNewtonSeries:
         cont = sum(cos.m_matrix_product(payoff, grid, -0.3, grid.b, h, cf.g[h], 0.0)
                    for h in range(cf.order + 1))
         for V in (payoff, payoff + disc * cont):
-            folded = cva._folded_series(cf, grid, disc, V)
+            folded = cf.fold(disc * cos._phase(grid) * V)
             for x in np.linspace(grid.a, grid.b, 13):
                 got = folded(np.exp(1j * grid.freqs * x), x)
                 want = cva._leg_series(cf, grid, disc, V, x, 1)
@@ -378,10 +378,11 @@ class TestFoldedNewtonSeries:
         sched = bermudan.ExerciseSchedule(T, 10, 1)
         folded = cva.price_bermudan_cos(model_put_riskfree, _put(1.0), sched, J=100)
 
-        def unfolded(cf, grid, disc, V):
-            return lambda wave, x: cva._leg_series(cf, grid, disc, V, x, 1)
+        def unfolded(cf, weights):
+            # the series from CharFuncApprox.eval at every iterate
+            return lambda wave, x: tuple(np.real(cf.eval(x, 1) @ weights))
 
-        monkeypatch.setattr(cva, "_folded_series", unfolded)
+        monkeypatch.setattr(charfunc.CharFuncApprox, "fold", unfolded)
         plain = cva.price_bermudan_cos(model_put_riskfree, _put(1.0), sched, J=100)
         assert_allclose(
             np.array(folded.boundary), np.array(plain.boundary), rtol=0.0, atol=1e-12

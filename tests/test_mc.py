@@ -212,20 +212,21 @@ class TestStreamOrder:
             assert 0 < np.count_nonzero(np.isfinite(batch.default_time)) < self.n_paths
 
     @pytest.mark.parametrize("steps", [1, 2, 7, 40])
-    def test_terminal_only_keeps_the_full_terminal_column(self, steps):
+    def test_terminal_only_store_keeps_the_full_terminal_column(self, steps):
         mdl = make_benchmark_model(0.05, 0.1, x0=0.2)
         full = mc.simulate(mdl, self.T, steps, self.n_paths, self.seed)
-        ends = mc.simulate(mdl, self.T, steps, self.n_paths, self.seed, terminal_only=True)
+        # the stream simulate draws from, run through the two-row store
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
+        [ends] = mc._paths(
+            [mdl], self.T, steps, self.n_paths, self.seed, rng, mc._poisson_counts,
+            terminal_only=True,
+        )
         assert ends.x.shape == ends.survival.shape == (self.n_paths, 2)
         assert ends.steps == 1 and ends.dt == self.T
+        assert ends.poisson_truncated == full.poisson_truncated
         for got, want in ((ends.x, full.x), (ends.survival, full.survival)):
             assert np.array_equal(got[:, 0], want[:, 0])
             assert np.array_equal(got[:, 1], want[:, -1])
-
-    def test_terminal_only_rejects_default_times(self):
-        mdl = make_benchmark_model(0.05, 0.1)
-        with pytest.raises(ValueError, match="terminal_only"):
-            mc.simulate(mdl, 1.0, 4, 10, 0, default_mode="thin", terminal_only=True)
 
     def test_crn_pair_matches_reference_loop(self):
         m_d = make_benchmark_model(0.05, 0.1)
