@@ -245,6 +245,8 @@ def price_bermudan_xva(
     check_contraction(bgrid, driver)
     if grid is None:
         grid = make_cos_grid(mdl, schedule.T, J, L)
+    elif J != grid.J:
+        raise ValueError(f"J={J} does not match the grid's J={grid.J}")
     t_loop = time.perf_counter()
     value, u0, boundary, kernel_s = _backward_xva(mdl, payoff, schedule, driver, grid, bgrid)
     done = time.perf_counter()

@@ -307,6 +307,8 @@ def solve_bsde(
         )
     if grid is None:
         grid = make_cos_grid(mdl, T, J, L)
+    elif J != grid.J:
+        raise ValueError(f"J={J} does not match the grid's J={grid.J}")
     x = grid.nodes
     kernel = _node_kernel(mdl, grid, bgrid.dt)
 

@@ -16,17 +16,20 @@ law).
 per step the jump counts, then the normals Z and Z', on one random stream
 and evaluates sigma, a and gamma once per model, with one exponential
 per distinct slope (``ModelSpec.coeff_values``).  The two differ only in
-the counts: ``simulate`` draws them exactly, while the pair shares one
-uniform across its two legs and inverts each leg's Poisson CDF, so the
-legs stay coupled even though their intensities drift apart.  The inverse
-CDF caps the mean a(x) dt at ``_POISSON_CAP``; every draw at the cap
-shares one Poisson CDF, a table built once and searched, and only draws
-below the cap sum the pmf term by term.
+the counts: ``simulate`` draws them from the generator's Poisson law
+(mean clamped at ``_POISSON_CLAMP``), while the pair shares one uniform
+across its two legs and inverts each leg's Poisson CDF, so the legs stay
+coupled even though their intensities drift apart.  The inverse CDF caps
+the mean a(x) dt at ``_POISSON_CAP``; every draw at the cap shares one
+Poisson CDF, a table built once and searched, and only draws below the
+cap sum the pmf term by term.
 
-The loop stores time-major (steps+1, paths) arrays, so each step reads
-and writes whole rows; a ``PathBatch`` holds their transposed views, which
-keep the (paths, steps+1) shape, and a column ``x[:, k]`` of such a view
-is contiguous.
+One fused Euler step serves both simulators: it writes X_{k+1} in place
+into the next row of a time-major (steps+1, paths) store, through two
+scratch rows, in the operation order of the update written out term by
+term, so each path is that update bit for bit.  Jumps are added only
+where the count is nonzero (elsewhere the term is +-0), and a
+default-free leg keeps the survival weight 1 with no hazard evaluated.
 
 Every LSM regression is a least-squares projection onto polynomials of
 the standardized state, expanded in the polynomials orthogonal on the fit
@@ -48,6 +51,8 @@ from .bsde import DriverSpec, scheme_driver
 
 _HEADER = struct.Struct("<QQQ")
 _POISSON_CAP = 200.0
+# Largest mean ``simulate`` passes to the generator's Poisson draw.
+_POISSON_CLAMP = 1e6
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,9 @@ class PathBatch:
     views of time-major stores, so ``x[:, k]`` is contiguous; copy with
     ``np.ascontiguousarray`` where path-major bytes are needed.  Column k
     is time k ``dt``.  ``poisson_truncated`` counts the jump draws the CRN
-    pair's inverse CDF cut off at ``_POISSON_CAP + 1``; ``simulate`` draws
-    its counts exactly and leaves it 0.
+    pair's inverse CDF cut off at ``_POISSON_CAP + 1``, or, from
+    ``simulate``, the draws whose mean a(x) dt exceeded ``_POISSON_CLAMP``
+    and was clamped to it; it is 0 when every draw is exact.
     """
 
     x: np.ndarray
@@ -103,36 +109,34 @@ def _poisson_icdf(u: np.ndarray, mu: np.ndarray) -> tuple:
     truncated draws).
 
     A draw still pending after k = _POISSON_CAP is truncated to
-    _POISSON_CAP + 1.  Draws at the cap share one CDF and are resolved by a
+    _POISSON_CAP + 1.  Only the draws with u above the k = 0 pmf go on
+    past k = 0.  Those at the cap share one CDF and are resolved by a
     search of ``_CAP_CDF``: the left insertion point is the smallest k
     with CDF >= u, and one past the table when u exceeds its last entry.
-    Each pass of the loop over the remaining draws updates only the
-    still-pending entries, so the cost follows the count distribution
-    rather than its largest draw; every entry goes through the same
+    The loop updates only the still-pending entries, each by the same
     operations as a full-array loop, so the counts are identical to it.
     """
     mu = np.minimum(mu, _POISSON_CAP)
-    at_cap = mu == _POISSON_CAP
-    cap_counts = np.searchsorted(_CAP_CDF, u[at_cap], side="left")
-    counts = np.zeros(u.shape, dtype=np.int64)
-    counts[at_cap] = cap_counts
-    truncated = int(np.count_nonzero(cap_counts == _CAP_CDF.size))
     pmf = np.exp(-mu)
-    idx = np.flatnonzero((u > pmf) & ~at_cap)
+    counts = np.zeros(u.shape, dtype=np.int64)
+    idx = np.flatnonzero(u > pmf)
+    at_cap = mu[idx] == _POISSON_CAP
+    cap_idx, idx = idx[at_cap], idx[~at_cap]
+    cap_counts = np.searchsorted(_CAP_CDF, u[cap_idx], side="left")
+    counts[cap_idx] = cap_counts
+    truncated = int(np.count_nonzero(cap_counts == _CAP_CDF.size))
     u, mu, pmf = u[idx], mu[idx], pmf[idx]
     cdf = pmf
     k = 0
-    while idx.size:
+    while idx.size and k < _POISSON_CAP:
         k += 1
-        if k > _POISSON_CAP:
-            counts[idx] = k
-            return counts, truncated + idx.size
         pmf = pmf * mu / k
         cdf = cdf + pmf
         counts[idx] = k
         keep = u > cdf
         idx, u, mu, pmf, cdf = idx[keep], u[keep], mu[keep], pmf[keep], cdf[keep]
-    return counts, truncated
+    counts[idx] = k + 1
+    return counts, truncated + idx.size
 
 
 def _guard_band(mdl, T):
@@ -159,63 +163,59 @@ def _check_run(T, steps: int, n_paths: int) -> None:
         raise ValueError("need steps >= 1 and n_paths >= 1")
 
 
-def _euler_step(mdl, dt, xk, coeffs, counts, z, z2, band):
-    """One Euler update from xk, given (sigma, a, gamma) at xk, the jump
-    counts and the two normal draws; returns (x_{k+1}, hazard over dt).
-    The drift is formed from the same coefficient values."""
-    sig, lam, gam = coeffs
-    m, d = mdl.jump_law.mean, mdl.jump_law.std
-    jumps = m * counts + d * np.sqrt(counts) * z2
-    x_next = np.clip(
-        xk
-        + modelmod.drift_from_coeffs(mdl, sig, lam, gam) * dt
-        + sig * math.sqrt(dt) * z
-        + jumps
-        - lam * m * dt,
-        band[0],
-        band[1],
-    )
-    return x_next, gam * dt
-
-
 def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=False) -> list:
     """Euler paths of every model on one random stream, one batch each.
 
-    Each step evaluates sigma, a and gamma of every model in one
-    ``coeff_values`` call, then draws the jump counts with
-    ``draw_counts(rng, means)`` (one (counts, truncated draws) pair per
-    model, from its a(x) dt), then the normals z and z2 that all models
-    share.  Every model is absorbed on one band, the union of their guard
-    bands.  The stores are time-major, so step k reads row k and writes
-    row k + 1; each batch gets their transposed (paths, steps+1) views,
-    without a copy.  With ``terminal_only`` the stores keep two rows, time
-    k in row k % 2, and each batch holds times 0 and T alone (dt = T), fit
-    only for readers of the terminal column such as ``estimate_charfunc``,
-    not for the path pricers; every step runs the same operations on the
-    same draws, so the terminal rows are those of the full stores bit for
-    bit.
+    Each step evaluates sigma, a and gamma of every model, draws the jump
+    counts with ``draw_counts(rng, means)`` (one (counts, truncated draws)
+    pair per model, from its a(x) dt), then the normals z and z2 that all
+    models share, and absorbs every model on the union of their guard
+    bands.  Step k reads store row k and writes row k + 1, in the order
+    (((x + mu dt) + (sigma sqrt(dt)) z) + jumps) - (a m) dt with
+    mu = ((gamma + r) - (0.5 sigma) sigma) - a kappa.  With
+    ``terminal_only`` the stores keep two rows, time k in row k % 2, and
+    each batch holds times 0 and T alone (dt = T), for readers of the
+    terminal column such as ``estimate_charfunc``; its terminal rows are
+    those of the full stores bit for bit.
     """
     dt = T / steps
+    sqrt_dt = math.sqrt(dt)
     los, his = zip(*(_guard_band(mdl, T) for mdl in models))
-    band = (min(los), max(his))
+    lo, hi = min(los), max(his)
     rows = 2 if terminal_only else steps + 1
     xs = [np.empty((rows, n_paths)) for _ in models]
     survs = [np.empty((rows, n_paths)) for _ in models]
+    drift, tmp, z, z2 = np.empty((4, n_paths))
     truncated = [0] * len(models)
     for x, surv, mdl in zip(xs, survs, models):
         x[0] = mdl.spot_x0
-        surv[0] = 1.0
+        surv[: rows if mdl.default_intensity.is_zero else 1] = 1.0
     for k in range(steps):
         now, nxt = k % rows, (k + 1) % rows
         coeffs = [mdl.coeff_values(x[now]) for mdl, x in zip(models, xs)]
         draws = draw_counts(rng, [lam * dt for _, lam, _ in coeffs])
-        z = rng.standard_normal(n_paths)
-        z2 = rng.standard_normal(n_paths)
-        for leg, (mdl, x, surv, vals) in enumerate(zip(models, xs, survs, coeffs)):
+        rng.standard_normal(out=z)
+        rng.standard_normal(out=z2)
+        for leg, (mdl, x, surv, (sig, lam, gam)) in enumerate(zip(models, xs, survs, coeffs)):
             counts, cut = draws[leg]
             truncated[leg] += cut
-            x[nxt], haz = _euler_step(mdl, dt, x[now], vals, counts, z, z2, band)
-            surv[nxt] = surv[now] * np.exp(-haz)
+            m, d = mdl.jump_law.mean, mdl.jump_law.std
+            half_var = np.multiply(np.multiply(sig, 0.5, out=tmp), sig, out=tmp)
+            if mdl.default_intensity.is_zero:
+                np.subtract(mdl.default_intensity.level + mdl.rate_r, half_var, out=drift)
+            else:
+                np.subtract(np.add(gam, mdl.rate_r, out=drift), half_var, out=drift)
+                np.exp(np.multiply(gam, -dt, out=tmp), out=tmp)
+                np.multiply(surv[now], tmp, out=surv[nxt])
+            drift -= np.multiply(lam, mdl.kappa, out=tmp)
+            drift *= dt
+            x_next = np.add(x[now], drift, out=x[nxt])
+            x_next += np.multiply(np.multiply(sig, sqrt_dt, out=tmp), z, out=tmp)
+            hit = np.flatnonzero(counts > 0)
+            n_hit = counts[hit]
+            x_next[hit] += m * n_hit + d * np.sqrt(n_hit) * z2[hit]
+            x_next -= np.multiply(np.multiply(lam, m, out=tmp), dt, out=tmp)
+            np.clip(x_next, lo, hi, out=x_next)
     if terminal_only:
         for x, surv, mdl in zip(xs, survs, models):
             x[1], surv[1] = x[steps % 2], surv[steps % 2]
@@ -228,8 +228,10 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=Fals
 
 
 def _poisson_counts(rng, means) -> list:
-    """Exact Poisson counts, one independent draw per model."""
-    return [(rng.poisson(np.minimum(mean, 1e6)), 0) for mean in means]
+    """Poisson counts, one independent draw per model, each with the number
+    of its draws whose mean was clamped to ``_POISSON_CLAMP``."""
+    clamp = _POISSON_CLAMP
+    return [(rng.poisson(np.minimum(m, clamp)), int(np.count_nonzero(m > clamp))) for m in means]
 
 
 def _shared_uniform_counts(rng, means) -> list:
@@ -263,7 +265,8 @@ def simulate(
 
     ``default_mode`` "weight" carries only the survival weights; "thin"
     additionally samples default times against an exponential clock, drawn
-    before the paths.  Jump counts are exact Poisson draws.
+    before the paths.  Jump counts are Poisson draws, with the mean clamped
+    at ``_POISSON_CLAMP``; ``poisson_truncated`` counts the clamped draws.
     """
     _check_run(T, steps, n_paths)
     if default_mode not in ("weight", "thin"):
@@ -310,47 +313,49 @@ def _fit_predict(xk: np.ndarray, target: np.ndarray, degree: int, mask=None) -> 
     so each coefficient c_k = <target, p_k> / <p_k, p_k> is one dot
     product and sum_k c_k p_k is the least-squares projection onto
     polynomials of the degree, without forming a power basis (outliers at
-    the guard band make that one ill-conditioned).  Without a mask the
-    prediction sums the fitted basis; with one, the same recurrence runs
-    on every point.
+    the guard band make that one ill-conditioned).  The recurrence runs on
+    every point, in place, with its inner products over the fit sample, so
+    the prediction sums the basis.
 
     Degenerate spreads collapse to the plain mean.  A new p_k whose norm
     falls to max(n, degree + 1) * eps (``lstsq``'s default cut-off) of the
     norm of z p_{k-1} marks a rank-deficient design: the fit stops at
     degree k - 1, with one warning per degree dropped.
     """
-    fit_x = xk if mask is None else xk[mask]
-    fit_y = target if mask is None else target[mask]
+    rows = slice(None) if mask is None else np.flatnonzero(mask)
+    fit_x, fit_y = xk[rows], target[rows]
     mean, std = fit_x.mean(), fit_x.std()
     if std < 1e-12 or fit_x.size <= degree + 1:
         return np.full(xk.shape, fit_y.mean())
-    zs_all = (xk - mean) / std
-    z = zs_all if mask is None else zs_all[mask]
-    tol = max(z.size, degree + 1) * np.finfo(float).eps
-    p_prev, p, norm_prev, norm = 0.0, np.ones_like(z), 1.0, float(z.size)
-    basis, recurrence, coef = [p], [], [fit_y.mean()]
+    zs = xk - mean
+    zs /= std
+    tol = max(fit_x.size, degree + 1) * np.finfo(float).eps
+    tmp = np.empty_like(zs)
+    p_prev, p, norm_prev, norm = None, np.ones_like(zs), 1.0, float(fit_x.size)
+    p_fit = p[rows]
+    basis, coef = [], [fit_y.mean()]
     for k in range(1, degree + 1):
-        zp = z * p
-        alpha, beta = (zp @ p) / norm, norm / norm_prev
-        p_next = zp - alpha * p - beta * p_prev
-        norm_next = p_next @ p_next
-        if norm_next <= tol * tol * (zp @ zp):
+        zp = zs if p_prev is None else zs * p
+        zp_fit = zp[rows]
+        alpha, beta = (zp_fit @ p_fit) / norm, norm / norm_prev
+        zp_norm = zp_fit @ zp_fit
+        if p_prev is None:  # z p_0, alpha p_0 and beta p_{-1} are exact
+            p_next = zp - alpha
+        else:
+            zp -= np.multiply(p, alpha, out=tmp)
+            p_next = np.subtract(zp, np.multiply(p_prev, beta, out=tmp), out=zp)
+        p_next_fit = p_next[rows]
+        norm_next = p_next_fit @ p_next_fit
+        if norm_next <= tol * tol * zp_norm:
             for deg in range(degree, k - 1, -1):
                 warnings.warn(f"rank-deficient LSM regression, reducing degree to {deg - 1}")
             break
-        recurrence.append((alpha, beta))
-        coef.append((fit_y @ p_next) / norm_next)
+        coef.append((fit_y @ p_next_fit) / norm_next)
         basis.append(p_next)
-        p_prev, p, norm_prev, norm = p, p_next, norm, norm_next
-    if mask is not None:
-        basis, q_prev = [np.ones_like(zs_all)], 0.0
-        for alpha, beta in recurrence:
-            q = basis[-1]
-            basis.append(zs_all * q - alpha * q - beta * q_prev)
-            q_prev = q
-    pred = coef[0] * basis[0]
-    for c, b in zip(coef[1:], basis[1:]):
-        pred += c * b
+        p_prev, p, p_fit, norm_prev, norm = p, p_next, p_next_fit, norm, norm_next
+    pred = np.full(xk.shape, coef[0])
+    for c, b in zip(coef[1:], basis):
+        pred += np.multiply(b, c, out=tmp)
     return pred
 
 
@@ -388,15 +393,14 @@ def lsm_price(
     x, dt = batch.x, batch.dt
     v = np.asarray(payoff_eval(payoff, schedule.T, x[:, -1]), dtype=float)
     for k in range(batch.steps - 1, -1, -1):
-        t_k = k * dt
         xk = x[:, k]
         cont = _fit_predict(xk, v, degree)
         step = dt * scheme_driver(driver, cont)
         v = v + step
         if k > 0 and k % stride == 0:
-            phi = np.asarray(payoff_eval(payoff, t_k, xk), dtype=float)
+            phi = np.asarray(payoff_eval(payoff, k * dt, xk), dtype=float)
             ex = phi >= cont + step
-            v[ex] = phi[ex]
+            np.copyto(v, phi, where=ex)
     est = float(v.mean())
     half = 1.96 * float(v.std(ddof=1)) / math.sqrt(batch.n_paths)
     return est, (est - half, est + half)
@@ -412,14 +416,9 @@ def _bermudan_leg_paths(
     regression target is directly comparable across dates.
     """
     stride = _exercise_stride(batch, schedule)
-    r = batch.rate_r
-    x, surv = batch.x, batch.survival
-    T = schedule.T
-    v = (
-        np.asarray(payoff_eval(payoff, T, x[:, -1]), dtype=float)
-        * math.exp(-r * T)
-        * surv[:, -1]
-    )
+    x, surv, r, T = batch.x, batch.survival, batch.rate_r, schedule.T
+    v = np.asarray(payoff_eval(payoff, T, x[:, -1]), dtype=float) * math.exp(-r * T)
+    v *= surv[:, -1]
     for m in range(schedule.M - 1, 0, -1):
         k = m * stride
         t_m = k * batch.dt
@@ -431,7 +430,7 @@ def _bermudan_leg_paths(
         cont0 = _fit_predict(xk, v, degree, mask=itm)
         phi0 = phi * math.exp(-r * t_m) * surv[:, k]
         ex = itm & (phi0 >= cont0)
-        v[ex] = phi0[ex]
+        np.copyto(v, phi0, where=ex)
     return v
 
 

@@ -167,16 +167,11 @@ class ModelSpec:
         return replace(self, default_intensity=intensity)
 
 
-def drift_from_coeffs(model: ModelSpec, sig, a, gamma):
-    """mu = gamma + r - sigma^2/2 - a*kappa from the coefficient values
-    sigma(x), a(x), gamma(x) (martingale restriction)."""
-    return gamma + model.rate_r - 0.5 * sig * sig - a * model.kappa
-
-
 def martingale_drift(model: ModelSpec, x):
     """mu(x) = gamma + r - sigma^2/2 - a*kappa (martingale restriction); the
     coefficients are time-homogeneous, so the drift takes no time."""
-    return drift_from_coeffs(model, *model.coeff_values(x))
+    sig, a, gamma = model.coeff_values(x)
+    return gamma + model.rate_r - 0.5 * sig * sig - a * model.kappa
 
 
 @dataclass(frozen=True)

@@ -294,6 +294,15 @@ class TestBermudanStructure:
         b = bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=64, grid=grid)
         assert a.value == b.value
 
+    def test_rejects_J_other_than_the_grids(self):
+        mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)
+        sched = bermudan.ExerciseSchedule(1.0, 2, 4)
+        pay = bermudan.PayoffSpec(kind="put", strike=self.strike)
+        drv = bsde.DriverSpec(mode="simplified", rate_r=0.06)
+        grid = bsde.make_cos_grid(mdl, 1.0, 64)
+        with pytest.raises(ValueError, match="J=256 does not match the grid's J=64"):
+            bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=256, grid=grid)
+
 
 class TestNodeWorkspace:
     """The XVA solve builds every step's node kernel into one workspace.

@@ -365,6 +365,15 @@ class TestSolveBsde:
         assert a.value == b.value
         assert_allclose(a.y0, b.y0, rtol=0.0, atol=0.0)
 
+    def test_rejects_J_other_than_the_grids(self):
+        mdl = self._model()
+        term, term_dx = self._call_terminal(1.0)
+        bg = bsde.BsdeGrid(16, 1.0 / 16, 0.5, 0.5)
+        spec = bsde.DriverSpec(mode="simplified", rate_r=self.rate_r)
+        grid = bsde.make_cos_grid(mdl, 1.0, 64)
+        with pytest.raises(ValueError, match="J=256 does not match the grid's J=64"):
+            bsde.solve_bsde(mdl, term, term_dx, 1.0, bg, spec, J=256, grid=grid)
+
     def test_risk_free_closeout_points_to_the_mtm_pre_pass(self):
         mdl = self._model()
         term, term_dx = self._call_terminal(1.0)

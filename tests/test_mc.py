@@ -89,6 +89,16 @@ class TestSimulate:
         se = disc.std() / math.sqrt(n)
         assert abs(disc.mean() - math.exp(-0.2)) < 4.0 * se
 
+    def test_clamped_poisson_means_are_counted(self):
+        # a dt = 8e6 x 0.25 = 2e6 is clamped to 1e6 on every draw, while
+        # 4e6 x 0.25 = 1e6 sits on the clamp and is drawn as it is.
+        steps, n = 2, 50
+        over = make_constant_model(0.2, 8e6, 0.0, 0.0, 0.05, 0.0)
+        assert mc._POISSON_CLAMP == 1e6
+        assert mc.simulate(over, 0.5, steps, n, seed=4).poisson_truncated == steps * n
+        at = make_constant_model(0.2, 4e6, 0.0, 0.0, 0.05, 0.0)
+        assert mc.simulate(at, 0.5, steps, n, seed=4).poisson_truncated == 0
+
     def test_thinning_mode_samples_default_times(self):
         g0 = 0.1
         mdl = make_constant_model(0.2, 0.0, 0.0, 0.0, 0.05, g0)
@@ -183,6 +193,15 @@ def _distinct_slope_model(default_intensity):
 
 DISTINCT_SLOPES = _distinct_slope_model(lx.CoeffFamily.exponential(0.1, 0.5))
 CONSTANT_GAMMA = _distinct_slope_model(lx.CoeffFamily.const(0.05))
+# No jump intensity, so no path draws a jump, though the jump law is not trivial.
+PURE_DIFFUSION = lx.ModelSpec(
+    vol=lx.CoeffFamily.exponential(0.15, -2.0),
+    jump_intensity=lx.CoeffFamily.zero(),
+    jump_law=lx.JumpLaw(-0.2, 0.2),
+    default_intensity=lx.CoeffFamily.exponential(0.1, -2.0),
+    rate_r=0.05,
+    spot_x0=0.1,
+)
 
 
 class TestStreamOrder:
@@ -197,8 +216,10 @@ class TestStreamOrder:
             ("weight", make_benchmark_model(0.05, 0.1, x0=0.2)),
             ("thin", make_benchmark_model(0.05, 0.1, x0=0.2)),
             ("weight", DISTINCT_SLOPES),
+            ("weight", make_benchmark_model(0.1, 0.0, x0=0.4)),
+            ("weight", PURE_DIFFUSION),
         ],
-        ids=["weight", "thin", "distinct-slopes"],
+        ids=["weight", "thin", "distinct-slopes", "zero-default", "no-jumps"],
     )
     def test_simulate_matches_reference_loop(self, mode, mdl):
         batch = mc.simulate(mdl, self.T, self.steps, self.n_paths, self.seed, default_mode=mode)
