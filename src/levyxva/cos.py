@@ -16,6 +16,11 @@ conditional expectation is ``weights @ H``; the first-term half of the
 primed sum is carried by the weights (``expectation_weights``, the
 kernels' ``psi[:, 0]``), never by H.  Node values from the midpoint rule
 carry uniform weights.
+
+Both transforms are plain discrete Fourier transforms from ``numpy.fft``:
+the DCT is one real FFT of the reordered node values, and each restricted
+product is one forward and one inverse complex FFT, so the engine needs
+no library beyond numpy.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .charfunc import MAX_ORDER, CharFuncApprox, NodeWorkspace
 
@@ -87,12 +91,35 @@ def dct_coeffs(node_values, grid: CosGrid) -> np.ndarray:
     Midpoint quadrature of the projection integral gives
     H_j ~ (2/J) sum_i h(x_i) cos(j pi (2i+1) / (2J)), a type-II DCT with
     uniform node weights, along the last axis, so stacked rows transform
-    in one call.  Exact for h constant (H_0 = 2h, H_j = 0).
+    in one call.  Exact for h constant (H_0 = 2h, H_j = 0) up to rounding.
+
+    The DCT is one real FFT (Makhoul 1980): with v the even-indexed
+    values followed by the odd-indexed ones reversed, V = rfft(v) and
+    P_j = (2/J) e^{-i pi j/(2J)} V_j, j = 0..J/2, give H_j = Re P_j and
+    H_{J-j} = -Im P_j.
     """
     vals = np.asarray(node_values, dtype=float)
-    if vals.shape[-1] != grid.J:
+    J = grid.J
+    if vals.shape[-1] != J:
         raise ValueError("need one value per grid node")
-    return scipy.fft.dct(vals, type=2, axis=-1) / grid.J
+    order, twiddle = _dct_plan(J)
+    spec = np.fft.rfft(np.take(vals, order, axis=-1), axis=-1)
+    spec *= twiddle
+    out = np.empty(vals.shape)
+    out[..., : J // 2 + 1] = spec.real
+    np.negative(spec.imag[..., (J - 1) // 2 : 0 : -1], out=out[..., J // 2 + 1 :])
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _dct_plan(J: int) -> tuple:
+    """Read-only node order (even indices, then odd ones reversed) and
+    twiddle (2/J) e^{-i pi j/(2J)}, j = 0..J/2, of ``dct_coeffs``."""
+    order = np.concatenate((np.arange(0, J, 2), np.arange(J - 1 - J % 2, 0, -2)))
+    twiddle = (2.0 / J) * np.exp((-0.5j * math.pi / J) * np.arange(J // 2 + 1))
+    order.setflags(write=False)
+    twiddle.setflags(write=False)
+    return order, twiddle
 
 
 def _check_shared(grid: CosGrid, cf: CharFuncApprox) -> None:
@@ -332,9 +359,11 @@ def m_matrix_product(
 
     so at one length n >= 3J - 2 the two kernels and the two inputs are
     the rows of one forward FFT, and the sum of the two spectral products
-    takes one inverse: O(J log J) in two transform calls.  After the
-    limits are checked, an all-zero weight row ``lam`` (an expansion order
-    whose corrections the trust region rejected) returns zeros at once.
+    takes one inverse: O(J log J) in two ``numpy.fft`` calls, both in
+    place.  n is the smallest 2-3-5-7-11-smooth length (``_next_fast_len``,
+    cached per J).  After the limits are checked, an all-zero weight row
+    ``lam`` (an expansion order whose corrections the trust region
+    rejected) returns zeros at once.
     """
     J = grid.J
     u = lam * np.asarray(V, dtype=complex)
@@ -344,14 +373,29 @@ def m_matrix_product(
     u[0] *= 0.5
     I = monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2)
     # rows: Hankel kernel, Toeplitz kernel, reversed u, u
-    rows = np.zeros((4, scipy.fft.next_fast_len(3 * J - 2)), dtype=complex)
+    rows = np.zeros((4, _next_fast_len(3 * J - 2)), dtype=complex)
     rows[0, : 2 * J - 1] = I
     rows[1, :J] = I[J - 1 :: -1]
     np.conjugate(I[1:J], out=rows[1, J : 2 * J - 1])
     rows[2, :J] = u[::-1]
     rows[3, :J] = u
-    spec = scipy.fft.fft(rows, axis=-1, overwrite_x=True)
+    spec = np.fft.fft(rows, axis=-1, out=rows)
     spec[0] *= spec[2]
     spec[1] *= spec[3]
     spec[0] += spec[1]
-    return scipy.fft.ifft(spec[0], overwrite_x=True)[J - 1 : 2 * J - 1].real
+    return np.fft.ifft(spec[0], out=spec[0])[J - 1 : 2 * J - 1].real
+
+
+@functools.lru_cache(maxsize=8)
+def _next_fast_len(n: int) -> int:
+    """Smallest m >= max(n, 1) with no prime factor above 11: a length the
+    FFT factors into its fast radices (as ``scipy.fft.next_fast_len``)."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1

@@ -14,11 +14,12 @@ law).
 
 ``simulate`` and the CVA pair step through one path loop, which draws
 per step the jump counts, then the normals Z and Z', on one random stream
-and evaluates sigma, a and gamma once per model, with one exponential
-per distinct slope (``ModelSpec.coeff_values``).  The two differ only in
-the counts: ``simulate`` draws them from the generator's Poisson law
-(mean clamped at ``_POISSON_CLAMP``), while the pair shares one uniform
-across its two legs and inverts each leg's Poisson CDF, so the legs stay
+and evaluates sigma, a and (for a defaultable model) gamma once per
+model, with one exponential per distinct slope
+(``ModelSpec.coeff_values``).  The two differ only in the counts:
+``simulate`` draws them from the generator's Poisson law (mean clamped
+at ``_POISSON_CLAMP``), while the pair shares one uniform across its two
+legs and inverts each leg's Poisson CDF, so the legs stay
 coupled even though their intensities drift apart.  The inverse CDF caps
 the mean a(x) dt at ``_POISSON_CAP``; every draw at the cap shares one
 Poisson CDF, a table built once and searched, and only draws below the
@@ -166,11 +167,12 @@ def _check_run(T, steps: int, n_paths: int) -> None:
 def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=False) -> list:
     """Euler paths of every model on one random stream, one batch each.
 
-    Each step evaluates sigma, a and gamma of every model, draws the jump
-    counts with ``draw_counts(rng, means)`` (one (counts, truncated draws)
-    pair per model, from its a(x) dt), then the normals z and z2 that all
-    models share, and absorbs every model on the union of their guard
-    bands.  Step k reads store row k and writes row k + 1, in the order
+    Each step evaluates sigma and a of every model (gamma only where the
+    default intensity is nonzero), draws the jump counts with
+    ``draw_counts(rng, means)`` (one (counts, truncated draws) pair per
+    model, from its a(x) dt), then the normals z and z2 that all models
+    share, and absorbs every model on the union of their guard bands.
+    Step k reads store row k and writes row k + 1, in the order
     (((x + mu dt) + (sigma sqrt(dt)) z) + jumps) - (a m) dt with
     mu = ((gamma + r) - (0.5 sigma) sigma) - a kappa.  With
     ``terminal_only`` the stores keep two rows, time k in row k % 2, and
@@ -192,7 +194,10 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=Fals
         surv[: rows if mdl.default_intensity.is_zero else 1] = 1.0
     for k in range(steps):
         now, nxt = k % rows, (k + 1) % rows
-        coeffs = [mdl.coeff_values(x[now]) for mdl, x in zip(models, xs)]
+        coeffs = [
+            mdl.coeff_values(x[now], hazard=not mdl.default_intensity.is_zero)
+            for mdl, x in zip(models, xs)
+        ]
         draws = draw_counts(rng, [lam * dt for _, lam, _ in coeffs])
         rng.standard_normal(out=z)
         rng.standard_normal(out=z2)
@@ -324,13 +329,18 @@ def _fit_predict(xk: np.ndarray, target: np.ndarray, degree: int, mask=None) -> 
     """
     rows = slice(None) if mask is None else np.flatnonzero(mask)
     fit_x, fit_y = xk[rows], target[rows]
-    mean, std = fit_x.mean(), fit_x.std()
+    mean = fit_x.mean()
+    zs = xk - mean
+    # fit_x.std() without recomputing the mean, in numpy's own order:
+    # the pairwise sum of the squared deviations, over n, then the root.
+    dev = zs if mask is None else fit_x - mean
+    tmp = np.empty_like(zs)
+    sq = np.multiply(dev, dev, out=tmp[: dev.size])
+    std = np.sqrt(np.add.reduce(sq) / fit_x.size)
     if std < 1e-12 or fit_x.size <= degree + 1:
         return np.full(xk.shape, fit_y.mean())
-    zs = xk - mean
     zs /= std
     tol = max(fit_x.size, degree + 1) * np.finfo(float).eps
-    tmp = np.empty_like(zs)
     p_prev, p, norm_prev, norm = None, np.ones_like(zs), 1.0, float(fit_x.size)
     p_fit = p[rows]
     basis, coef = [], [fit_y.mean()]

@@ -143,14 +143,14 @@ class ModelSpec:
     def intensity_a(self, t, x):
         return self.jump_intensity(x)
 
-    def coeff_values(self, x) -> tuple:
+    def coeff_values(self, x, hazard: bool = True) -> tuple:
         """(sigma(x), a(x), gamma(x)) with one exponential per distinct
-        nonzero slope; each value is bit-identical to its family's call."""
+        nonzero slope; each value is bit-identical to its family's call.
+        With ``hazard=False`` gamma is not evaluated and comes back None."""
         x, exps = np.asarray(x, dtype=float), {}
-        return tuple(
-            fam.eval_shared(x, exps)
-            for fam in (self.vol, self.jump_intensity, self.default_intensity)
-        )
+        sig = self.vol.eval_shared(x, exps)
+        a = self.jump_intensity.eval_shared(x, exps)
+        return sig, a, self.default_intensity.eval_shared(x, exps) if hazard else None
 
     @property
     def kappa(self) -> float:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -116,6 +117,21 @@ class TestDctCoeffs:
         g = cos.CosGrid(0.0, 1.0, 8)
         with pytest.raises(ValueError):
             cos.dct_coeffs(np.ones(7), g)
+
+    @pytest.mark.parametrize("J", [31, 32, 100, 256, 300, 512])
+    @pytest.mark.parametrize("rows", [None, 3], ids=["1d", "stacked"])
+    def test_matches_the_library_dct(self, J, rows):
+        vals = np.random.default_rng(J).normal(size=J if rows is None else (rows, J))
+        want = scipy.fft.dct(vals, type=2, axis=-1) / J
+        got = cos.dct_coeffs(vals, cos.CosGrid(-1.0, 2.0, J))
+        assert got.shape == want.shape and got.flags.c_contiguous
+        err = np.max(np.abs(got - want), axis=-1)
+        assert np.all(err <= 1e-15 * np.max(np.abs(want), axis=-1))
+
+
+def test_next_fast_len_matches_the_library():
+    lengths = range(1, 4097)
+    assert [cos._next_fast_len(n) for n in lengths] == [scipy.fft.next_fast_len(n) for n in lengths]
 
 
 class TestPutPayoffCoeffs:
@@ -371,6 +387,28 @@ class TestMMatrixProduct:
         lam = np.exp(-0.05 * g.freqs**2) * np.exp(0.3j * g.freqs)
         args = (V, g, x_lo, x_hi, h, lam, -0.2)
         assert_allclose(cos.m_matrix_product(*args), dense_m_product(*args), atol=1e-10, rtol=0.0)
+
+    @pytest.mark.parametrize("J", [8, 37, 100, 256])
+    @pytest.mark.parametrize("h", range(3))
+    def test_matches_the_library_transform_formula(self, J, h):
+        # The same zero-padded rows through scipy's transforms.
+        rng = np.random.default_rng(J + h)
+        g = cos.CosGrid(-2.0, 2.4, J)
+        V = rng.normal(size=J)
+        lam = np.exp(-0.05 * g.freqs**2) * np.exp(0.3j * g.freqs)
+        u = lam * V
+        u[0] *= 0.5
+        I = cos.monomial_exp_integrals(g, -1.1, 0.7, h, -0.2, 2 * J - 2)
+        rows = np.zeros((4, scipy.fft.next_fast_len(3 * J - 2)), dtype=complex)
+        rows[0, : 2 * J - 1] = I
+        rows[1, :J] = I[J - 1 :: -1]
+        rows[1, J : 2 * J - 1] = np.conj(I[1:J])
+        rows[2, :J] = u[::-1]
+        rows[3, :J] = u
+        spec = scipy.fft.fft(rows, axis=-1)
+        want = scipy.fft.ifft(spec[0] * spec[2] + spec[1] * spec[3])[J - 1 : 2 * J - 1].real
+        got = cos.m_matrix_product(V, g, -1.1, 0.7, h, lam, -0.2)
+        assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
     def test_zero_weight_row_gives_exact_zeros_without_integrals(self, monkeypatch):
         g = cos.CosGrid(-1.0, 1.0, 8)

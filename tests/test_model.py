@@ -203,3 +203,10 @@ class TestModelSpecHelpers:
         assert len(calls) == n_exp
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    def test_coeff_values_without_hazard_leave_gamma_out(self):
+        mdl = make_benchmark_model(0.05, 0.1)
+        x = np.linspace(-1.0, 1.0, 9)
+        sig, a, gamma = mdl.coeff_values(x, hazard=False)
+        assert gamma is None
+        assert np.array_equal(sig, mdl.vol(x)) and np.array_equal(a, mdl.jump_intensity(x))
