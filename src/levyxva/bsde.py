@@ -8,11 +8,17 @@ One backward step on the cosine grid reads
 
 with the implicit y_n resolved by P Picard iterations started at
 E_n[y_{n+1}].  All conditional expectations are kernel weights applied to
-the cosine coefficients of the later time level, which the caller obtains
-by one stacked DCT per level and shares between every step that reads that
-level.  The XVA drivers read only y and, for the risk-free close-out, a
-mark-to-market, so ``theta_step`` runs the y recursion alone; ``z_step``
-runs the z recursion for the z0 that ``solve_bsde`` returns.
+the cosine coefficients of the later time level.
+
+Both pricers, ``solve_bsde`` and ``bermudan.price_bermudan_xva``, run one
+backward loop, ``_backward``, and differ only in how a step's kernel is
+supplied and in whether z is carried.  Each level is transformed once, in
+one stacked DCT of (y, f), or of (y, z, f) when the caller asks for z.
+``theta_step`` runs the y recursion and ``z_step`` the z recursion; no
+driver reads z.  A risk-free close-out runs a zero-driver mark-to-market
+pass through the same steps and kernels, each step ahead of the main pass.
+At exercise dates y becomes max(phi, y); none is applied at t_0.  The
+last level's coefficients feed the node step and ``spot_step``.
 
 ``scheme_driver`` gives every mode's driver in the BSDE convention that the
 scheme consumes (Ruijter & Oosterlee 2015), in which the full driver's
@@ -21,6 +27,7 @@ adjustment-free limit is -r*y.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -275,6 +282,80 @@ def _node_kernel(
     return cosmod.step_kernel(_expansion(mdl, grid, grid.nodes, dt, out=out), grid, out=out)
 
 
+def _solve_grid(mdl, T, bgrid, spec, J, L, grid):
+    """The checks both pricers make before a solve; returns its cosine grid."""
+    if not math.isclose(bgrid.n_steps * bgrid.dt, T, rel_tol=1e-9, abs_tol=1e-12):
+        raise ValueError("bgrid must tile [0, T]")
+    check_contraction(bgrid, spec)
+    if grid is None:
+        return make_cos_grid(mdl, T, J, L)
+    if J != grid.J:
+        raise ValueError(f"J={J} does not match the grid's J={grid.J}")
+    return grid
+
+
+def _leftmost_crossing(x: np.ndarray, d: np.ndarray) -> float:
+    """Linear-interpolated first sign change of d along x, nan if none."""
+    flips = np.nonzero(np.signbit(d[:-1]) != np.signbit(d[1:]))[0]
+    if flips.size == 0:
+        return math.nan
+    i = flips[0]
+    d0, d1 = d[i], d[i + 1]
+    if d0 == d1:
+        return float(x[i])
+    return float(x[i] + (x[i + 1] - x[i]) * d0 / (d0 - d1))
+
+
+def _backward(mdl, phi, kernel, grid, bgrid, driver, every, phi_dx=None):
+    """The backward loop of both pricers (module docstring).
+
+    ``phi``: node values at T, the terminal and the exercise value;
+    ``kernel()``: each step's node kernel; an exercise date every ``every``
+    steps; ``phi_dx``: node values of dphi/dx at T which, when given, start
+    z = sigma * phi_dx, carried by a lone pass.  Returns the spot value, y
+    and z (or None) at t_0, and the boundary.
+    """
+    x = grid.nodes
+    passes = (DriverSpec(mode="zero"), driver) if driver.needs_mtm else (driver,)
+    # (y, f) per pass; each pass's y at a step is the next pass's mtm there.
+    state = [(phi, scheme_driver(drv, phi, mtm)) for drv, mtm in zip(passes, (None, phi))]
+    z = None
+    if phi_dx is not None:
+        sigma = mdl.vol(x)
+        z = phi_dx * sigma
+    boundary = []
+    for s in reversed(range(bgrid.n_steps)):
+        kern = kernel()
+        for i, drv in enumerate(passes):
+            y, f = state[i]
+            mtm = state[i - 1][0] if i else None
+            if z is None:
+                hy, hf = cosmod.dct_coeffs(np.stack((y, f)), grid)
+            else:
+                hy, hz, hf = cosmod.dct_coeffs(np.stack((y, z, f)), grid)
+                z = z_step(hy, hz, hf, kern, bgrid, sigma)
+            y, f = theta_step(hy, hf, kern, bgrid, drv, mtm)
+            if s > 0 and s % every == 0:
+                t_now = s * bgrid.dt
+                x_star = _leftmost_crossing(x, phi - y)
+                if min(x_star - grid.a, grid.b - x_star) < grid.dx:  # false for nan
+                    warnings.warn(
+                        f"exercise boundary {x_star:.4g} at t={t_now:.4g} touches the "
+                        f"truncation bounds [{grid.a:.4g}, {grid.b:.4g}]",
+                        stacklevel=3,
+                    )
+                if drv is driver:
+                    boundary.append((t_now, x_star))
+                y = np.where(phi > y, phi, y)
+                f = scheme_driver(drv, y, mtm)
+            state[i] = (y, f)
+    # The t_1 coefficients of the last step also feed the step at the spot,
+    # with the expansion re-based at X0.
+    value = spot_step(mdl, hy, hf, grid, bgrid, driver, mtm)
+    boundary.reverse()
+    return value, y, z, boundary
+
+
 def solve_bsde(
     mdl: modelmod.ModelSpec,
     terminal: Callable[[np.ndarray], np.ndarray],
@@ -290,40 +371,25 @@ def solve_bsde(
 
     The expectation kernel is built once, from dt alone: the model
     coefficients are time-homogeneous, so the step length is the only time
-    input of the order-``charfunc.MAX_ORDER`` expansion, and sigma is
-    evaluated at the nodes once.  z at the terminal time is terminal_dx *
-    sigma.  Each time level is transformed once, in one stacked DCT of
-    (y, z, f).  A risk-free close-out needs a mark-to-market, which
-    ``price_bermudan_xva`` supplies by its zero-driver pass (M = 1 is this
-    European solve).
+    input of the order-``charfunc.MAX_ORDER`` expansion.  z at the terminal
+    time is terminal_dx * sigma.  A risk-free close-out needs a
+    mark-to-market, which ``price_bermudan_xva`` supplies by its
+    zero-driver pass (M = 1 is this European solve).
     """
-    if not math.isclose(bgrid.n_steps * bgrid.dt, T, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError("bgrid must tile [0, T]")
-    check_contraction(bgrid, spec)
     if spec.needs_mtm:
         raise ValueError(
             "risk-free close-out needs a mark-to-market; use price_bermudan_xva "
             "with M=1, which runs the zero-driver mark-to-market pass"
         )
-    if grid is None:
-        grid = make_cos_grid(mdl, T, J, L)
-    elif J != grid.J:
-        raise ValueError(f"J={J} does not match the grid's J={grid.J}")
+    grid = _solve_grid(mdl, T, bgrid, spec, J, L, grid)
     x = grid.nodes
     kernel = _node_kernel(mdl, grid, bgrid.dt)
-
-    sigma = mdl.vol(x)
-    y = np.asarray(terminal(x), dtype=float)
-    z = np.asarray(terminal_dx(x), dtype=float) * sigma
-    f = scheme_driver(spec, y)
-    for _ in range(bgrid.n_steps):
-        hy, hz, hf = cosmod.dct_coeffs(np.stack((y, z, f)), grid)
-        z = z_step(hy, hz, hf, kernel, bgrid, sigma)
-        y, f = theta_step(hy, hf, kernel, bgrid, spec)
-    # The t_1 coefficients of the last step also feed the step at the spot,
-    # with the expansion re-based at X0.
-    value = spot_step(mdl, hy, hf, grid, bgrid, spec)
-    return BsdeSolution(value=value, y0=y, z0=z, grid=grid, spot=mdl.spot_x0)
+    phi = np.asarray(terminal(x), dtype=float)
+    phi_dx = np.asarray(terminal_dx(x), dtype=float)
+    value, y0, z0, _ = _backward(
+        mdl, phi, lambda: kernel, grid, bgrid, spec, bgrid.n_steps, phi_dx
+    )
+    return BsdeSolution(value=value, y0=y0, z0=z0, grid=grid, spot=mdl.spot_x0)
 
 
 def spot_step(
@@ -336,13 +402,11 @@ def spot_step(
     mtm_now=None,
 ) -> float:
     """The first backward step (from t_0 + dt to t_0 = 0) at the spot only,
-    basepoint X0, from the coefficients hy, hf of the later level."""
+    basepoint X0, from the coefficients hy, hf of the later level.
+    ``mtm_now`` holds node values, interpolated onto the spot."""
     x0 = mdl.spot_x0
     kern = cosmod.point_kernel(_expansion(mdl, grid, x0, bgrid.dt), grid, [x0])
     if mtm_now is not None:
-        mtm_now = np.atleast_1d(np.asarray(mtm_now, dtype=float))
-        if mtm_now.shape[0] != 1:
-            # interpolate a node-grid mtm onto the spot
-            mtm_now = np.atleast_1d(np.interp(x0, grid.nodes, mtm_now))
+        mtm_now = np.atleast_1d(np.interp(x0, grid.nodes, mtm_now))
     y_spot, _ = theta_step(hy, hf, kern, bgrid, spec, mtm_now)
     return float(y_spot[0])

@@ -258,14 +258,24 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     seed_val = rd.get("job", "seed", int, 0, override=seed)
     if not 0 <= seed_val < 2**64:
         raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed_val}")
-    widen_abs = rd.get("job", "widen_abs", _to_float, 1e-3)
-    x0_list = rd.get("job", "x0_list", _to_float_list, [x0])
-    c_list = rd.get("job", "c_list", _to_float_list, [0.0, 0.1, 0.2])
+
+    def job_key(key, reader, conv, default):
+        """A key that only job ``reader`` reads; another job rejects it, so
+        the key is echoed and hashed only where it acts."""
+        if job_kind == reader:
+            return rd.get("job", key, conv, default)
+        if cp.has_option("job", key):
+            raise ConfigError(f"[job] {key} is read only by job {reader}, not by {job_kind}")
+        return default
+
+    widen_abs = job_key("widen_abs", "validate", _to_float, 1e-3)
+    x0_list = job_key("x0_list", "price-xva", _to_float_list, [x0])
+    c_list = job_key("c_list", "boundary", _to_float_list, [0.0, 0.1, 0.2])
     if any(c < 0.0 for c in c_list):
         raise ConfigError(f"[job] c_list entries must be nonnegative, got {c_list}")
-    j_list = rd.get("job", "j_list", _to_int_list, [8, 16, 32, 64, 128, 256])
-    n_list = rd.get("job", "n_list", _to_int_list, [1, 10, 20, 30])
-    bench_n_list = rd.get("job", "bench_n_list", _to_int_list, [2, 4, 8])
+    j_list = job_key("j_list", "convergence", _to_int_list, [8, 16, 32, 64, 128, 256])
+    n_list = job_key("n_list", "convergence", _to_int_list, [1, 10, 20, 30])
+    bench_n_list = job_key("bench_n_list", "bench", _to_int_list, [2, 4, 8])
 
     from . import model as modelmod
 

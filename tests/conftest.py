@@ -5,9 +5,10 @@ no default intensity); ``model_put`` is the CVA benchmark (Bermudan put,
 r = 0.05, exponential default intensity c = 0.1).  Both use the same
 exponential coefficient families sigma(x) = 0.15 e^{-2x},
 a(x) = 0.2 e^{-2x} with N(-0.2, 0.2^2) jumps.  ``dct_calls`` records the
-shape of every ``cos.dct_coeffs`` call a test makes.  ``dense_m_product``
-materializes the restricted-interval matrix: the O(J^2) oracle of the
-engine's FFT product ``cos.m_matrix_product``.
+shape of every ``cos.dct_coeffs`` call a test makes, and ``z_step_calls``
+the shape of the y coefficients of every ``bsde.z_step`` call.
+``dense_m_product`` materializes the restricted-interval matrix: the
+O(J^2) oracle of the engine's FFT product ``cos.m_matrix_product``.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import levyxva as lx
-from levyxva import cos
+from levyxva import bsde, cos
 
 
 def make_benchmark_model(rate_r, c_default, x0=0.0):
@@ -91,4 +92,17 @@ def dct_calls(monkeypatch):
         return dct(values, grid)
 
     monkeypatch.setattr(cos, "dct_coeffs", counted)
+    return calls
+
+
+@pytest.fixture
+def z_step_calls(monkeypatch):
+    calls = []
+    z_step = bsde.z_step
+
+    def counted(hy, *args):
+        calls.append(np.shape(hy))
+        return z_step(hy, *args)
+
+    monkeypatch.setattr(bsde, "z_step", counted)
     return calls

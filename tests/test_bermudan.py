@@ -250,16 +250,18 @@ class TestBermudanStructure:
         assert v1 != pytest.approx(v0, abs=1e-8)
 
     @pytest.mark.parametrize("closeout, passes", [("risky", 1), ("risk-free", 2)])
-    def test_one_dct_per_time_level(self, dct_calls, closeout, passes):
+    def test_one_dct_per_time_level(self, dct_calls, z_step_calls, closeout, passes):
         # (y, f) of a level are transformed in one call; the last level's
         # coefficients serve both the node step and the spot step.  The
         # risk-free close-out adds the zero-driver mark-to-market pass.
+        # No driver reads z, so the XVA solve carries none.
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)
         sched = bermudan.ExerciseSchedule(1.0, 3, 2)
         pay = bermudan.PayoffSpec(kind="put", strike=self.strike)
         drv = bsde.DriverSpec(mode="full", rate_r=0.06, rate_c=0.08, closeout=closeout)
         bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=32)
         assert dct_calls == [(2, 32)] * (passes * sched.M * sched.N)
+        assert z_step_calls == []
 
     @pytest.mark.parametrize(
         "kind, strike, closeout",
@@ -283,6 +285,22 @@ class TestBermudanStructure:
         res = bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=32)
         assert len(calls) == 1
         assert np.isfinite(res.value) and len(res.boundary) == sched.M - 1
+
+    def test_boundary_at_the_truncation_bounds_warns(self):
+        # A call's exercise boundary at t = 0.25 lies within one node
+        # spacing of the upper bound of a deliberately narrow interval.
+        mdl = make_benchmark_model(rate_r=0.05, c_default=0.0)
+        pay = bermudan.PayoffSpec(kind="call", strike=1.0)
+        drv = bsde.DriverSpec(mode="simplified", rate_r=0.05)
+        grid = cos.CosGrid(-1.0, 0.34, 16)
+        sched = bermudan.ExerciseSchedule(1.0, 4, 2)
+        with pytest.warns(UserWarning) as record:
+            res = bermudan.price_bermudan_xva(mdl, pay, sched, drv, J=16, grid=grid)
+        assert [str(w.message) for w in record] == [
+            "exercise boundary 0.277 at t=0.25 touches the truncation bounds [-1, 0.34]"
+        ]
+        assert record[0].filename == __file__
+        assert res.boundary[0] == pytest.approx((0.25, 0.27700508099), abs=1e-10)
 
     def test_grid_reuse_is_deterministic(self):
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.06, 0.0)

@@ -381,13 +381,15 @@ class TestSolveBsde:
         with pytest.raises(ValueError, match="price_bermudan_xva"):
             bsde.solve_bsde(mdl, term, term_dx, 1.0, bsde.BsdeGrid(4, 0.25), spec, J=32)
 
-    def test_one_dct_per_time_level(self, dct_calls):
+    def test_one_dct_per_time_level(self, dct_calls, z_step_calls):
         # y, z and f of a level are transformed in one call that every
-        # step reading the level shares, the spot step included.
+        # step reading the level shares, the spot step included; the
+        # European solve carries z, one z step per time step.
         term, term_dx = self._call_terminal(1.0)
         spec = bsde.DriverSpec(mode="simplified", rate_r=self.rate_r)
         bsde.solve_bsde(self._model(), term, term_dx, 1.0, bsde.BsdeGrid(8, 0.125), spec, J=32)
         assert dct_calls == [(3, 32)] * 8
+        assert z_step_calls == [(32,)] * 8
 
     def test_solution_records_spot_and_grid(self):
         mdl = self._model()

@@ -32,6 +32,17 @@ BASE = {
 }
 
 
+# The [job] keys that a single job reads, each with that job.
+READER = {
+    "x0_list": "price-xva",
+    "c_list": "boundary",
+    "j_list": "convergence",
+    "n_list": "convergence",
+    "bench_n_list": "bench",
+    "widen_abs": "validate",
+}
+
+
 def write_config(tmp_path, name="run.ini", drop=(), **overrides):
     """Write BASE merged with per-section override dicts, return the path."""
     sections = {sec: dict(vals) for sec, vals in BASE.items()}
@@ -121,7 +132,10 @@ class TestConfigErrors:
         ],
     )
     def test_rejected_values(self, tmp_path, capsys, section, key, value, needle):
-        path = write_config(tmp_path, **{section: {key: value}})
+        overrides = {section: {key: value}}
+        if key in READER:
+            overrides[section]["kind"] = READER[key]
+        path = write_config(tmp_path, **overrides)
         code, _, err = run_cli(["--config", path], capsys)
         assert code == 2
         assert needle in err
@@ -140,6 +154,13 @@ class TestConfigErrors:
         code, _, err = run_cli(["--config", path], capsys)
         assert code == 2
         assert "[driver] unknown key 'simplified_rate'" in err
+
+    @pytest.mark.parametrize("key, job", sorted(READER.items()))
+    def test_job_key_is_rejected_for_other_jobs(self, tmp_path, capsys, key, job):
+        path = write_config(tmp_path, job={key: "1"})
+        code, _, err = run_cli(["--config", path], capsys)
+        assert code == 2
+        assert f"[job] {key} is read only by job {job}, not by price-cva" in err
 
     @pytest.mark.parametrize("job", ["price-cva", "greeks", "boundary"])
     @pytest.mark.parametrize("kind", ["call", "portfolio-linear"])
@@ -202,13 +223,15 @@ class TestEchoAndHash:
             ("j_list", "8, 64"),
             ("n_list", "1, 5"),
             ("bench_n_list", "2, 3"),
+            ("widen_abs", "0.01"),
         ],
     )
-    def test_job_lists_enter_hash(self, tmp_path, capsys, key, value):
-        _, out1, _ = run_cli(["--config", write_config(tmp_path, "a.ini")], capsys)
-        path = write_config(tmp_path, "b.ini", job={key: value})
-        _, out2, _ = run_cli(["--config", path], capsys)
-        assert out1.splitlines()[0] != out2.splitlines()[0]
+    def test_job_lists_enter_hash(self, tmp_path, key, value):
+        # A job-specific key enters the hash of the job that reads it.
+        job = {"kind": READER[key]}
+        plain = cli.parse_config(write_config(tmp_path, "a.ini", job=job))
+        keyed = cli.parse_config(write_config(tmp_path, "b.ini", job={**job, key: value}))
+        assert plain.sha256 != keyed.sha256
 
     def test_output_path_stays_out_of_hash(self, tmp_path, capsys):
         _, plain, _ = run_cli(["--config", write_config(tmp_path, "a.ini")], capsys)
@@ -243,12 +266,6 @@ class TestEchoAndHash:
                 "kind": "price-cva",
                 "out": tmp_path / "o.csv",
                 "seed": "3",
-                "widen_abs": "0.01",
-                "x0_list": "0.0",
-                "c_list": "0.1",
-                "j_list": "8",
-                "n_list": "2",
-                "bench_n_list": "2",
             },
         }
         path = write_config(tmp_path, **every)
