@@ -366,10 +366,10 @@ def m_matrix_product(
     rejected) returns zeros at once.
     """
     J = grid.J
-    u = lam * np.asarray(V, dtype=complex)
     _check_limits_and_order(grid, x_lo, x_hi, h)
     if not np.any(lam):
         return np.zeros(J)
+    u = lam * np.asarray(V, dtype=complex)
     u[0] *= 0.5
     I = monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2)
     # rows: Hankel kernel, Toeplitz kernel, reversed u, u

@@ -29,8 +29,10 @@ One fused Euler step serves both simulators: it writes X_{k+1} in place
 into the next row of a time-major (steps+1, paths) store, through two
 scratch rows, in the operation order of the update written out term by
 term, so each path is that update bit for bit.  Jumps are added only
-where the count is nonzero (elsewhere the term is +-0), and a
-default-free leg keeps the survival weight 1 with no hazard evaluated.
+where the count is nonzero (elsewhere the term is +-0).  A default-free
+leg evaluates no hazard and has no survival store: its weight is a
+read-only broadcast 1.0 of the store's shape, eight bytes where a store
+of (steps+1, paths) float64 would hold the same ones.
 
 Every LSM regression is a least-squares projection onto polynomials of
 the standardized state, expanded in the polynomials orthogonal on the fit
@@ -62,7 +64,9 @@ class PathBatch:
 
     ``x`` and ``survival`` have shape (paths, steps+1) and are transposed
     views of time-major stores, so ``x[:, k]`` is contiguous; copy with
-    ``np.ascontiguousarray`` where path-major bytes are needed.  Column k
+    ``np.ascontiguousarray`` where path-major bytes are needed.  A
+    default-free model's ``survival`` is a read-only broadcast 1.0 with
+    zero strides, not a store; copy it before writing.  Column k
     is time k ``dt``.  ``poisson_truncated`` counts the jump draws the CRN
     pair's inverse CDF cut off at ``_POISSON_CAP + 1``, or, from
     ``simulate``, the draws whose mean a(x) dt exceeded ``_POISSON_CLAMP``
@@ -186,12 +190,18 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=Fals
     lo, hi = min(los), max(his)
     rows = 2 if terminal_only else steps + 1
     xs = [np.empty((rows, n_paths)) for _ in models]
-    survs = [np.empty((rows, n_paths)) for _ in models]
+    survs = [
+        np.broadcast_to(np.float64(1.0), (rows, n_paths))
+        if mdl.default_intensity.is_zero
+        else np.empty((rows, n_paths))
+        for mdl in models
+    ]
     drift, tmp, z, z2 = np.empty((4, n_paths))
     truncated = [0] * len(models)
     for x, surv, mdl in zip(xs, survs, models):
         x[0] = mdl.spot_x0
-        surv[: rows if mdl.default_intensity.is_zero else 1] = 1.0
+        if not mdl.default_intensity.is_zero:
+            surv[0] = 1.0
     for k in range(steps):
         now, nxt = k % rows, (k + 1) % rows
         coeffs = [
@@ -223,8 +233,9 @@ def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=Fals
             np.clip(x_next, lo, hi, out=x_next)
     if terminal_only:
         for x, surv, mdl in zip(xs, survs, models):
-            x[1], surv[1] = x[steps % 2], surv[steps % 2]
-            x[0], surv[0] = mdl.spot_x0, 1.0
+            x[1], x[0] = x[steps % 2], mdl.spot_x0
+            if not mdl.default_intensity.is_zero:
+                surv[1], surv[0] = surv[steps % 2], 1.0
     spacing = T if terminal_only else dt
     return [
         PathBatch(x.T, surv.T, None, seed, spacing, mdl.rate_r, poisson_truncated=cut)
@@ -397,8 +408,15 @@ def lsm_price(
     driver's y argument; exercise decisions at interior dates compare the
     payoff against the regressed continuation.  Returns (estimate,
     (lo, hi)) with a 95% interval from the final cross-path average.
+    A full driver with risk-free close-out is rejected: its driver reads
+    a mark-to-market that no regression here supplies.
     """
     modelmod._require_count("degree", degree)
+    if driver.needs_mtm:
+        raise ValueError(
+            "lsm_price has no mark-to-market input for a risk-free close-out yet; "
+            "use the risky close-out or the cosine engine"
+        )
     stride = _exercise_stride(batch, schedule)
     x, dt = batch.x, batch.dt
     v = np.asarray(payoff_eval(payoff, schedule.T, x[:, -1]), dtype=float)
@@ -476,13 +494,14 @@ def estimate_charfunc(batch: PathBatch, xis, weighted: bool = True) -> tuple:
     _check_paths(batch)
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     xt = batch.x[:, -1]
-    w = batch.survival[:, -1] if weighted else np.ones_like(xt)
+    w = batch.survival[:, -1] if weighted else None
     n = xt.shape[0]
     vals = np.empty(xis.shape, dtype=complex)
     ses = np.empty(xis.shape)
     for idx, xi in enumerate(xis):
-        re = w * np.cos(xi * xt)
-        im = w * np.sin(xi * xt)
+        re, im = np.cos(xi * xt), np.sin(xi * xt)
+        if w is not None:
+            re, im = w * re, w * im
         vals[idx] = re.mean() + 1j * im.mean()
         ses[idx] = math.hypot(re.std(ddof=1), im.std(ddof=1)) / math.sqrt(n)
     return vals, ses

@@ -8,6 +8,7 @@ standard errors with generous multipliers, under fixed seeds.
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -168,8 +169,13 @@ def _reference_batches(models, T, steps, n_paths, rng, shared_uniform, clock=Non
 
 def _assert_same_batch(batch, want):
     x, surv, default_time, truncated = want
-    # The simulators fill time-major stores and hand out transposed views.
-    assert batch.x.T.flags.c_contiguous and batch.survival.T.flags.c_contiguous
+    # The simulators fill time-major stores and hand out transposed views;
+    # a default-free survival is a read-only broadcast 1.0, not a store.
+    assert batch.x.T.flags.c_contiguous and batch.x.flags.writeable
+    if np.all(surv == 1.0):
+        assert not batch.survival.flags.writeable and batch.survival.strides == (0, 0)
+    else:
+        assert batch.survival.T.flags.c_contiguous and batch.survival.flags.writeable
     assert np.array_equal(batch.x, x)
     assert np.array_equal(batch.survival, surv)
     if default_time is None:
@@ -272,6 +278,43 @@ class TestStreamOrder:
             _assert_same_batch(batch, leg)
 
 
+class TestPathMemory:
+    """A default-free leg's survival is a broadcast 1.0, so each simulator
+    holds one (steps+1, paths) float64 store per defaultable leg and one x
+    store per leg, plus a few scratch rows."""
+
+    T, steps, n_paths = 1.0, 100, 20_000
+
+    def _stores(self, run):
+        """(held, peak) of run() in units of one path store, after warm-up."""
+        run()
+        tracemalloc.start()
+        try:
+            out = run()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del out
+        unit = (self.steps + 1) * self.n_paths * 8
+        return held / unit, peak / unit
+
+    def test_simulate_of_a_default_free_model_holds_one_store(self):
+        mdl = make_benchmark_model(0.1, 0.0, x0=0.4)
+        held, peak = self._stores(
+            lambda: mc.simulate(mdl, self.T, self.steps, self.n_paths, seed=0)
+        )
+        assert held <= 1.1 and peak <= 1.25
+
+    def test_crn_pair_with_a_default_free_leg_holds_three_stores(self):
+        m_d = make_benchmark_model(0.05, 0.1)
+        held, peak = self._stores(
+            lambda: mc.simulate_crn_pair(
+                m_d, m_d.without_default(), self.T, self.steps, self.n_paths, seed=0
+            )
+        )
+        assert held <= 3.1 and peak <= 3.25
+
+
 class TestEstimateCharfunc:
     params = dict(sig=0.2, lam=0.3, m=-0.1, delta=0.15, rate_r=0.05)
 
@@ -280,6 +323,13 @@ class TestEstimateCharfunc:
         b = mc.simulate(mdl, 0.5, 2, 10_000, seed=41)
         est, se = mc.estimate_charfunc(b, np.array([0.0]), weighted=False)
         assert est[0] == pytest.approx(1.0, abs=1e-14)
+
+    def test_default_free_weighting_changes_nothing(self):
+        # The broadcast survival 1.0 scales each term by exactly one.
+        b = mc.simulate(make_constant_model(gamma0=0.0, **self.params), 0.5, 2, 1_000, seed=44)
+        xi = np.linspace(0.0, 6.0, 4)
+        for got, want in zip(mc.estimate_charfunc(b, xi), mc.estimate_charfunc(b, xi, False)):
+            assert np.array_equal(got, want)
 
     def test_matches_exact_factor(self):
         mdl = make_constant_model(gamma0=0.0, x0=0.15, **self.params)
@@ -420,6 +470,20 @@ class TestRunChecks:
             mc.lsm_price(batch, pay, sched, drv, degree=degree)
         with pytest.raises(ValueError, match="degree must be an integer >= 1"):
             mc.lsm_cva(batch, batch, pay, sched, degree=degree)
+
+    def test_lsm_price_rejects_risk_free_closeout_before_any_regression(self, monkeypatch):
+        # The full driver's risk-free close-out reads a mark-to-market that
+        # the LSM backward step does not supply.
+        batch = mc.simulate(self.mdl, 0.5, 4, 50, seed=0)
+        fits = []
+        monkeypatch.setattr(mc, "_fit_predict", lambda *a, **k: fits.append(a))
+        drv = bsde.DriverSpec(mode="full", rate_r=0.05, rate_c=0.08, closeout="risk-free")
+        with pytest.raises(ValueError, match="no mark-to-market input"):
+            mc.lsm_price(
+                batch, bermudan.PayoffSpec(kind="put", strike=1.0),
+                bermudan.ExerciseSchedule(0.5, 2, 2), drv,
+            )
+        assert fits == []
 
 
 class TestCrnPair:
