@@ -39,13 +39,12 @@ _EXPORTS = {
     "m_matrix_product": "cos",
     "DriverSpec": "bsde",
     "BsdeGrid": "bsde",
-    "BsdeSolution": "bsde",
+    "PricingResult": "bsde",
     "scheme_driver": "bsde",
     "solve_bsde": "bsde",
     "make_cos_grid": "bsde",
     "ExerciseSchedule": "bermudan",
     "PayoffSpec": "bermudan",
-    "PricingResult": "bermudan",
     "payoff_eval": "bermudan",
     "payoff_dx": "bermudan",
     "price_bermudan_xva": "bermudan",

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import charfunc, cos as cosmod, model as modelmod
-from .bsde import BsdeGrid, DriverSpec, _backward, _node_kernel, _solve_grid
+from .bsde import BsdeGrid, DriverSpec, PricingResult, _backward, _node_kernel, _solve_grid
 
 # Never called here; the benchmark's tracer patches every engine module that
 # binds a traced function, and its smoke test reads these two bindings.
@@ -113,22 +113,6 @@ def payoff_dx(spec: PayoffSpec, t: float, x) -> np.ndarray:
     return np.where(x >= logk, spec.notional * np.exp(x), 0.0)
 
 
-@dataclass
-class PricingResult:
-    """Backward-solve output shared by the XVA and CVA paths."""
-
-    value: float
-    spot: float
-    grid: cosmod.CosGrid
-    y0: np.ndarray | None = None
-    boundary: list = field(default_factory=list)
-    delta: float | None = None
-    gamma: float | None = None
-    timings: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-
 def price_bermudan_xva(
     mdl: modelmod.ModelSpec,
     payoff: PayoffSpec,
@@ -142,11 +126,11 @@ def price_bermudan_xva(
 ) -> PricingResult:
     """Bermudan value with XVA at the spot, by the full N*M theta recursion.
 
-    With M = 1 this is exactly the European BSDE solve, bit for bit at any
-    dt, since both run ``bsde._backward`` on kernels built from dt alone.  A full driver with
-    risk-free close-out also runs the zero-driver pass whose node values
-    feed the mark-to-market argument of the main pass, step by step on the
-    same kernels.
+    With M = 1 this is exactly the European solve ``bsde.solve_bsde``, for
+    every driver and bit for bit at any dt, since both run ``bsde._backward``
+    on kernels built from dt alone.  A full driver with risk-free close-out
+    also runs the zero-driver pass whose node values feed the mark-to-market
+    argument of the main pass, step by step on the same kernels.
     """
     t_begin = time.perf_counter()
     bgrid = BsdeGrid(schedule.n_steps, schedule.dt, theta1, picard=picard)

@@ -10,15 +10,17 @@ with the implicit y_n resolved by P Picard iterations started at
 E_n[y_{n+1}].  All conditional expectations are kernel weights applied to
 the cosine coefficients of the later time level.
 
-Both pricers, ``solve_bsde`` and ``bermudan.price_bermudan_xva``, run one
-backward loop, ``_backward``, and differ only in how a step's kernel is
-supplied and in whether z is carried.  Each level is transformed once, in
-one stacked DCT of (y, f), or of (y, z, f) when the caller asks for z.
-``theta_step`` runs the y recursion and ``z_step`` the z recursion; no
-driver reads z.  A risk-free close-out runs a zero-driver mark-to-market
-pass through the same steps and kernels, each step ahead of the main pass.
-At exercise dates y becomes max(phi, y); none is applied at t_0.  The
-last level's coefficients feed the node step and ``spot_step``.
+``solve_bsde`` is ``bermudan.price_bermudan_xva`` with one exercise date:
+for every driver both run one backward loop, ``_backward``, take their grid
+from ``_grid`` and return a ``PricingResult``, differing only in how a
+step's kernel is supplied and in whether z is carried.  Each level is
+transformed once, in one stacked DCT of (y, f), or of (y, z, f) in the
+main pass when the caller asks for z.  ``theta_step`` runs the y recursion
+and ``z_step`` the z recursion; no driver reads z.  A risk-free close-out
+runs a zero-driver mark-to-market pass through the same steps and kernels,
+each step ahead of the main pass.  At exercise dates y becomes
+max(phi, y); none is applied at t_0.  The last level's coefficients feed
+the node step and ``spot_step``.
 
 ``scheme_driver`` gives every mode's driver in the BSDE convention that the
 scheme consumes (Ruijter & Oosterlee 2015), in which the full driver's
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -110,8 +112,8 @@ class DriverSpec:
             slope_b = max(1.0, abs(c2 + (1.0 - c2) * self.recovery_b))
             slope_c = max(1.0, abs(c2 + (1.0 - c2) * self.recovery_c))
         else:
-            slope_b = abs(c2) * max(abs(1.0 - self.recovery_b), 0.0)
-            slope_c = abs(c2) * max(abs(1.0 - self.recovery_c), 0.0)
+            slope_b = abs(c2) * abs(1.0 - self.recovery_b)
+            slope_c = abs(c2) * abs(1.0 - self.recovery_c)
         return (
             abs(self.lambda_b) * (slope_b + 1.0)
             + abs(self.lambda_c) * (slope_c + 1.0)
@@ -236,15 +238,22 @@ def z_step(
     return -((1.0 - t2) / t2) * ez + ey_dw / (dt * t2) + ((1.0 - t2) / t2) * ef_dw
 
 
-@dataclass(frozen=True)
-class BsdeSolution:
-    """Backward solve output: value at the spot plus t_0 grids."""
+@dataclass
+class PricingResult:
+    """Output of every pricer: ``solve_bsde``, ``price_bermudan_xva`` and
+    ``cva.price_bermudan_cos``.  ``z0`` is set by ``solve_bsde`` alone."""
 
     value: float
-    y0: np.ndarray
-    z0: np.ndarray
-    grid: cosmod.CosGrid
     spot: float
+    grid: cosmod.CosGrid
+    y0: np.ndarray | None = None
+    z0: np.ndarray | None = None
+    boundary: list = field(default_factory=list)
+    delta: float | None = None
+    gamma: float | None = None
+    timings: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)
 
 
 def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) -> cosmod.CosGrid:
@@ -282,16 +291,21 @@ def _node_kernel(
     return cosmod.step_kernel(_expansion(mdl, grid, grid.nodes, dt, out=out), grid, out=out)
 
 
-def _solve_grid(mdl, T, bgrid, spec, J, L, grid):
-    """The checks both pricers make before a solve; returns its cosine grid."""
-    if not math.isclose(bgrid.n_steps * bgrid.dt, T, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError("bgrid must tile [0, T]")
-    check_contraction(bgrid, spec)
+def _grid(mdl, T, J, L, grid):
+    """The given cosine grid, checked against J, or the default one."""
     if grid is None:
         return make_cos_grid(mdl, T, J, L)
     if J != grid.J:
         raise ValueError(f"J={J} does not match the grid's J={grid.J}")
     return grid
+
+
+def _solve_grid(mdl, T, bgrid, spec, J, L, grid):
+    """The checks both backward solves make; returns the cosine grid."""
+    if not math.isclose(bgrid.n_steps * bgrid.dt, T, rel_tol=1e-9, abs_tol=1e-12):
+        raise ValueError("bgrid must tile [0, T]")
+    check_contraction(bgrid, spec)
+    return _grid(mdl, T, J, L, grid)
 
 
 def _leftmost_crossing(x: np.ndarray, d: np.ndarray) -> float:
@@ -312,7 +326,7 @@ def _backward(mdl, phi, kernel, grid, bgrid, driver, every, phi_dx=None):
     ``phi``: node values at T, the terminal and the exercise value;
     ``kernel()``: each step's node kernel; an exercise date every ``every``
     steps; ``phi_dx``: node values of dphi/dx at T which, when given, start
-    z = sigma * phi_dx, carried by a lone pass.  Returns the spot value, y
+    z = sigma * phi_dx, carried by the main pass.  Returns the spot value, y
     and z (or None) at t_0, and the boundary.
     """
     x = grid.nodes
@@ -329,7 +343,7 @@ def _backward(mdl, phi, kernel, grid, bgrid, driver, every, phi_dx=None):
         for i, drv in enumerate(passes):
             y, f = state[i]
             mtm = state[i - 1][0] if i else None
-            if z is None:
+            if z is None or drv is not driver:
                 hy, hf = cosmod.dct_coeffs(np.stack((y, f)), grid)
             else:
                 hy, hz, hf = cosmod.dct_coeffs(np.stack((y, z, f)), grid)
@@ -366,21 +380,14 @@ def solve_bsde(
     J: int = 256,
     L: float = 10.0,
     grid: cosmod.CosGrid | None = None,
-) -> BsdeSolution:
+) -> PricingResult:
     """Solve the BSDE on [0, T] with terminal condition y_T = terminal(X_T).
 
     The expectation kernel is built once, from dt alone: the model
     coefficients are time-homogeneous, so the step length is the only time
     input of the order-``charfunc.MAX_ORDER`` expansion.  z at the terminal
-    time is terminal_dx * sigma.  A risk-free close-out needs a
-    mark-to-market, which ``price_bermudan_xva`` supplies by its
-    zero-driver pass (M = 1 is this European solve).
+    time is terminal_dx * sigma.
     """
-    if spec.needs_mtm:
-        raise ValueError(
-            "risk-free close-out needs a mark-to-market; use price_bermudan_xva "
-            "with M=1, which runs the zero-driver mark-to-market pass"
-        )
     grid = _solve_grid(mdl, T, bgrid, spec, J, L, grid)
     x = grid.nodes
     kernel = _node_kernel(mdl, grid, bgrid.dt)
@@ -389,7 +396,7 @@ def solve_bsde(
     value, y0, z0, _ = _backward(
         mdl, phi, lambda: kernel, grid, bgrid, spec, bgrid.n_steps, phi_dx
     )
-    return BsdeSolution(value=value, y0=y0, z0=z0, grid=grid, spot=mdl.spot_x0)
+    return PricingResult(value=value, spot=mdl.spot_x0, grid=grid, y0=y0, z0=z0)
 
 
 def spot_step(

@@ -254,6 +254,13 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         raise ConfigError(
             f"[payoff] kind = {kind!r}: job {job_kind} prices Bermudan puts only"
         )
+    # The LSM estimate these jobs read has no mark-to-market input.
+    lsm_jobs = ("validate", "convergence") + (("price-xva",) if mc_enabled else ())
+    if driver.needs_mtm and job_kind in lsm_jobs:
+        raise ConfigError(
+            f"[driver] closeout = 'risk-free' with mode = 'full': job {job_kind} "
+            "runs the LSM estimate, which has no mark-to-market input"
+        )
     out_path = rd.get("job", "out", str, "-", override=out)
     seed_val = rd.get("job", "seed", int, 0, override=seed)
     if not 0 <= seed_val < 2**64:
@@ -276,6 +283,11 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     j_list = job_key("j_list", "convergence", _to_int_list, [8, 16, 32, 64, 128, 256])
     n_list = job_key("n_list", "convergence", _to_int_list, [1, 10, 20, 30])
     bench_n_list = job_key("bench_n_list", "bench", _to_int_list, [2, 4, 8])
+    for key, entries, least in (
+        ("j_list", j_list, 2), ("n_list", n_list, 1), ("bench_n_list", bench_n_list, 1)
+    ):
+        if any(n < least for n in entries):
+            raise ConfigError(f"[job] {key} entries must be at least {least}, got {entries}")
 
     from . import model as modelmod
 

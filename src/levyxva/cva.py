@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cos as cosmod, model as modelmod
-from .bermudan import ExerciseSchedule, PayoffSpec, PricingResult
-from .bsde import _expansion, make_cos_grid
+from .bermudan import ExerciseSchedule, PayoffSpec
+from .bsde import PricingResult, _expansion, _grid, make_cos_grid
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,7 @@ def price_bermudan_cos(
     M, T = schedule.M, schedule.T
     delta_t = schedule.spacing
     x0 = mdl.spot_x0
-    if grid is None:
-        grid = make_cos_grid(mdl, T, J, L)
-    elif J != grid.J:
-        raise ValueError(f"J={J} does not match the grid's J={grid.J}")
+    grid = _grid(mdl, T, J, L, grid)
     strike = payoff.strike
     notion = payoff.notional
 

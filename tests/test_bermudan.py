@@ -155,8 +155,19 @@ class TestEuropeanLimit:
                 recovery_c=0.6,
                 margin_c2=0.3,
             ),
+            bsde.DriverSpec(
+                mode="full",
+                rate_r=0.05,
+                rate_b=0.07,
+                rate_c=0.09,
+                rate_f=0.06,
+                recovery_b=0.4,
+                recovery_c=0.6,
+                margin_c2=0.3,
+                closeout="risk-free",
+            ),
         ],
-        ids=["simplified", "full-risky"],
+        ids=["simplified", "full-risky", "full-risk-free"],
     )
     def test_single_date_is_the_european_bsde_solve(self, driver):
         def both(T, N, J=128):

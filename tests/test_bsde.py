@@ -374,22 +374,61 @@ class TestSolveBsde:
         with pytest.raises(ValueError, match="J=256 does not match the grid's J=64"):
             bsde.solve_bsde(mdl, term, term_dx, 1.0, bg, spec, J=256, grid=grid)
 
-    def test_risk_free_closeout_points_to_the_mtm_pre_pass(self):
-        mdl = self._model()
-        term, term_dx = self._call_terminal(1.0)
-        spec = bsde.DriverSpec(mode="full", rate_r=0.02, closeout="risk-free")
-        with pytest.raises(ValueError, match="price_bermudan_xva"):
-            bsde.solve_bsde(mdl, term, term_dx, 1.0, bsde.BsdeGrid(4, 0.25), spec, J=32)
-
-    def test_one_dct_per_time_level(self, dct_calls, z_step_calls):
+    @pytest.mark.parametrize(
+        "spec, per_level",
+        [
+            (bsde.DriverSpec(mode="simplified", rate_r=rate_r), [(3, 32)]),
+            (
+                bsde.DriverSpec(mode="full", rate_r=0.06, rate_c=0.08, closeout="risk-free"),
+                [(2, 32), (3, 32)],
+            ),
+        ],
+        ids=["simplified", "full-risk-free"],
+    )
+    def test_one_dct_per_time_level(self, dct_calls, z_step_calls, spec, per_level):
         # y, z and f of a level are transformed in one call that every
         # step reading the level shares, the spot step included; the
-        # European solve carries z, one z step per time step.
+        # European solve carries z in its main pass, one z step per time
+        # step.  A risk-free close-out adds the zero-driver pass's (y, f)
+        # ahead of it.
+        term, term_dx = self._call_terminal(1.0)
+        bsde.solve_bsde(self._model(), term, term_dx, 1.0, bsde.BsdeGrid(8, 0.125), spec, J=32)
+        assert dct_calls == per_level * 8
+        assert z_step_calls == [(32,)] * 8
+
+    def test_adjustment_free_risk_free_closeout_is_the_risky_solve(self):
+        # With r_b = r_c = r_f = r every close-out term has a zero weight,
+        # so the mark-to-market pass cannot reach the main pass.
+        mdl = self._model()
+        term, term_dx = self._call_terminal(1.0)
+        bg = bsde.BsdeGrid(8, 0.125)
+        rates = dict(rate_r=self.rate_r, rate_b=self.rate_r, rate_c=self.rate_r, rate_f=self.rate_r)
+        risky, risk_free = (
+            bsde.solve_bsde(
+                mdl, term, term_dx, 1.0, bg,
+                bsde.DriverSpec(mode="full", recovery_c=0.4, closeout=closeout, **rates),
+                J=64,
+            )
+            for closeout in ("risky", "risk-free")
+        )
+        assert risk_free.value == risky.value
+        assert np.array_equal(risk_free.y0, risky.y0)
+        assert np.array_equal(risk_free.z0, risky.z0)
+
+    def test_every_pricer_returns_one_result_type(self, model_put):
+        from levyxva import bermudan, cva
+
         term, term_dx = self._call_terminal(1.0)
         spec = bsde.DriverSpec(mode="simplified", rate_r=self.rate_r)
-        bsde.solve_bsde(self._model(), term, term_dx, 1.0, bsde.BsdeGrid(8, 0.125), spec, J=32)
-        assert dct_calls == [(3, 32)] * 8
-        assert z_step_calls == [(32,)] * 8
+        sched = bermudan.ExerciseSchedule(0.5, 2, 2)
+        put = bermudan.PayoffSpec(kind="put", strike=1.0)
+        results = (
+            bsde.solve_bsde(self._model(), term, term_dx, 1.0, bsde.BsdeGrid(2, 0.5), spec, J=32),
+            bermudan.price_bermudan_xva(model_put, put, sched, spec, J=32),
+            cva.price_bermudan_cos(model_put, put, sched, J=32),
+        )
+        assert all(type(res) is bsde.PricingResult for res in results)
+        assert lx.PricingResult is bsde.PricingResult
 
     def test_solution_records_spot_and_grid(self):
         mdl = self._model()

@@ -129,6 +129,9 @@ class TestConfigErrors:
             ("driver", "rate_b", "-inf", "[driver] rate_b = '-inf': not a finite number"),
             ("job", "x0_list", "0.0, nan", "[job] x0_list = '0.0, nan': not a finite number"),
             ("job", "c_list", "-0.1, 0.0", "[job] c_list entries must be nonnegative"),
+            ("job", "j_list", "1, 8", "[job] j_list entries must be at least 2"),
+            ("job", "n_list", "0, 1", "[job] n_list entries must be at least 1"),
+            ("job", "bench_n_list", "0", "[job] bench_n_list entries must be at least 1"),
         ],
     )
     def test_rejected_values(self, tmp_path, capsys, section, key, value, needle):
@@ -170,6 +173,23 @@ class TestConfigErrors:
         code, _, err = run_cli(["--config", path], capsys)
         assert code == 2
         assert f"config error: [payoff] kind = '{kind}': job {job}" in err
+
+    @pytest.mark.parametrize(
+        "job, mc", [("validate", "false"), ("convergence", "false"), ("price-xva", "true")]
+    )
+    def test_lsm_jobs_reject_the_risk_free_closeout(self, tmp_path, capsys, job, mc):
+        # The LSM estimate has no mark-to-market input, so the job is
+        # refused before it prices anything.
+        path = write_config(
+            tmp_path,
+            driver={"mode": "full", "closeout": "risk-free"},
+            mc={"enabled": mc, "n_paths": "100", "steps": "4"},
+            job={"kind": job},
+        )
+        code, _, err = run_cli(["--config", path], capsys)
+        assert code == 2
+        assert "config error: [driver] closeout = 'risk-free'" in err
+        assert f"job {job} runs the LSM estimate" in err
 
     def test_malformed_ini(self, tmp_path, capsys):
         path = tmp_path / "broken.ini"
