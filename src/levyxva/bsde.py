@@ -257,7 +257,10 @@ class PricingResult:
 
 
 def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) -> cosmod.CosGrid:
-    """Truncation interval from the order-0 increment cumulants at the spot."""
+    """Truncation interval from the order-0 increment cumulants at the spot,
+    L standard widths on each side; L must be finite and positive."""
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"truncation width L must be finite and > 0, got {L!r}")
     x0 = mdl.spot_x0
     tay = modelmod.taylor_expand(mdl, 0.0, x0, 0)
     c1, c2, c4 = charfunc.cumulants(tay, T)

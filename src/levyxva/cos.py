@@ -175,13 +175,29 @@ def _phase(grid: CosGrid) -> np.ndarray:
     return phase
 
 
+@functools.lru_cache(maxsize=2)
+def _node_wave(grid: CosGrid) -> np.ndarray:
+    """Read-only e^{i xi_j x_i}, rows the midpoint nodes x_i and columns the
+    frequencies xi_j, built once per grid for every expansion read there.
+    It is the expression ``CharFuncApprox.eval`` forms, so each entry is
+    bit for bit the inline one."""
+    wave = np.exp(1j * grid.freqs * grid.nodes[..., None])
+    wave.setflags(write=False)
+    return wave
+
+
 def expectation_weights(cf: CharFuncApprox, grid: CosGrid, x, d: int = 0) -> np.ndarray:
     """w_j d^k/dx^k Gamma_n(x; xi_j) e^{-i xi_j a} for k = 0..d (on a leading
     axis when d > 0) from a scalar-basepoint approximation, with the
     primed-sum weight w_0 = 1/2: for plain coefficients H of h,
-    Re(weights) @ H is E[h(X_T) | X_t = x] and its first d x-derivatives."""
+    Re(weights) @ H is E[h(X_T) | X_t = x] and its first d x-derivatives.
+
+    At ``grid.nodes`` itself (checked by identity) the exponential
+    e^{i xi_j x_i} is read from ``_node_wave``, so expansions that share a
+    grid, such as the two legs of a CVA, form that J x J table once."""
     _check_shared(grid, cf)
-    return cf.eval(x, d) * _phase(grid)
+    wave = _node_wave(grid) if x is grid.nodes else None
+    return cf.eval(x, d, wave=wave) * _phase(grid)
 
 
 def step_kernel(
@@ -367,7 +383,7 @@ def m_matrix_product(
     """
     J = grid.J
     _check_limits_and_order(grid, x_lo, x_hi, h)
-    if not np.any(lam):
+    if not lam.any():
         return np.zeros(J)
     u = lam * np.asarray(V, dtype=complex)
     u[0] *= 0.5

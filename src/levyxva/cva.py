@@ -4,7 +4,9 @@ The Bermudan put is priced twice under zero-recovery counterparty default:
 once with the default intensity gamma inside the characteristic-function
 approximation (defaultable leg) and once with gamma stripped everywhere,
 including from the drift restriction (default-free leg).  CVA is the
-difference default-free minus defaultable, a nonnegative adjustment.
+difference default-free minus defaultable, a nonnegative adjustment.  At
+zero intensity the two legs are one model, priced once, and the CVA is
+exactly 0.0.
 
 Each leg runs the backward coefficient recursion: at every exercise date
 the early-exercise point x* splits [a, b] into the exercise region, whose
@@ -24,7 +26,10 @@ once, Q_k = e^{-r dt} w e^{-i xi a} V g_{n,k}, so an iterate costs one
 J-vector e^{i xi x} and one (2K x J) complex product for K live rows, and
 the bracket ends reuse two waves built once per leg.  Against V(t_1) the
 value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at`` read
-``cos.expectation_weights`` (``_leg_series``).
+``cos.expectation_weights`` (``_leg_series``).  y0 is the series at
+``grid.nodes``, whose J x J exponential e^{i xi_j x_i} depends on the grid
+alone: it is built once per grid (``cos._node_wave``) and both legs of a
+report read that one table, with the bytes an inline evaluation gives.
 """
 from __future__ import annotations
 
@@ -151,14 +156,14 @@ def price_bermudan_cos(
     x_star = log_k  # warm start; then each date starts from the later one's x*
     # The bracket ends are the same at every date, so their waves are built
     # once per leg; an iterate builds its own.
-    xi, phase = grid.freqs, cosmod._phase(grid)
-    end_waves = {x: np.exp(1j * xi * x) for x in (grid.a, x_up)}
+    ixi, phase = 1j * grid.freqs, cosmod._phase(grid)
+    end_waves = {x: np.exp(ixi * x) for x in (grid.a, x_up)}
     boundary = []
     for m in range(M - 1, 0, -1):
         t_m = m * delta_t
         folded = cf.fold(disc * phase * V)
         x_star = newton_exercise_point(
-            lambda x: folded(np.exp(1j * xi * x), x), exercise_value,
+            lambda x: folded(np.exp(ixi * x), x), exercise_value,
             (grid.a, x_up), x0=x_star, c_value=lambda x: folded(end_waves[x], x)[0],
         )
         if x_star <= grid.a or x_star >= grid.b:
@@ -207,7 +212,8 @@ def leg_value_at(result: PricingResult, x):
 
 
 def leg_models(mdl: modelmod.ModelSpec, default_spec: DefaultSpec):
-    """The (defaultable, default-free) models of the two CVA legs."""
+    """The (defaultable, default-free) models of the two CVA legs: one
+    object for both when the intensity is zero."""
     m_d = mdl.with_default(default_spec.intensity)
     return m_d, m_d.without_default()
 
@@ -232,12 +238,17 @@ def cva_report(
     J: int = 128,
     L: float = 10.0,
 ):
-    """CVA plus both leg results, priced on one shared grid (for Greeks,
-    boundaries and diagnostics)."""
+    """CVA plus the (defaultable, default-free) leg results, priced on one
+    shared grid (for Greeks, boundaries and diagnostics).
+
+    At zero intensity the two legs are one model (``leg_models``), so that
+    leg is priced once and its ``PricingResult`` is returned as both: the
+    CVA and its Greeks are then exactly 0.0 by construction.
+    """
     m_d, m_r = leg_models(mdl, default_spec)
     grid = make_cos_grid(m_d, schedule.T, J, L)
     res_d = price_bermudan_cos(m_d, payoff, schedule, J, L, grid=grid)
-    res_r = price_bermudan_cos(m_r, payoff, schedule, J, L, grid=grid)
+    res_r = res_d if m_r is m_d else price_bermudan_cos(m_r, payoff, schedule, J, L, grid=grid)
     return res_r.value - res_d.value, res_d, res_r
 
 

@@ -189,6 +189,14 @@ class TestBsdeGrid:
             bsde.BsdeGrid(2, dt)
 
 
+class TestMakeCosGrid:
+    @pytest.mark.parametrize("L", [0.0, -10.0, math.inf, math.nan])
+    def test_rejects_a_bad_truncation_width_by_name(self, L):
+        mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.05, 0.0)
+        with pytest.raises(ValueError, match="truncation width L"):
+            bsde.make_cos_grid(mdl, 1.0, 64, L)
+
+
 class TestContraction:
     def test_passes_when_fixed_point_contracts(self):
         spec = bsde.DriverSpec(mode="simplified", rate_r=0.1)

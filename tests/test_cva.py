@@ -223,18 +223,27 @@ class TestCvaAdjustment:
             return cva.DefaultSpec(intensity=lx.CoeffFamily.zero())
         return cva.DefaultSpec(intensity=lx.CoeffFamily.exponential(level, -2.0))
 
-    def test_zero_intensity_gives_exactly_zero(self, model_put_riskfree):
+    def test_zero_intensity_gives_exactly_zero(self, model_put_riskfree, monkeypatch):
+        # Both legs are one model, so the report prices it once and returns
+        # that one result as both legs.
+        priced = []
+        price = cva.price_bermudan_cos
+
+        def counted(*args, **kwargs):
+            priced.append(args[0])
+            return price(*args, **kwargs)
+
+        monkeypatch.setattr(cva, "price_bermudan_cos", counted)
+        spec = self._default_spec(0.0)
         val, res_d, res_r = cva.cva_report(
-            model_put_riskfree,
-            self._default_spec(0.0),
-            _put(1.0),
-            self.sched,
-            J=64,
+            model_put_riskfree, spec, _put(1.0), self.sched, J=64
         )
-        assert val == 0.0
-        # Both legs run through the identical model, grid and recursion.
-        assert res_d.value == res_r.value
-        assert_allclose(res_d.y0, res_r.y0, rtol=0.0, atol=0.0)
+        assert priced == [model_put_riskfree]
+        assert res_r is res_d
+        delta, gamma = cva.greeks(
+            model_put_riskfree, spec, _put(1.0), self.sched, J=64, legs=(res_d, res_r)
+        )
+        assert (val, delta, gamma) == (0.0, 0.0, 0.0)
 
     def test_positive_and_monotone_in_intensity(self, model_put_riskfree):
         vals = [
@@ -280,6 +289,16 @@ class TestCvaAdjustment:
         inner = res_d.grid.nodes[10:-10]
         assert_allclose(cva.leg_value_at(res_d, inner), res_d.y0[10:-10], rtol=1e-10)
 
+    def test_y0_is_the_series_at_the_nodes_bit_for_bit(self, model_put_riskfree):
+        # At T = 0.5 the leg keeps both correction orders, so y0 reads the
+        # corrections as well as the node wave.
+        sched = bermudan.ExerciseSchedule(0.5, 10, 1)
+        res = cva.price_bermudan_cos(model_put_riskfree, _put(1.0), sched, J=100)
+        assert res.extras["series"].args[0]._live_orders == (1, 2)
+        nodes = res.grid.nodes.copy()
+        assert nodes is not res.grid.nodes
+        assert np.array_equal(cva.leg_value_at(res, nodes), res.y0)
+
     def test_greeks_match_bumped_reconstruction(self, model_put_riskfree):
         spec = self._default_spec(0.1)
         val, res_d, res_r = cva.cva_report(
@@ -309,6 +328,66 @@ class TestCvaAdjustment:
             model_put_riskfree, spec, _put(1.0), self.sched, J=64, legs=legs
         )
         assert fresh == reused
+
+
+def _theta_cva(mdl, spec, T, J):
+    """Theta-scheme CVA of the benchmark put (K = 1, N = M = 10): both legs
+    by ``price_bermudan_xva`` with the simplified driver at r, which for a
+    put (y >= 0) is the fast leg's discounting; each leg on its own grid."""
+    sched = bermudan.ExerciseSchedule(T, 10, 10)
+    drv = _discounting_driver(mdl.rate_r)
+    m_d, m_r = cva.leg_models(mdl, spec)
+    return (
+        bermudan.price_bermudan_xva(m_r, _put(1.0), sched, drv, J=J).value
+        - bermudan.price_bermudan_xva(m_d, _put(1.0), sched, drv, J=J).value
+    )
+
+
+_CVA_SPEC = cva.DefaultSpec(intensity=lx.CoeffFamily.exponential(0.1, -2.0))
+
+
+@pytest.fixture(scope="module")
+def theta_cva(model_put_riskfree):
+    """Theta-scheme CVA at c = 0.1, J = 256, by maturity."""
+    return {T: _theta_cva(model_put_riskfree, _CVA_SPEC, T, 256) for T in (0.5, 1.0)}
+
+
+class TestThetaSchemeCva:
+    """The theta-scheme prices both CVA legs as well: a second engine on the
+    fast CVA, at the fast path's benchmark setting (J = 100)."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the fast leg expands about X0 alone, and the span-scaled trust "
+        "test rejects nearly all of its corrections, so sigma, a and gamma are "
+        "in effect frozen at X0; it misses the theta-scheme CVA by 7.5e-4 at "
+        "T = 0.5 and 7.8e-4 at T = 1",
+    )
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    def test_fast_cva_matches_the_theta_scheme(self, model_put_riskfree, theta_cva, T):
+        sched = bermudan.ExerciseSchedule(T, 10, 1)
+        fast = cva.cva(model_put_riskfree, _CVA_SPEC, _put(1.0), sched, J=100)
+        assert abs(fast - theta_cva[T]) <= 1e-4
+
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    def test_theta_scheme_cva_is_nonnegative(self, theta_cva, T):
+        assert theta_cva[T] >= 0.0
+
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    def test_theta_scheme_cva_is_zero_at_zero_intensity(self, model_put_riskfree, T):
+        spec = cva.DefaultSpec(intensity=lx.CoeffFamily.zero())
+        assert _theta_cva(model_put_riskfree, spec, T, 64) == 0.0
+
+
+def test_node_wave_is_one_read_only_table_per_grid():
+    g, h = cos.CosGrid(-1.0, 1.5, 16), cos.CosGrid(-1.0, 2.0, 16)
+    wave = cos._node_wave(g)
+    assert not wave.flags.writeable
+    assert wave is cos._node_wave(cos.CosGrid(-1.0, 1.5, 16))
+    assert cos._node_wave(h) is not wave
+    for grid in (g, h):
+        want = np.exp(1j * grid.freqs * grid.nodes[..., None])
+        assert np.array_equal(cos._node_wave(grid), want)
 
 
 class TestExerciseBoundary:
