@@ -47,7 +47,7 @@ class ExerciseSchedule:
     def __post_init__(self) -> None:
         modelmod._require_finite(self, "T")
         if self.T <= 0.0:
-            raise ValueError(f"need T > 0, got {self.T!r}")
+            raise ValueError(f"T must be positive, got {self.T!r}")
         modelmod._require_count("M", self.M)
         modelmod._require_count("N", self.N)
 
@@ -78,10 +78,10 @@ class PayoffSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in _PAYOFF_KINDS:
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
+            raise ValueError(f"kind {self.kind!r} is an unknown payoff kind")
         modelmod._require_finite(self, "strike", "notional")
         if self.kind in ("put", "call") and self.strike <= 0.0:
-            raise ValueError("option payoffs need a positive strike")
+            raise ValueError(f"strike must be positive for an option, got {self.strike!r}")
         if self.kind.startswith("portfolio") and self.strike != 0.0:
             raise ValueError("portfolio payoffs take no strike")
 

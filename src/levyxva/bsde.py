@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -41,10 +41,6 @@ from .errors import NumericalError
 
 _MODES = ("zero", "simplified", "full")
 _CLOSEOUTS = ("risky", "risk-free")
-_FINITE_FIELDS = (
-    "rate_r", "rate_b", "rate_c", "rate_f", "rate_i", "rate_k", "rate_tc", "rate_fc",
-    "margin_tc", "margin_fc", "capital_c1", "margin_c2",
-)
 
 
 @dataclass(frozen=True)
@@ -77,13 +73,14 @@ class DriverSpec:
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
-            raise ValueError(f"unknown driver mode {self.mode!r}")
+            raise ValueError(f"mode must be {'/'.join(_MODES)}, got {self.mode!r}")
         if self.closeout not in _CLOSEOUTS:
-            raise ValueError(f"unknown close-out rule {self.closeout!r}")
-        modelmod._require_finite(self, *_FINITE_FIELDS)
+            raise ValueError(f"closeout must be {'/'.join(_CLOSEOUTS)}, got {self.closeout!r}")
+        numbers = (f.name for f in fields(self) if isinstance(f.default, float))
+        modelmod._require_finite(self, *numbers)
         for name in ("recovery_b", "recovery_c"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
 
     @property
     def lambda_b(self) -> float:
@@ -171,15 +168,15 @@ class BsdeGrid:
     picard: int = 5
 
     def __post_init__(self) -> None:
+        modelmod._require_count("n_steps", self.n_steps)
         modelmod._require_finite(self, "dt")
-        if self.n_steps < 1 or self.dt <= 0.0:
-            raise ValueError("need n_steps >= 1 and dt > 0")
+        if self.dt <= 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not 0.0 <= self.theta1 <= 1.0:
-            raise ValueError("theta1 must lie in [0, 1]")
+            raise ValueError(f"theta1 must lie in [0, 1], got {self.theta1!r}")
         if not 0.0 < self.theta2 <= 1.0:
-            raise ValueError("theta2 must lie in (0, 1]")
-        if self.picard < 1:
-            raise ValueError("need at least one Picard iteration")
+            raise ValueError(f"theta2 must lie in (0, 1], got {self.theta2!r}")
+        modelmod._require_count("picard", self.picard)
 
 
 def check_contraction(grid: BsdeGrid, spec: DriverSpec) -> None:
@@ -260,11 +257,14 @@ def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) ->
     """Truncation interval from the order-0 increment cumulants at the spot,
     L standard widths on each side; L must be finite and positive."""
     if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"truncation width L must be finite and > 0, got {L!r}")
+        raise ValueError(f"L must be positive and finite, got {L!r}")
     x0 = mdl.spot_x0
     tay = modelmod.taylor_expand(mdl, 0.0, x0, 0)
     c1, c2, c4 = charfunc.cumulants(tay, T)
-    a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
+    try:
+        a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
+    except ValueError:  # only sigma and the jumps spread the increment
+        raise ValueError("vol must be positive at the spot when no jump moves it") from None
     return cosmod.CosGrid(a, b, J)
 
 
@@ -329,8 +329,8 @@ def _backward(mdl, phi, kernel, grid, bgrid, driver, every, phi_dx=None):
     ``phi``: node values at T, the terminal and the exercise value;
     ``kernel()``: each step's node kernel; an exercise date every ``every``
     steps; ``phi_dx``: node values of dphi/dx at T which, when given, start
-    z = sigma * phi_dx, carried by the main pass.  Returns the spot value, y
-    and z (or None) at t_0, and the boundary.
+    z = sigma * phi_dx, carried by the main pass.  Returns the spot value
+    (``NumericalError`` if not finite), y and z (or None) at t_0, the boundary.
     """
     x = grid.nodes
     passes = (DriverSpec(mode="zero"), driver) if driver.needs_mtm else (driver,)
@@ -369,6 +369,8 @@ def _backward(mdl, phi, kernel, grid, bgrid, driver, every, phi_dx=None):
     # The t_1 coefficients of the last step also feed the step at the spot,
     # with the expansion re-based at X0.
     value = spot_step(mdl, hy, hf, grid, bgrid, driver, mtm)
+    if not math.isfinite(value):
+        raise NumericalError(f"the backward solve reached a non-finite value {value}")
     boundary.reverse()
     return value, y, z, boundary
 

@@ -12,26 +12,42 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, NumericalError, ValidationFailure
 
-JOBS = (
-    "price-xva",
-    "price-cva",
-    "greeks",
-    "boundary",
-    "validate",
-    "convergence",
-    "bench",
-)
-
 _REQUIRED = object()
+
+# The INI key that feeds each engine field whose rule an INI value can break.
+_KEYS = {
+    "vol": "[model] b", "jump_intensity": "[model] lam", "default_intensity": "[model] c",
+    "mean": "[model] m", "std": "[model] delta",
+    "J": "[cos] j", "L": "[cos] l", "theta1": "[cos] theta1", "picard": "[cos] picard",
+    "N": "[cos] n", "M": "[cos] m",
+    "kind": "[payoff] kind", "strike": "[payoff] strike", "T": "[payoff] maturity",
+    "mode": "[driver] mode", "closeout": "[driver] closeout",
+    "recovery_b": "[driver] recovery_b", "recovery_c": "[driver] recovery_c",
+    "n_paths": "[mc] n_paths", "steps": "[mc] steps", "degree": "[mc] degree",
+    "seed": "[job] seed",
+}
+
+
+@contextlib.contextmanager
+def _keyed(**keys):
+    """Raise an engine input error (``errors``) as a ConfigError naming the INI
+    key that fed its field; ``keys`` overrides ``_KEYS`` for a [job] list."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        key = keys.get(name, _KEYS.get(name))
+        raise ConfigError(f"{key} {rest}" if key else str(exc)) from None
 
 
 def _to_bool(raw: str) -> bool:
@@ -77,7 +93,7 @@ class RunConfig:
     seed: int
     widen_abs: float
     x0_list: list = field(default_factory=list)
-    c_list: list = field(default_factory=list)
+    c_list: list = field(default_factory=list)  # (c, model) per boundary level
     j_list: list = field(default_factory=list)
     n_list: list = field(default_factory=list)
     bench_n_list: list = field(default_factory=list)
@@ -155,6 +171,7 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     rd = _Reader(cp)
+    from . import bermudan, bsde, mc as mcmod, model as modelmod
 
     b = rd.get("model", "b", _to_float)
     beta = rd.get("model", "beta", _to_float, 0.0)
@@ -164,9 +181,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     c_level = rd.get("model", "c", _to_float, 0.0)
     rate = rd.get("model", "r", _to_float)
     x0 = rd.get("model", "x0", _to_float, 0.0)
-    for key, val in (("b", b), ("lam", lam), ("delta", delta), ("c", c_level)):
-        if val < 0.0:
-            raise ConfigError(f"[model] {key} must be nonnegative, got {val}")
 
     J = rd.get("cos", "j", int, 256)
     L = rd.get("cos", "l", _to_float, 10.0)
@@ -174,16 +188,6 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     picard = rd.get("cos", "picard", int, 5)
     n_inner = rd.get("cos", "n", int, 10)
     m_dates = rd.get("cos", "m", int, 10)
-    if J < 2:
-        raise ConfigError(f"[cos] j must be at least 2, got {J}")
-    if L <= 0.0:
-        raise ConfigError(f"[cos] l must be positive, got {L}")
-    if not 0.0 < theta1 <= 1.0:
-        raise ConfigError(f"[cos] theta1 must lie in (0, 1], got {theta1}")
-    if picard < 1:
-        raise ConfigError(f"[cos] picard must be at least 1, got {picard}")
-    if n_inner < 1 or m_dates < 1:
-        raise ConfigError("[cos] n and m must be at least 1")
 
     kind = rd.get("payoff", "kind", str)
     # Only options have a strike; a portfolio INI that sets one is rejected
@@ -191,42 +195,37 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     strike = rd.get("payoff", "strike", _to_float, 1.0) if kind in ("put", "call") else 0.0
     notional = rd.get("payoff", "notional", _to_float, 1.0)
     maturity = rd.get("payoff", "maturity", _to_float)
-    if maturity <= 0.0:
-        raise ConfigError(f"[payoff] maturity must be positive, got {maturity}")
 
     mode = rd.get("driver", "mode", str, "simplified")
-    if mode not in ("zero", "simplified", "full"):
-        raise ConfigError(f"[driver] mode must be zero/simplified/full, got {mode!r}")
     # Only the simplified driver has its own rate (unset: [model] r); another
     # mode that sets one is rejected as an unknown key.
     simplified_rate = (
         rd.get("driver", "simplified_rate", _to_float, None) if mode == "simplified" else None
     )
     closeout = rd.get("driver", "closeout", str, "risky")
+    # Every other number of the driver, with the driver's own default.
     drv_kwargs = {
-        key: rd.get("driver", key, _to_float, 0.0)
-        for key in (
-            "rate_b",
-            "rate_c",
-            "rate_f",
-            "rate_i",
-            "rate_k",
-            "rate_tc",
-            "rate_fc",
-            "margin_tc",
-            "margin_fc",
-            "capital_c1",
-            "margin_c2",
-        )
+        f.name: rd.get("driver", f.name, _to_float, f.default)
+        for f in fields(bsde.DriverSpec)
+        if isinstance(f.default, float) and f.name != "rate_r"
     }
-    drv_kwargs["recovery_b"] = rd.get("driver", "recovery_b", _to_float, 1.0)
-    drv_kwargs["recovery_c"] = rd.get("driver", "recovery_c", _to_float, 1.0)
 
-    # Build the specs before reading [job], so an unknown payoff kind is
-    # reported as unknown, not as one the job cannot price.
-    from . import bermudan, bsde
+    def _family(level):
+        if level == 0.0:
+            return modelmod.CoeffFamily.zero()
+        return modelmod.CoeffFamily.exponential(level, beta)
 
-    try:
+    # Build what the jobs price with before reading [job], so an unknown
+    # payoff kind is reported as unknown, not as one the job cannot price.
+    with _keyed():
+        mdl = modelmod.ModelSpec(
+            vol=modelmod.CoeffFamily.exponential(b, beta),
+            jump_intensity=_family(lam),
+            jump_law=modelmod.JumpLaw(jump_m, delta),
+            default_intensity=_family(c_level),
+            rate_r=rate,
+            spot_x0=x0,
+        )
         payoff = bermudan.PayoffSpec(kind=kind, strike=strike, notional=notional)
         schedule = bermudan.ExerciseSchedule(T=maturity, M=m_dates, N=n_inner)
         driver = bsde.DriverSpec(
@@ -235,15 +234,13 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
             closeout=closeout,
             **drv_kwargs,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        bsde.BsdeGrid(schedule.n_steps, schedule.dt, theta1, picard=picard)
+        grid = bsde.make_cos_grid(mdl, maturity, J, L)
 
     mc_enabled = rd.get("mc", "enabled", _to_bool, False)
     mc_paths = rd.get("mc", "n_paths", int, 100_000)
     mc_steps = rd.get("mc", "steps", int, 100)
     mc_degree = rd.get("mc", "degree", int, 3)
-    if mc_paths < 2 or mc_steps < 1 or mc_degree < 1:
-        raise ConfigError("[mc] n_paths, steps and degree must be positive")
 
     job_kind = rd.get("job", "kind", str, None, override=job)
     if job_kind is None:
@@ -263,8 +260,11 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         )
     out_path = rd.get("job", "out", str, "-", override=out)
     seed_val = rd.get("job", "seed", int, 0, override=seed)
-    if not 0 <= seed_val < 2**64:
-        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed_val}")
+    # Every simulating job feeds an estimator, which needs two paths.
+    with _keyed():
+        mcmod._check_run(maturity, mc_steps, mc_paths, seed_val)
+        mcmod._check_paths(mc_paths)
+        modelmod._require_count("degree", mc_degree)
 
     def job_key(key, reader, conv, default):
         """A key that only job ``reader`` reads; another job rejects it, so
@@ -278,32 +278,23 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     widen_abs = job_key("widen_abs", "validate", _to_float, 1e-3)
     x0_list = job_key("x0_list", "price-xva", _to_float_list, [x0])
     c_list = job_key("c_list", "boundary", _to_float_list, [0.0, 0.1, 0.2])
-    if any(c < 0.0 for c in c_list):
-        raise ConfigError(f"[job] c_list entries must be nonnegative, got {c_list}")
     j_list = job_key("j_list", "convergence", _to_int_list, [8, 16, 32, 64, 128, 256])
     n_list = job_key("n_list", "convergence", _to_int_list, [1, 10, 20, 30])
     bench_n_list = job_key("bench_n_list", "bench", _to_int_list, [2, 4, 8])
-    for key, entries, least in (
-        ("j_list", j_list, 2), ("n_list", n_list, 1), ("bench_n_list", bench_n_list, 1)
-    ):
-        if any(n < least for n in entries):
-            raise ConfigError(f"[job] {key} entries must be at least {least}, got {entries}")
+    # What each list entry prices with, built as its job builds it.
+    with _keyed(vol="[job] x0_list entries"):
+        for spot in x0_list:
+            bsde.make_cos_grid(replace(mdl, spot_x0=spot), maturity, J, L)
+    with _keyed(default_intensity="[job] c_list entries"):
+        c_models = [(c_val, mdl.with_default(_family(c_val))) for c_val in c_list]
+    with _keyed(J="[job] j_list entries"):
+        for j_val in j_list:
+            replace(grid, J=j_val)
+    for key, entries in (("n_list", n_list), ("bench_n_list", bench_n_list)):
+        with _keyed(N=f"[job] {key} entries"):
+            for n_val in entries:
+                replace(schedule, N=n_val)
 
-    from . import model as modelmod
-
-    def _family(level):
-        if level == 0.0:
-            return modelmod.CoeffFamily.zero()
-        return modelmod.CoeffFamily.exponential(level, beta)
-
-    mdl = modelmod.ModelSpec(
-        vol=modelmod.CoeffFamily.exponential(b, beta),
-        jump_intensity=_family(lam),
-        jump_law=modelmod.JumpLaw(jump_m, delta),
-        default_intensity=_family(c_level),
-        rate_r=rate,
-        spot_x0=x0,
-    )
     rd.check_unknown()
     echo_lines = rd.echo()
 
@@ -325,7 +316,7 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         seed=seed_val,
         widen_abs=widen_abs,
         x0_list=x0_list,
-        c_list=c_list,
+        c_list=c_models,
         j_list=j_list,
         n_list=n_list,
         bench_n_list=bench_n_list,
@@ -418,15 +409,9 @@ def _job_greeks(rc: RunConfig):
 
 def _job_boundary(rc: RunConfig):
     from . import cva as cvamod
-    from . import model as modelmod
 
-    slope = rc.model.vol.slope
     rows = []
-    for c_val in rc.c_list:
-        if c_val > 0.0:
-            mdl = rc.model.with_default(modelmod.CoeffFamily.exponential(c_val, slope))
-        else:
-            mdl = rc.model.without_default()
+    for c_val, mdl in rc.c_list:
         res = cvamod.price_bermudan_cos(mdl, rc.payoff, rc.schedule, J=rc.J, L=rc.L)
         for t_m, x_star in res.boundary:
             if x_star == x_star:
@@ -492,6 +477,7 @@ _DISPATCH = {
     "convergence": _job_convergence,
     "bench": _job_bench,
 }
+JOBS = tuple(_DISPATCH)
 
 
 def run(rc: RunConfig) -> int:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfunc import MAX_ORDER, CharFuncApprox, NodeWorkspace
+from .model import _require_count
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ class CosGrid:
     def __post_init__(self) -> None:
         if not self.b > self.a:
             raise ValueError("need b > a")
-        if self.J < 2:
-            raise ValueError("need at least two modes")
+        _require_count("J", self.J, 2)
 
     @property
     def width(self) -> float:
@@ -277,8 +277,6 @@ def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) 
     into the interval, and a strike below e^a yields all-zero coefficients.
     ``upper`` restricts the integral further (exercise-region coefficients).
     """
-    if strike <= 0.0:
-        raise ValueError("strike must be positive")
     cap = min(math.log(strike), grid.b)
     if upper is not None:
         cap = min(cap, upper)

@@ -44,6 +44,7 @@ import numpy as np
 from . import cos as cosmod, model as modelmod
 from .bermudan import ExerciseSchedule, PayoffSpec
 from .bsde import PricingResult, _expansion, _grid, make_cos_grid
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,6 @@ class DefaultSpec:
     """Counterparty default intensity, zero-recovery convention."""
 
     intensity: modelmod.CoeffFamily
-
-    def __post_init__(self) -> None:
-        if self.intensity.level < 0.0:
-            raise ValueError("default intensity must be nonnegative")
 
 
 _NEWTON_TOL = 1e-10
@@ -131,7 +128,8 @@ def price_bermudan_cos(
     The model's own default intensity decides whether this is the
     defaultable or the default-free leg; both run the identical code path.
     Discounting is explicit (e^{-r dt} per interval); default killing lives
-    inside the characteristic-function coefficients.
+    inside the characteristic-function coefficients.  A non-finite value
+    raises ``NumericalError``.
     """
     if payoff.kind != "put":
         raise ValueError("the fast CVA path prices Bermudan puts")
@@ -179,6 +177,8 @@ def price_bermudan_cos(
 
     series = functools.partial(_leg_series, cf, grid, disc, V)
     value, delta, gamma = series(x0, 2)
+    if not math.isfinite(value):
+        raise NumericalError(f"the coefficient recursion reached a non-finite value {value}")
     (y0,) = series(grid.nodes)
     return PricingResult(
         value=float(value),

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the engine.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError -> 3,
-ValidationFailure -> 4.
+ValidationFailure -> 4.  A bad input raises a ValueError whose message starts
+with the field that holds it, which the CLI maps to the INI key that fed it.
 """
 
 

@@ -160,12 +160,14 @@ def _guard_band(mdl, T):
     return mdl.spot_x0 - spread, mdl.spot_x0 + spread
 
 
-def _check_run(T, steps: int, n_paths: int) -> None:
-    """Reject a horizon or size that the simulators cannot step over."""
+def _check_run(T, steps: int, n_paths: int, seed: int) -> None:
+    """Reject a horizon, size or seed (uint64 in ``dump_paths``) that a run cannot take."""
     if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"need a finite horizon T > 0, got {T!r}")
-    if steps < 1 or n_paths < 1:
-        raise ValueError("need steps >= 1 and n_paths >= 1")
+        raise ValueError(f"T must be a finite horizon > 0, got {T!r}")
+    modelmod._require_count("steps", steps)
+    modelmod._require_count("n_paths", n_paths)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed!r}")
 
 
 def _paths(models, T, steps, n_paths, seed, rng, draw_counts, terminal_only=False) -> list:
@@ -284,7 +286,7 @@ def simulate(
     before the paths.  Jump counts are Poisson draws, with the mean clamped
     at ``_POISSON_CLAMP``; ``poisson_truncated`` counts the clamped draws.
     """
-    _check_run(T, steps, n_paths)
+    _check_run(T, steps, n_paths, seed)
     if default_mode not in ("weight", "thin"):
         raise ValueError("default_mode must be 'weight' or 'thin'")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -311,7 +313,7 @@ def simulate_crn_pair(
     ``poisson_truncated`` counts its draws cut off at ``_POISSON_CAP + 1``
     jumps.
     """
-    _check_run(T, steps, n_paths)
+    _check_run(T, steps, n_paths, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return tuple(_paths((mdl_a, mdl_b), T, steps, n_paths, seed, rng, _shared_uniform_counts))
 
@@ -380,14 +382,14 @@ def _fit_predict(xk: np.ndarray, target: np.ndarray, degree: int, mask=None) -> 
     return pred
 
 
-def _check_paths(batch: PathBatch) -> None:
+def _check_paths(n_paths: int) -> None:
     """A sample standard deviation, and so an interval, needs two paths."""
-    if batch.n_paths < 2:
-        raise ValueError(f"estimators need at least 2 paths, got {batch.n_paths}")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 paths for an estimator, got {n_paths}")
 
 
 def _exercise_stride(batch: PathBatch, schedule: ExerciseSchedule) -> int:
-    _check_paths(batch)
+    _check_paths(batch.n_paths)
     if batch.steps % schedule.M:
         raise ValueError("steps must be divisible by the number of exercise dates")
     if not math.isclose(batch.steps * batch.dt, schedule.T, rel_tol=1e-9):
@@ -491,7 +493,7 @@ def estimate_charfunc(batch: PathBatch, xis, weighted: bool = True) -> tuple:
     defaultable characteristic function; at xi = 0 an unweighted estimate
     is exactly 1.
     """
-    _check_paths(batch)
+    _check_paths(batch.n_paths)
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     xt = batch.x[:, -1]
     w = batch.survival[:, -1] if weighted else None

@@ -35,10 +35,12 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
 
 
-def _require_count(name: str, value) -> None:
-    """Reject anything but an integer >= 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _require_count(name: str, value, least: int = 1) -> None:
+    """Reject anything but an integer >= ``least``; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class CoeffFamily:
 
 @dataclass(frozen=True)
 class JumpLaw:
-    """Gaussian jump-size law N(mean, std^2); std >= 0."""
+    """Gaussian jump-size law N(mean, std^2): std >= 0, finite kappa."""
 
     mean: float = 0.0
     std: float = 0.0
@@ -112,7 +114,14 @@ class JumpLaw:
     def __post_init__(self) -> None:
         _require_finite(self, "mean", "std")
         if self.std < 0.0:
-            raise ValueError("jump std must be nonnegative")
+            raise ValueError(f"std must be nonnegative, got {self.std!r}")
+        try:
+            kappa = jump_compensator_kappa(self)
+        except OverflowError:
+            kappa = math.inf
+        if not math.isfinite(kappa):
+            name = "mean" if self.mean >= 0.5 * self.std * self.std else "std"
+            raise ValueError(f"{name} overflows kappa = exp(mean + std^2/2) - 1 - mean: {self!r}")
 
 
 def jump_compensator_kappa(law: JumpLaw) -> float:
@@ -136,8 +145,9 @@ class ModelSpec:
         # A negative vol level would silently price as its absolute value:
         # the expansion only sees sigma^2.
         for name in ("vol", "jump_intensity", "default_intensity"):
-            if getattr(self, name).level < 0.0:
-                raise ValueError(f"{name} level must be nonnegative")
+            level = getattr(self, name).level
+            if level < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got level {level!r}")
 
     # ``t`` is never read; perfbench/tracing.py calls intensity_a(0.0, x).
     def intensity_a(self, t, x):

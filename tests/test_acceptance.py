@@ -243,7 +243,9 @@ def test_criterion_04_cva_benchmark_value_table(lsm_cva_pairs):
                 )
                 wide = 0.1 * abs(est)
                 checks.append((lo - wide) <= val <= (hi + wide))
-                notes.append(f"LSM [{lo:.6f},{hi:.6f}]+/-{wide:.1e}")
+                # Distance to the nearer widened edge; negative outside.
+                margin = min(val - (lo - wide), (hi + wide) - val)
+                notes.append(f"LSM [{lo:.6f},{hi:.6f}]+/-{wide:.1e} margin {margin:+.1e}")
             else:
                 notes.append("report-only")
             verdict = "ok" if all(checks) else "MISS"

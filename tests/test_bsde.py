@@ -7,6 +7,7 @@ derivative identity E[h dW] = dt sigma d/dx E[h] + O(dt^2).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,8 +194,45 @@ class TestMakeCosGrid:
     @pytest.mark.parametrize("L", [0.0, -10.0, math.inf, math.nan])
     def test_rejects_a_bad_truncation_width_by_name(self, L):
         mdl = make_constant_model(0.25, 0.0, 0.0, 0.0, 0.05, 0.0)
-        with pytest.raises(ValueError, match="truncation width L"):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
             bsde.make_cos_grid(mdl, 1.0, 64, L)
+
+    def test_rejects_degenerate_dynamics_by_the_vol(self):
+        # No vol and no jumps: the increment has no spread to truncate.
+        mdl = make_constant_model(0.0, 0.0, 0.0, 0.0, 0.05, 0.0)
+        with pytest.raises(ValueError, match="vol must be positive at the spot"):
+            bsde.make_cos_grid(mdl, 1.0, 64)
+
+
+class TestNonFiniteValue:
+    """sigma = 0.15 e^{800 x} overflows on the right of the grid, so the
+    solve reaches nan; both theta-scheme pricers raise, not return it."""
+
+    mdl = lx.ModelSpec(
+        vol=lx.CoeffFamily.exponential(0.15, 800.0),
+        jump_intensity=lx.CoeffFamily.zero(),
+        jump_law=lx.JumpLaw(),
+        default_intensity=lx.CoeffFamily.zero(),
+        rate_r=0.05,
+    )
+
+    @pytest.mark.parametrize("pricer", ["price_bermudan_xva", "solve_bsde"])
+    def test_raises_numerical_error(self, pricer):
+        put = lx.PayoffSpec(kind="put", strike=1.0)
+        spec = bsde.DriverSpec(rate_r=0.05)
+        run = {
+            "price_bermudan_xva": lambda: lx.price_bermudan_xva(
+                self.mdl, put, lx.ExerciseSchedule(0.5, 2, 2), spec, J=32
+            ),
+            "solve_bsde": lambda: bsde.solve_bsde(
+                self.mdl, lambda x: lx.payoff_eval(put, 0.5, x),
+                lambda x: lx.payoff_dx(put, 0.5, x), 0.5, bsde.BsdeGrid(4, 0.125), spec, J=32,
+            ),
+        }[pricer]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="non-finite value"):
+                run()
 
 
 class TestContraction:

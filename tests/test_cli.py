@@ -6,6 +6,7 @@ whole module stays fast; one subprocess test checks the installed console
 script.
 """
 
+import math
 import re
 import subprocess
 import sys
@@ -115,7 +116,7 @@ class TestConfigErrors:
         [
             ("cos", "j", "1", "[cos] j must be at least 2"),
             ("cos", "l", "0", "[cos] l must be positive"),
-            ("cos", "theta1", "1.5", "theta1 must lie in (0, 1]"),
+            ("cos", "theta1", "1.5", "[cos] theta1 must lie in [0, 1]"),
             ("payoff", "maturity", "0", "maturity must be positive"),
             ("payoff", "kind", "swaption-payer", "unknown payoff kind"),
             ("driver", "mode", "fancy", "mode must be zero/simplified/full"),
@@ -132,10 +133,17 @@ class TestConfigErrors:
             ("job", "j_list", "1, 8", "[job] j_list entries must be at least 2"),
             ("job", "n_list", "0, 1", "[job] n_list entries must be at least 1"),
             ("job", "bench_n_list", "0", "[job] bench_n_list entries must be at least 1"),
+            ("model", "m", "1e6", "[model] m overflows kappa"),
+            ("mc", "n_paths", "1", "[mc] n_paths must be at least 2"),
+            # No vol and no jumps: no truncation range exists.
+            pytest.param(
+                "model", "b", {"b": "0", "lam": "0"}, "[model] b must be positive at the spot",
+                id="model-b-0-lam-0-degenerate",
+            ),
         ],
     )
     def test_rejected_values(self, tmp_path, capsys, section, key, value, needle):
-        overrides = {section: {key: value}}
+        overrides = {section: value if isinstance(value, dict) else {key: value}}
         if key in READER:
             overrides[section]["kind"] = READER[key]
         path = write_config(tmp_path, **overrides)
@@ -190,6 +198,15 @@ class TestConfigErrors:
         assert code == 2
         assert "config error: [driver] closeout = 'risk-free'" in err
         assert f"job {job} runs the LSM estimate" in err
+
+    def test_every_mapped_field_names_a_key_the_parser_reads(self, tmp_path):
+        section, read = None, set()
+        for ln in cli.parse_config(write_config(tmp_path)).echo_lines:
+            if ln.startswith("["):
+                section = ln
+            else:
+                read.add(f"{section} {ln.split(' = ')[0]}")
+        assert set(cli._KEYS.values()) <= read
 
     def test_malformed_ini(self, tmp_path, capsys):
         path = tmp_path / "broken.ini"
@@ -357,6 +374,22 @@ class TestJobs:
             )
             assert float(row[4]) == pytest.approx(res.value, rel=1e-5)
 
+    def test_explicit_theta_scheme_prices(self, tmp_path, capsys):
+        # theta1 = 0 is the explicit scheme, valid for the theta-scheme grid.
+        from levyxva import bermudan
+
+        path = write_config(tmp_path, cos={"theta1": "0"}, job={"kind": "price-xva"})
+        code, out, _ = run_cli(["--config", path], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        rc = cli.parse_config(str(path))
+        assert rc.theta1 == 0.0
+        res = bermudan.price_bermudan_xva(
+            rc.model, rc.payoff, rc.schedule, rc.driver, J=rc.J, L=rc.L, theta1=0.0
+        )
+        assert math.isfinite(res.value)
+        assert float(rows[0][4]) == pytest.approx(res.value, rel=1e-5)
+
     def test_greeks_matches_library(self, tmp_path, capsys):
         from levyxva import cva as cvamod
 
@@ -476,6 +509,20 @@ class TestNumericalFailure:
         assert code == 3
         assert "numerical failure" in err
         assert "contraction" in err
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_price_exits_3(self, tmp_path, capsys):
+        # sigma = 0.15 e^{800 x} overflows on the grid: the solve reaches nan.
+        path = write_config(
+            tmp_path,
+            model={"beta": "800", "lam": "0", "c": "0"},
+            job={"kind": "price-xva"},
+        )
+        code, out, err = run_cli(["--config", path], capsys)
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "non-finite value" in err
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ adjustment itself.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scipy import stats
 
 import levyxva as lx
 from levyxva import bermudan, bsde, charfunc, cos, cva
+from levyxva.errors import NumericalError
 
 from conftest import dense_m_product, make_benchmark_model, make_constant_model, replace_spot
 
@@ -388,6 +390,19 @@ def test_node_wave_is_one_read_only_table_per_grid():
     for grid in (g, h):
         want = np.exp(1j * grid.freqs * grid.nodes[..., None])
         assert np.array_equal(cos._node_wave(grid), want)
+
+
+def test_non_finite_leg_value_raises():
+    # e^{-r dt} = e^{300} per date overflows the coefficients within ten
+    # dates (overflow warnings, and degenerate splits on the way).
+    mdl = make_constant_model(0.2, 0.0, 0.0, 0.0, -3000.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericalError, match="non-finite value"):
+            cva.price_bermudan_cos(
+                mdl, bermudan.PayoffSpec(kind="put", strike=1.0),
+                bermudan.ExerciseSchedule(1.0, 10, 1), J=32,
+            )
 
 
 class TestExerciseBoundary:

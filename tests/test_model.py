@@ -62,6 +62,18 @@ class TestJumpLaw:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             lx.JumpLaw(**args)
 
+    @pytest.mark.parametrize(
+        "mean, std, field", [(1e6, 0.0, "mean"), (710.0, 0.0, "mean"), (0.0, 1e3, "std"),
+                             (0.0, 1e200, "std"), (-0.2, 38.0, "std")],
+    )
+    def test_non_finite_compensator_rejected(self, mean, std, field):
+        # kappa = exp(mean + std^2/2) - 1 - mean overflows: name the dominant field.
+        with pytest.raises(ValueError, match=f"{field} overflows kappa"):
+            lx.JumpLaw(mean, std)
+
+    def test_large_finite_compensator_accepted(self):
+        assert math.isfinite(lx.jump_compensator_kappa(lx.JumpLaw(700.0, 0.0)))
+
 
 class TestJumpCompensator:
     def test_kappa_closed_form_vs_quadrature(self):
@@ -151,7 +163,7 @@ class TestTaylorExpand:
 class TestModelSpecValidation:
     def test_negative_vol_level_rejected(self):
         mdl = make_benchmark_model(0.05, 0.1)
-        with pytest.raises(ValueError, match="vol level must be nonnegative"):
+        with pytest.raises(ValueError, match="vol must be nonnegative"):
             dataclasses.replace(mdl, vol=lx.CoeffFamily.exponential(-0.15, -2.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
