@@ -13,14 +13,19 @@ the cosine coefficients of the later time level.
 ``solve_bsde`` is ``bermudan.price_bermudan_xva`` with one exercise date:
 for every driver both run one backward loop, ``_backward``, take their grid
 from ``_grid`` and return a ``PricingResult``, differing only in how a
-step's kernel is supplied and in whether z is carried.  Each level is
-transformed once, in one stacked DCT of (y, f), or of (y, z, f) in the
-main pass when the caller asks for z.  ``theta_step`` runs the y recursion
-and ``z_step`` the z recursion; no driver reads z.  A risk-free close-out
-runs a zero-driver mark-to-market pass through the same steps and kernels,
-each step ahead of the main pass.  At exercise dates y becomes
-max(phi, y); none is applied at t_0.  The last level's coefficients feed
-the node step and ``spot_step``.
+step's kernel is supplied and in whether z is carried.  ``solve_bsde``
+builds one node kernel; the Bermudan solve calls the builder of
+``_node_kernels`` at every step, which expands the model at the nodes once
+per solve and forms every kernel entry anew at each call.  A kernel's
+``psi_dw`` is formed on its first read, which ``z_step`` makes, and, like
+``psi``, is valid until the next build into the same workspace.  Each
+level is transformed once, in one stacked DCT of (y, f), or of (y, z, f)
+in the main pass when the caller asks for z.  ``theta_step`` runs the y
+recursion and ``z_step`` the z recursion; no driver reads z.  A risk-free
+close-out runs a zero-driver mark-to-market pass through the same steps
+and kernels, each step ahead of the main pass.  At exercise dates y
+becomes max(phi, y); none is applied at t_0.  The last level's
+coefficients feed the node step and ``spot_step``.
 
 ``scheme_driver`` gives every mode's driver in the BSDE convention that the
 scheme consumes (Ruijter & Oosterlee 2015), in which the full driver's
@@ -255,7 +260,12 @@ class PricingResult:
 
 def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) -> cosmod.CosGrid:
     """Truncation interval from the order-0 increment cumulants at the spot,
-    L standard widths on each side; L must be finite and positive."""
+    L standard widths on each side; L must be finite and positive.
+
+    An interval that is not finite, or whose half-width rounds away against
+    its centre x0 + T (r + gamma_0 - s_0 - a_0 kappa), is rejected, naming
+    the model field behind the largest term of that centre
+    (``_centre_field``)."""
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"L must be positive and finite, got {L!r}")
     x0 = mdl.spot_x0
@@ -265,7 +275,27 @@ def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) ->
         a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
     except ValueError:  # only sigma and the jumps spread the increment
         raise ValueError("vol must be positive at the spot when no jump moves it") from None
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        name = _centre_field(mdl, tay, T)
+        raise ValueError(f"{name} leaves no usable truncation interval: [{a:.6g}, {b:.6g}]")
     return cosmod.CosGrid(a, b, J)
+
+
+def _centre_field(mdl: modelmod.ModelSpec, tay: modelmod.TaylorData, T: float) -> str:
+    """The field behind the largest term, in magnitude (nan counts as
+    infinite), of the truncation centre x0 + T (r + gamma_0 - s_0 - a_0 kappa).
+    The jump term a_0 kappa is put on the jump intensity when a_0 >= |kappa|,
+    and otherwise on the jump law's field that drives kappa."""
+    kappa = mdl.kappa
+    jump = "jump_intensity" if tay.a[0] >= abs(kappa) else mdl.jump_law.kappa_field
+    terms = {
+        "spot_x0": mdl.spot_x0,
+        "rate_r": T * mdl.rate_r,
+        "default_intensity": T * tay.gamma[0],
+        "vol": T * tay.s[0],
+        jump: T * tay.a[0] * kappa,
+    }
+    return max(terms, key=lambda name: math.inf if math.isnan(terms[name]) else abs(terms[name]))
 
 
 def _expansion(
@@ -284,6 +314,25 @@ def _expansion(
     )
 
 
+def _node_kernels(
+    mdl: modelmod.ModelSpec,
+    grid: cosmod.CosGrid,
+    dt: float,
+    out: charfunc.NodeWorkspace | None = None,
+) -> Callable[[], cosmod.StepKernel]:
+    """A callable that builds the step kernel on the grid nodes, into
+    ``out`` when given.  The model is expanded at the nodes once, here;
+    each call runs ``build_order_n`` and ``step_kernel`` on that expansion,
+    forming every kernel entry anew."""
+    tay = modelmod.taylor_expand(mdl, 0.0, grid.nodes, charfunc.MAX_ORDER)
+
+    def build():
+        cf = charfunc.build_order_n(tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, out=out)
+        return cosmod.step_kernel(cf, grid, out=out)
+
+    return build
+
+
 def _node_kernel(
     mdl: modelmod.ModelSpec,
     grid: cosmod.CosGrid,
@@ -291,7 +340,7 @@ def _node_kernel(
     out: charfunc.NodeWorkspace | None = None,
 ) -> cosmod.StepKernel:
     """The step kernel on the grid nodes, built into ``out`` when given."""
-    return cosmod.step_kernel(_expansion(mdl, grid, grid.nodes, dt, out=out), grid, out=out)
+    return _node_kernels(mdl, grid, dt, out)()
 
 
 def _grid(mdl, T, J, L, grid):

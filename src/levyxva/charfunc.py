@@ -95,10 +95,15 @@ class NodeWorkspace:
     build of it reuses, so that a step allocates no J x J array.
 
     ``g`` (1, J, J) complex receives g_{n,0} of ``build_order_n``; ``psi``
-    and ``psi_dw`` (J, J) float64, C-contiguous, receive the weights of
-    ``cos.step_kernel``; both write their row blocks through ``temps``
-    (``_BlockTemps``: twelve complex (rows, J) arrays, 3 MB at J = 256).
-    Each build overwrites what the previous one returned.
+    (J, J) float64, C-contiguous, receives the weights of
+    ``cos.step_kernel``, and ``psi_dw`` of the same layout receives the
+    kernel's ``psi_dw`` when that is first read; all write their row
+    blocks through ``temps`` (``_BlockTemps``: twelve complex (rows, J)
+    arrays, 3 MB at J = 256).  Each build overwrites what the previous one
+    returned.  The step-invariant inputs of a build (``_build_inputs``)
+    are kept with the ``TaylorData`` and frequencies they were formed from
+    and formed again only for other ones (``inputs``); they hold no kernel
+    value, so every build still forms all J^2 entries.
     """
 
     def __init__(self, J: int):
@@ -106,6 +111,21 @@ class NodeWorkspace:
         self.psi = np.empty((J, J))
         self.psi_dw = np.empty((J, J))
         self.temps = _BlockTemps(min(J, _block_rows(J)), J)
+        self._key = None
+        self._inputs = None
+
+    def inputs(self, taylor: TaylorData, freqs, tau: float, order: int) -> tuple:
+        """``_build_inputs`` of ``taylor`` and ``freqs`` at tau and order,
+        formed only when the last call did not have this ``taylor`` and
+        ``freqs`` (compared by identity; the references are held, so an
+        identity is not reused) and this tau and order."""
+        key = self._key
+        if key is None or key[0] is not taylor or key[1] is not freqs or key[2:] != (tau, order):
+            self._key = None  # temps.terms is rewritten before the key is set
+            xi = np.asarray(freqs, dtype=float)
+            self._inputs = _build_inputs(taylor, xi, tau, order, self.temps.terms)
+            self._key = (taylor, freqs, tau, order)
+        return self._inputs
 
 
 def _coeff_columns(taylor: TaylorData, h: int) -> np.ndarray:
@@ -316,6 +336,30 @@ class CharFuncApprox:
         return tuple(k for k in range(1, self.order + 1) if self.g[k].any())
 
 
+def _build_inputs(taylor: TaylorData, xi: np.ndarray, tau: float, order: int, terms_out) -> tuple:
+    """What an order-``order`` build over tau reads besides its block
+    temporaries: (panels, cols, terms, rows, deep), none of which depends
+    on the block.
+
+    ``panels`` is tau times the real view of the ``_frequency_factors``
+    (a real coefficient row times panels[k] is the real view of
+    tau psi_h^(k)); ``cols`` the order-0 coefficient columns; ``terms``
+    the ``_symbol_terms`` repeated over the rows of ``terms_out``, written
+    there; ``rows`` the coefficient rows of orders 0..order; and ``deep``
+    marks the basepoints whose tau psi_0 can reach _EXP_UNDERFLOW: |nuhat|
+    <= 1, so Re(tau psi_0) >= -tau (|s_0| xi^2 + |gamma_0| + 2 |a_0|), and
+    only their blocks are tested entry by entry.
+    """
+    F, terms = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
+    F *= tau
+    terms = [_fill(full, term) for full, term in zip(terms_out, terms)]
+    rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
+    reach = np.abs(taylor.s[0]) * np.max(xi**2, initial=0.0)
+    reach = tau * (reach + np.abs(taylor.gamma[0]) + 2.0 * np.abs(taylor.a[0]))
+    deep = np.atleast_1d(reach > -_EXP_UNDERFLOW)
+    return F.view(float), _coeff_columns(taylor, 0), terms, rows, deep
+
+
 # Only tau = T - t is read; perfbench/tracing.py reads ``t`` and ``T`` by name.
 def build_order_n(
     taylor: TaylorData,
@@ -395,6 +439,15 @@ def build_order_n(
     there without evaluating it.  Rejected corrections are zeroed by a
     masked copy, and (1 + 0) E rounds to E.
 
+    The inputs that do not depend on the block (``_build_inputs``: the
+    tau-scaled frequency panels, the symbol terms repeated over the block
+    rows, the coefficient rows and columns, and the underflow rows) are
+    formed once per build, or, with ``out``, once per ``TaylorData`` and
+    ``freqs`` (by identity) at a tau and order (``NodeWorkspace.inputs``):
+    a solve that passes one expansion to every step forms them at its
+    first step.  Every build forms all n x J symbols, exponentials,
+    corrections and weights.
+
     With ``out``, a ``NodeWorkspace`` of J basepoints, a vector build
     writes g_{n,0} and its temporaries there, and the returned g[0] is a
     view that the next build into ``out`` overwrites; the values are bit
@@ -418,26 +471,15 @@ def build_order_n(
     if out is None:
         g = np.empty((1 if vector else order + 1, n, J), dtype=complex)
         temps = _BlockTemps(min(n, step), J)
+        inputs = _build_inputs(taylor, xi, tau, order, temps.terms)
     elif vector and out.g.shape[1:] == (n, J):
         g, temps = out.g, out.temps
+        inputs = out.inputs(taylor, freqs, tau, order)
     else:
         raise ValueError("out takes a vector basepoint with one point per frequency")
 
-    F, terms = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
-    # tau times the real view of the complex frequency vectors: a real
-    # coefficient row times panels[k] is the real view of tau psi_h^(k).
-    F *= tau
-    panels = F.view(float)
-    cols = _coeff_columns(taylor, 0)
-    terms = [_fill(full, term) for full, term in zip(temps.terms, terms)]
-    rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
+    panels, cols, terms, rows, deep = inputs
     symbols = _SYMBOLS[order]
-    # Rows that can reach _EXP_UNDERFLOW: |nuhat| <= 1, so Re(tau psi_0) >=
-    # -tau (|s_0| xi^2 + |gamma_0| + 2 |a_0|).  Only their blocks are tested
-    # entry by entry.
-    reach = np.abs(taylor.s[0]) * np.max(xi**2, initial=0.0)
-    reach = tau * (reach + np.abs(taylor.gamma[0]) + 2.0 * np.abs(taylor.a[0]))
-    deep = np.atleast_1d(reach > -_EXP_UNDERFLOW)
     buf = temps.cplx
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)

@@ -27,7 +27,7 @@ _REQUIRED = object()
 # The INI key that feeds each engine field whose rule an INI value can break.
 _KEYS = {
     "vol": "[model] b", "jump_intensity": "[model] lam", "default_intensity": "[model] c",
-    "mean": "[model] m", "std": "[model] delta",
+    "mean": "[model] m", "std": "[model] delta", "rate_r": "[model] r", "spot_x0": "[model] x0",
     "J": "[cos] j", "L": "[cos] l", "theta1": "[cos] theta1", "picard": "[cos] picard",
     "N": "[cos] n", "M": "[cos] m",
     "kind": "[payoff] kind", "strike": "[payoff] strike", "T": "[payoff] maturity",
@@ -282,7 +282,7 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
     n_list = job_key("n_list", "convergence", _to_int_list, [1, 10, 20, 30])
     bench_n_list = job_key("bench_n_list", "bench", _to_int_list, [2, 4, 8])
     # What each list entry prices with, built as its job builds it.
-    with _keyed(vol="[job] x0_list entries"):
+    with _keyed(vol="[job] x0_list entries", spot_x0="[job] x0_list entries"):
         for spot in x0_list:
             bsde.make_cos_grid(replace(mdl, spot_x0=spot), maturity, J, L)
     with _keyed(default_intensity="[job] c_list entries"):

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -141,13 +142,20 @@ class StepKernel:
     E_n[h](x_i)                      ~ psi    @ H
     E_n[h dW](x_i) / (dt sigma(x_i)) ~ psi_dw @ H
 
+    Only the (Y, Z) solve reads ``psi_dw``, so it is formed by ``form_dw``
+    on its first read and kept.
+
     On the midpoint nodes the phase of a node expansion is
     e^{i xi_j (x_i - a)} with xi_j (x_i - a) = pi j (2i + 1) / (2J), the
     same table for every interval [a, b] with J modes (``_node_phase``).
     """
 
     psi: np.ndarray
-    psi_dw: np.ndarray
+    form_dw: Callable[[], np.ndarray] = field(repr=False)
+
+    @functools.cached_property
+    def psi_dw(self) -> np.ndarray:
+        return self.form_dw()
 
 
 @functools.lru_cache(maxsize=8)
@@ -209,43 +217,62 @@ def step_kernel(
     A node expansion reduces to g[0] at its own node, so its weights are
     Re(g[0] * _node_phase(J)) with no exponential to evaluate, and both
     arrays come back C-contiguous for the step's matrix-vector products.
-    With ``out`` they are its ``psi`` and ``psi_dw``, which the next step
-    into ``out`` overwrites, and the product runs over its row blocks with
-    -xi_j repeated over the rows in its real temporary ``mag``; without,
-    they are fresh arrays and the product is one block.  Either way each
-    entry takes the same operations.  The real and imaginary parts are
-    copied out first, so the -xi_j scaling runs on contiguous operands of
-    one shape and numpy allocates no iteration buffer.
+    ``psi`` is formed here and ``psi_dw`` on its first read
+    (``_node_psi_dw``), from the same g[0].  With ``out`` they are its
+    ``psi`` and ``psi_dw``, and the products run over its row blocks; both
+    are valid until the next build into ``out``, which overwrites g[0] and
+    ``psi``, so ``psi_dw`` must be read before it.  Without ``out`` they
+    are fresh arrays, each formed in one block.  Either way each entry
+    takes the same operations.
     """
     _check_shared(grid, cf)
     x = cf.basepoint
     if x is not grid.nodes and not np.array_equal(x, grid.nodes):
         raise ValueError("step_kernel needs an expansion at the grid nodes")
-    J = grid.J
-    if out is None:
-        psi, psi_dw = np.empty((J, J)), np.empty((J, J))
-        block, neg_xi = np.empty((J, J), complex), np.empty((J, J))
-    else:
-        psi, psi_dw = out.psi, out.psi_dw
-        block, neg_xi = out.temps.cplx[0], out.temps.mag
-    np.copyto(neg_xi, grid.freqs)
-    np.negative(neg_xi, out=neg_xi)
+    g0 = cf.g[0]
+    psi = np.empty((grid.J, grid.J)) if out is None else out.psi
+    for blk, weighted in _weighted_blocks(g0, out):
+        np.copyto(psi[blk], weighted.real)
+    return StepKernel(psi=psi, form_dw=lambda: _node_psi_dw(g0, grid, out))
+
+
+def _weighted_blocks(g0: np.ndarray, out: NodeWorkspace | None):
+    """(rows, g0[rows] * _node_phase(J)[rows]) for each row block of
+    ``out.temps.cplx[0]``, or for one fresh J x J block without ``out``."""
+    J = g0.shape[-1]
+    block = np.empty((J, J), complex) if out is None else out.temps.cplx[0]
     phase = _node_phase(J)
     rows = block.shape[0]
     for lo in range(0, J, rows):
         blk, k = slice(lo, lo + rows), min(rows, J - lo)
-        weighted = np.multiply(cf.g[0][blk], phase[blk], out=block[:k])
-        np.copyto(psi[blk], weighted.real)
+        yield blk, np.multiply(g0[blk], phase[blk], out=block[:k])
+
+
+def _node_psi_dw(g0: np.ndarray, grid: CosGrid, out: NodeWorkspace | None) -> np.ndarray:
+    """``psi_dw`` of a node kernel with g[0] = ``g0``: Im(g0 * _node_phase(J))
+    times -xi_j, into ``out.psi_dw`` with -xi_j repeated over the rows of
+    its real temporary ``mag``, or into fresh arrays.  The imaginary parts
+    are copied out first, so the scaling runs on contiguous operands of
+    one shape and numpy allocates no iteration buffer."""
+    J = grid.J
+    if out is None:
+        psi_dw, neg_xi = np.empty((J, J)), np.empty((J, J))
+    else:
+        psi_dw, neg_xi = out.psi_dw, out.temps.mag
+    np.copyto(neg_xi, grid.freqs)
+    np.negative(neg_xi, out=neg_xi)
+    for blk, weighted in _weighted_blocks(g0, out):
+        k = weighted.shape[0]
         np.copyto(psi_dw[blk], weighted.imag)
         np.multiply(psi_dw[blk], neg_xi[:k], out=psi_dw[blk])
-    return StepKernel(psi=psi, psi_dw=psi_dw)
+    return psi_dw
 
 
 def point_kernel(cf: CharFuncApprox, grid: CosGrid, x_points) -> StepKernel:
     """Expectation weights at arbitrary points for a scalar-basepoint
     approximation (used for the final evaluation at the spot)."""
     weighted = expectation_weights(cf, grid, np.atleast_1d(np.asarray(x_points, dtype=float)))
-    return StepKernel(psi=np.real(weighted), psi_dw=np.real(1j * grid.freqs * weighted))
+    return StepKernel(psi=np.real(weighted), form_dw=lambda: np.real(1j * grid.freqs * weighted))
 
 
 def _cos_integral(grid: CosGrid, lo: float, hi: float) -> np.ndarray:

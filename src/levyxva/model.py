@@ -120,8 +120,15 @@ class JumpLaw:
         except OverflowError:
             kappa = math.inf
         if not math.isfinite(kappa):
-            name = "mean" if self.mean >= 0.5 * self.std * self.std else "std"
-            raise ValueError(f"{name} overflows kappa = exp(mean + std^2/2) - 1 - mean: {self!r}")
+            raise ValueError(
+                f"{self.kappa_field} overflows kappa = exp(mean + std^2/2) - 1 - mean: {self!r}"
+            )
+
+    @property
+    def kappa_field(self) -> str:
+        """The field that drives kappa = exp(mean + std^2/2) - 1 - mean:
+        ``mean`` when |mean| >= std^2/2, else ``std``."""
+        return "mean" if abs(self.mean) >= 0.5 * self.std * self.std else "std"
 
 
 def jump_compensator_kappa(law: JumpLaw) -> float:

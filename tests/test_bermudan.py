@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import levyxva as lx
-from levyxva import bermudan, bsde, charfunc, cos
+from levyxva import bermudan, bsde, charfunc, cos, model
 
 from conftest import make_benchmark_model, make_constant_model
 
@@ -437,6 +437,98 @@ class TestNodeWorkspace:
         res = bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=32)
         assert builds == [32] * sched.n_steps
         assert np.isfinite(res.value) and len(res.boundary) == sched.M - 1
+
+    def test_solve_expands_the_nodes_once_and_forms_no_psi_dw(self, model_put, monkeypatch):
+        # Every step builds its kernel anew from one node expansion per
+        # solve; the y recursion never reads psi_dw, so none is formed.
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((model, "taylor_expand"), (charfunc, "build_order_n"),
+                            (cos, "step_kernel"), (cos, "_node_psi_dw")):
+            count(owner, name)
+        sched = bermudan.ExerciseSchedule(1.0, 2, 2)
+        pay = bermudan.PayoffSpec(kind="put", strike=1.0)
+        drv = bsde.DriverSpec(mode="full", rate_r=0.05, rate_c=0.06, closeout="risk-free")
+        bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=32)
+        # the grid, the nodes and the spot
+        assert calls == {
+            "taylor_expand": 3,
+            "build_order_n": sched.n_steps + 1,
+            "step_kernel": sched.n_steps,
+        }
+
+    def test_european_solve_forms_psi_dw_once(self, model_put, monkeypatch):
+        formed = []
+        node_psi_dw = cos._node_psi_dw
+
+        def recorded(*args):
+            formed.append(args)
+            return node_psi_dw(*args)
+
+        monkeypatch.setattr(cos, "_node_psi_dw", recorded)
+        pay = bermudan.PayoffSpec(kind="put", strike=1.0)
+        bsde.solve_bsde(
+            model_put,
+            lambda x: bermudan.payoff_eval(pay, 0.5, x),
+            lambda x: bermudan.payoff_dx(pay, 0.5, x),
+            0.5,
+            bsde.BsdeGrid(4, 0.125),
+            bsde.DriverSpec(mode="simplified", rate_r=0.05),
+            J=32,
+        )
+        assert len(formed) == 1 and formed[0][2] is None
+
+    def test_psi_dw_read_allocates_no_iteration_buffer(self, model_put):
+        # psi_dw is scaled on contiguous operands of one shape; a broadcast
+        # (J,) operand times a strided .imag view made numpy allocate
+        # ~68 KB of iteration buffers per warm J = 256 read.
+        grid = bsde.make_cos_grid(model_put, 1.0, 256)
+        build = bsde._node_kernels(model_put, grid, 0.01, charfunc.NodeWorkspace(256))
+        build().psi_dw
+        kern = build()
+        tracemalloc.start()
+        try:
+            kern.psi_dw
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024
+
+    @pytest.mark.parametrize(
+        "kind, strike, drv",
+        [
+            ("portfolio-linear", 0.0, bsde.DriverSpec(mode="simplified", rate_r=0.05)),
+            ("put", 1.0, bsde.DriverSpec(
+                mode="full", rate_r=0.05, rate_c=0.06, closeout="risk-free"
+            )),
+        ],
+    )
+    def test_solve_equals_fresh_kernel_every_step(self, model_put, kind, strike, drv):
+        # The solve forms its node expansion and the build's step-invariant
+        # inputs once; a loop that builds each step's kernel from scratch
+        # into fresh arrays must give the same bits.
+        sched = bermudan.ExerciseSchedule(1.0, 4, 4)
+        pay = bermudan.PayoffSpec(kind=kind, strike=strike)
+        res = bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=64)
+        grid, bgrid = res.grid, bsde.BsdeGrid(sched.n_steps, sched.dt)
+        phi = bermudan.payoff_eval(pay, sched.T, grid.nodes)
+        value, y0, _, boundary = bsde._backward(
+            model_put, phi, lambda: bsde._node_kernel(model_put, grid, sched.dt),
+            grid, bgrid, drv, sched.N,
+        )
+        assert value == res.value
+        assert np.array_equal(y0, res.y0)
+        assert np.array_equal(boundary, res.boundary, equal_nan=True)
+        assert len(boundary) == sched.M - 1
 
 
 class TestComplexityProbe:

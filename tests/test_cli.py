@@ -134,6 +134,10 @@ class TestConfigErrors:
             ("job", "n_list", "0, 1", "[job] n_list entries must be at least 1"),
             ("job", "bench_n_list", "0", "[job] bench_n_list entries must be at least 1"),
             ("model", "m", "1e6", "[model] m overflows kappa"),
+            # A finite kappa = e^700 drives the centre so far out that the
+            # interval's half-width rounds away.
+            ("model", "m", "700", "[model] m leaves no usable truncation interval"),
+            ("model", "r", "1e300", "[model] r leaves no usable truncation interval"),
             ("mc", "n_paths", "1", "[mc] n_paths must be at least 2"),
             # No vol and no jumps: no truncation range exists.
             pytest.param(
