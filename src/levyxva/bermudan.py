@@ -8,18 +8,16 @@ at interior exercise dates and no max at t_0.
 
 The node kernel is rebuilt at every step, matching the method's published
 per-step cost; ``timings["kernel"]`` reports the seconds spent building
-it.  Each build writes into one ``charfunc.NodeWorkspace`` that the solve
-allocates, so a step allocates no J x J array.  Once per solve the model
-is Taylor-expanded at the nodes (``bsde._node_kernels``), and the first
-build forms the step-invariant inputs that the workspace keeps (the
-tau-scaled frequency panels, the symbol terms over the block rows, the
-coefficient rows and columns, the underflow rows).  Every step still
-calls ``build_order_n`` and ``step_kernel`` and forms all J^2 symbols,
-exponentials, corrections and weights.  The y recursion reads ``psi``
-alone, and a kernel's ``psi_dw`` is formed only on its first read, so
-this solve never forms it.  The model is
-time-homogeneous, so the step length dt is the kernel's only time input
-and every step repeats the same build: one kernel would serve all steps.
+it.  Once per solve ``bsde._node_kernels`` Taylor-expands the model at the
+nodes and makes the ``charfunc.NodeWorkspace`` of that expansion, which
+forms the step-invariant inputs of a build; every step builds into it, so
+a step allocates no J x J array, and still calls ``build_order_n`` and
+``step_kernel`` and forms all J^2 symbols, exponentials, corrections and
+weights.  The y recursion reads ``psi`` alone, and a kernel's ``psi_dw``
+is formed only on its first read, so this solve never forms it.  The
+model is time-homogeneous, so the step length dt is the kernel's only
+time input and every step repeats the same build: one kernel would serve
+all steps.
 But a build, which forms only g_{n,0}, costs as much as many steps with a
 cached kernel, so a once-built kernel leaves the run time nearly flat in N.
 With a per-solve cache the N 2->4 and 4->8 time ratios measured 1.18-1.24,
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import charfunc, cos as cosmod, model as modelmod
+from . import cos as cosmod, model as modelmod
 from .bsde import BsdeGrid, DriverSpec, PricingResult, _backward, _node_kernels, _solve_grid
 
 # Never called here; the benchmark's tracer patches every engine module that
@@ -144,7 +142,7 @@ def price_bermudan_xva(
     bgrid = BsdeGrid(schedule.n_steps, schedule.dt, theta1, picard=picard)
     grid = _solve_grid(mdl, schedule.T, bgrid, driver, J, L, grid)
     t_loop = time.perf_counter()
-    build = _node_kernels(mdl, grid, bgrid.dt, charfunc.NodeWorkspace(grid.J))
+    build = _node_kernels(mdl, grid, bgrid.dt)
     kernel_s = time.perf_counter() - t_loop
 
     def node_kernel():

@@ -13,18 +13,18 @@ the cosine coefficients of the later time level.
 ``solve_bsde`` is ``bermudan.price_bermudan_xva`` with one exercise date:
 for every driver both run one backward loop, ``_backward``, take their grid
 from ``_grid`` and return a ``PricingResult``, differing only in how a
-step's kernel is supplied and in whether z is carried.  ``solve_bsde``
-builds one node kernel; the Bermudan solve calls the builder of
-``_node_kernels`` at every step, which expands the model at the nodes once
-per solve and forms every kernel entry anew at each call.  A kernel's
-``psi_dw`` is formed on its first read, which ``z_step`` makes, and, like
-``psi``, is valid until the next build into the same workspace.  Each
-level is transformed once, in one stacked DCT of (y, f), or of (y, z, f)
-in the main pass when the caller asks for z.  ``theta_step`` runs the y
-recursion and ``z_step`` the z recursion; no driver reads z.  A risk-free
-close-out runs a zero-driver mark-to-market pass through the same steps
-and kernels, each step ahead of the main pass.  At exercise dates y
-becomes max(phi, y); none is applied at t_0.  The last level's
+step's kernel is supplied and in whether z is carried.  Both take their
+node kernels from ``_node_kernels``, which expands the model at the nodes
+and makes the workspace of that expansion once per solve, and builds a
+kernel into it at each call: ``solve_bsde`` calls it once, the Bermudan
+solve at every step.  A kernel's ``psi_dw`` is formed on its first read,
+which ``z_step`` makes, and, like ``psi``, is valid until the next build.
+Each level is transformed once, in one stacked DCT of (y, f), or of
+(y, z, f) in the main pass when the caller asks for z.  ``theta_step``
+runs the y recursion and ``z_step`` the z recursion; no driver reads z.
+A risk-free close-out runs a zero-driver mark-to-market pass through the
+same steps and kernels, each step ahead of the main pass.  At exercise
+dates y becomes max(phi, y); none is applied at t_0.  The last level's
 coefficients feed the node step and ``spot_step``.
 
 ``scheme_driver`` gives every mode's driver in the BSDE convention that the
@@ -269,15 +269,17 @@ def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) ->
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"L must be positive and finite, got {L!r}")
     x0 = mdl.spot_x0
-    tay = modelmod.taylor_expand(mdl, 0.0, x0, 0)
-    c1, c2, c4 = charfunc.cumulants(tay, T)
-    try:
-        a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
-    except ValueError:  # only sigma and the jumps spread the increment
-        raise ValueError("vol must be positive at the spot when no jump moves it") from None
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        name = _centre_field(mdl, tay, T)
-        raise ValueError(f"{name} leaves no usable truncation interval: [{a:.6g}, {b:.6g}]")
+    # What overflows here leaves an interval that is not finite: rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tay = modelmod.taylor_expand(mdl, 0.0, x0, 0)
+        c1, c2, c4 = charfunc.cumulants(tay, T)
+        try:
+            a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
+        except ValueError:  # only sigma and the jumps spread the increment
+            raise ValueError("vol must be positive at the spot when no jump moves it") from None
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            name = _centre_field(mdl, tay, T)
+            raise ValueError(f"{name} leaves no usable truncation interval: [{a:.6g}, {b:.6g}]")
     return cosmod.CosGrid(a, b, J)
 
 
@@ -299,48 +301,30 @@ def _centre_field(mdl: modelmod.ModelSpec, tay: modelmod.TaylorData, T: float) -
 
 
 def _expansion(
-    mdl: modelmod.ModelSpec,
-    grid: cosmod.CosGrid,
-    x,
-    dt: float,
-    span: float = 0.0,
-    out: charfunc.NodeWorkspace | None = None,
+    mdl: modelmod.ModelSpec, grid: cosmod.CosGrid, x, dt: float, span: float = 0.0
 ) -> charfunc.CharFuncApprox:
     """Order-``charfunc.MAX_ORDER`` expansion about the basepoint(s) x over
     one step of length dt, the only time input of the time-homogeneous model."""
     tay = modelmod.taylor_expand(mdl, 0.0, x, charfunc.MAX_ORDER)
-    return charfunc.build_order_n(
-        tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, span=span, out=out
-    )
+    return charfunc.build_order_n(tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, span=span)
 
 
 def _node_kernels(
-    mdl: modelmod.ModelSpec,
-    grid: cosmod.CosGrid,
-    dt: float,
-    out: charfunc.NodeWorkspace | None = None,
+    mdl: modelmod.ModelSpec, grid: cosmod.CosGrid, dt: float
 ) -> Callable[[], cosmod.StepKernel]:
-    """A callable that builds the step kernel on the grid nodes, into
-    ``out`` when given.  The model is expanded at the nodes once, here;
-    each call runs ``build_order_n`` and ``step_kernel`` on that expansion,
-    forming every kernel entry anew."""
+    """A callable that builds the step kernel on the grid nodes.  The model
+    is expanded at the nodes once, here, with the workspace made for that
+    expansion; each call runs ``build_order_n`` and ``step_kernel`` into
+    it, forming every kernel entry anew, and overwrites the kernel that the
+    previous call returned."""
     tay = modelmod.taylor_expand(mdl, 0.0, grid.nodes, charfunc.MAX_ORDER)
+    work = charfunc.NodeWorkspace(tay, grid.freqs, dt, charfunc.MAX_ORDER)
 
     def build():
-        cf = charfunc.build_order_n(tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, out=out)
-        return cosmod.step_kernel(cf, grid, out=out)
+        cf = charfunc.build_order_n(tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, out=work)
+        return cosmod.step_kernel(cf, grid)
 
     return build
-
-
-def _node_kernel(
-    mdl: modelmod.ModelSpec,
-    grid: cosmod.CosGrid,
-    dt: float,
-    out: charfunc.NodeWorkspace | None = None,
-) -> cosmod.StepKernel:
-    """The step kernel on the grid nodes, built into ``out`` when given."""
-    return _node_kernels(mdl, grid, dt, out)()
 
 
 def _grid(mdl, T, J, L, grid):
@@ -444,7 +428,7 @@ def solve_bsde(
     """
     grid = _solve_grid(mdl, T, bgrid, spec, J, L, grid)
     x = grid.nodes
-    kernel = _node_kernel(mdl, grid, bgrid.dt)
+    kernel = _node_kernels(mdl, grid, bgrid.dt)()
     phi = np.asarray(terminal(x), dtype=float)
     phi_dx = np.asarray(terminal_dx(x), dtype=float)
     value, y0, z0, _ = _backward(

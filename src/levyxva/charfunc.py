@@ -47,8 +47,8 @@ _TRUST_SPAN = 0.05
 # node rows at J = 256, so a block's working set stays in cache.  Above
 # glibc's 128 KB mmap threshold such a temporary is not recycled: built
 # into fresh arrays, a J = 256 XVA solve took ~624 minor page faults per
-# step (62 400 per request), which is why a repeated build writes into a
-# ``NodeWorkspace`` instead.
+# step (62 400 per request), which is why a solve builds every step into
+# one ``NodeWorkspace``.
 _BLOCK_BYTES = 1 << 18
 # exp(z) rounds to +-0 for Re z below this (exp(-745.14) is under half the
 # smallest subnormal).
@@ -67,65 +67,65 @@ def _block_rows(J: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * J))
 
 
-class _BlockTemps:
-    """The (rows, J) temporaries that every row block of a build writes
-    into: nine complex ones in ``cplx`` (tau psi_0 and then E in place,
-    the five symbols a, b, c, e, f, U = a b and two for the correction
-    polynomial), the three ``_symbol_terms`` repeated over the rows in
-    ``terms`` (so that no ufunc of a block broadcasts an operand), the
-    trust ``mask`` with its real magnitudes ``mag``, and the ``dead``
-    mask of entries whose exponential underflows.  Each is its own
-    allocation of at most 2 * _BLOCK_BYTES.  A single larger block, freed
-    at the end of a solve, raises glibc's dynamic mmap threshold past 1 MB
-    and changes how the whole process reuses memory: the benchmark's
-    ``dense_complex`` calibration kernel then took 184 minor faults per
-    call instead of 1024, which skews the benchmark's machine-speed
-    calibration."""
-
-    def __init__(self, rows: int, J: int):
-        self.cplx = [np.empty((rows, J), dtype=complex) for _ in range(_TEMPS)]
-        self.terms = [np.empty((rows, J), dtype=complex) for _ in range(3)]
-        self.mag = np.empty((rows, J))
-        self.mask = np.empty((rows, J), dtype=bool)
-        self.dead = np.empty((rows, J), dtype=bool)
-
-
 class NodeWorkspace:
-    """Storage that a backward solve allocates once and every node-kernel
-    build of it reuses, so that a step allocates no J x J array.
+    """Everything a build of one expansion reads or writes besides its
+    ``TaylorData``: ``taylor`` at ``freqs`` over tau at ``order``.
+    ``build_order_n`` builds into a new one, or into the one it is given if
+    that was made for the same expansion, so a solve that builds its node
+    kernel at every step allocates no J x J array after its first.
 
-    ``g`` (1, J, J) complex receives g_{n,0} of ``build_order_n``; ``psi``
-    (J, J) float64, C-contiguous, receives the weights of
-    ``cos.step_kernel``, and ``psi_dw`` of the same layout receives the
-    kernel's ``psi_dw`` when that is first read; all write their row
-    blocks through ``temps`` (``_BlockTemps``: twelve complex (rows, J)
-    arrays, 3 MB at J = 256).  Each build overwrites what the previous one
-    returned.  The step-invariant inputs of a build (``_build_inputs``)
-    are kept with the ``TaylorData`` and frequencies they were formed from
-    and formed again only for other ones (``inputs``); they hold no kernel
-    value, so every build still forms all J^2 entries.
+    Formed here, once, and read by every build: ``panels``, tau times the
+    real view of the ``_frequency_factors`` (a real coefficient row times
+    panels[k] is the real view of tau psi_h^(k)); ``cols``, the order-0
+    coefficient columns, and ``rows``, the coefficient rows of orders
+    0..order; ``terms``, the ``_symbol_terms`` repeated over the block rows
+    (so that no ufunc of a block broadcasts an operand); and ``deep``, the
+    basepoints whose tau psi_0 can reach _EXP_UNDERFLOW: |nuhat| <= 1, so
+    Re(tau psi_0) >= -tau (|s_0| xi^2 + |gamma_0| + 2 |a_0|), and only their
+    blocks are tested entry by entry.
+
+    Written by every build, which overwrites what the previous one
+    returned: ``g`` (rows, n, J) complex receives g_{n,0} (and every
+    g_{n,k} at a scalar basepoint); ``psi`` (n, J) float64, C-contiguous,
+    the weights of ``cos.step_kernel``, and ``psi_dw`` of the same layout
+    the kernel's ``psi_dw`` when that is first read.  Row blocks are formed
+    in (rows, J) temporaries: nine complex ones in ``cplx`` (tau psi_0 and
+    then E in place, the symbols a, b, c, e, f, U = a b and two for the
+    correction polynomial), the trust ``mask`` with its real magnitudes
+    ``mag``, and the ``dead`` mask of entries whose exponential underflows;
+    3 MB at J = 256 with ``terms``.  Each is its own allocation of at most
+    2 * _BLOCK_BYTES.  A single larger block, freed at the end of a solve,
+    raises glibc's dynamic mmap threshold past 1 MB and changes how the
+    whole process reuses memory: the benchmark's ``dense_complex``
+    calibration kernel then took 184 minor faults per call instead of
+    1024, which skews the benchmark's machine-speed calibration.
     """
 
-    def __init__(self, J: int):
-        self.g = np.empty((1, J, J), dtype=complex)
-        self.psi = np.empty((J, J))
-        self.psi_dw = np.empty((J, J))
-        self.temps = _BlockTemps(min(J, _block_rows(J)), J)
-        self._key = None
-        self._inputs = None
-
-    def inputs(self, taylor: TaylorData, freqs, tau: float, order: int) -> tuple:
-        """``_build_inputs`` of ``taylor`` and ``freqs`` at tau and order,
-        formed only when the last call did not have this ``taylor`` and
-        ``freqs`` (compared by identity; the references are held, so an
-        identity is not reused) and this tau and order."""
-        key = self._key
-        if key is None or key[0] is not taylor or key[1] is not freqs or key[2:] != (tau, order):
-            self._key = None  # temps.terms is rewritten before the key is set
-            xi = np.asarray(freqs, dtype=float)
-            self._inputs = _build_inputs(taylor, xi, tau, order, self.temps.terms)
-            self._key = (taylor, freqs, tau, order)
-        return self._inputs
+    def __init__(self, taylor: TaylorData, freqs, tau: float, order: int):
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"approximation order must be in 0..{MAX_ORDER}")
+        if taylor.order < order:
+            raise ValueError("TaylorData order is lower than requested")
+        self.taylor, self.freqs, self.tau, self.order = taylor, freqs, tau, order
+        xi = np.asarray(freqs, dtype=float)
+        n, J = taylor.basepoint.size, xi.size
+        block = min(n, _block_rows(J))
+        F, terms = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
+        F *= tau
+        self.panels = F.view(float)
+        self.cols = _coeff_columns(taylor, 0)
+        self.rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
+        self.terms = [np.full((block, J), term, dtype=complex) for term in terms]
+        reach = np.abs(taylor.s[0]) * np.max(xi**2, initial=0.0)
+        reach = tau * (reach + np.abs(taylor.gamma[0]) + 2.0 * np.abs(taylor.a[0]))
+        self.deep = np.atleast_1d(reach > -_EXP_UNDERFLOW)
+        self.g = np.empty((1 if taylor.basepoint.ndim else order + 1, n, J), dtype=complex)
+        self.psi = np.empty((n, J))
+        self.psi_dw = np.empty((n, J))
+        self.cplx = [np.empty((block, J), dtype=complex) for _ in range(_TEMPS)]
+        self.mag = np.empty((block, J))
+        self.mask = np.empty((block, J), dtype=bool)
+        self.dead = np.empty((block, J), dtype=bool)
 
 
 def _coeff_columns(taylor: TaylorData, h: int) -> np.ndarray:
@@ -161,15 +161,16 @@ def levy_symbol_psi(taylor: TaylorData, xi) -> np.ndarray:
         xi = xi.astype(float)
     m = taylor.jump_mean
     nu, _, _ = _jump_transform(xi, m, taylor.jump_std)
-    return _symbol(_coeff_columns(taylor, 0), _symbol_terms(xi, m, nu))
+    cols = _coeff_columns(taylor, 0)
+    out = np.empty(np.broadcast_shapes(xi.shape, cols[0].shape), dtype=complex)
+    return _symbol(cols, _symbol_terms(xi, m, nu), out, np.empty_like(out))
 
 
-def _symbol(coef, terms, out=None, tmp=None) -> np.ndarray:
+def _symbol(coef, terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """psi_h(xi) = i xi mu_h - s_h xi^2 - gamma_h + a_h (nuhat - 1 - i m xi)
     from the complex coefficients ``coef`` = (mu_h, s_h, gamma_h, a_h) and
     frequency terms of ``_symbol_terms``, evaluated term by term into the
-    complex array ``out`` with ``tmp`` of the same shape as scratch (both
-    fresh when not given).
+    complex array ``out`` with ``tmp`` of the same shape as scratch.
 
     Every operand is complex, so no ufunc casts; (x + 0i)(y + 0i) rounds
     as the real product x y does, so a real operand lifted to complex
@@ -180,9 +181,6 @@ def _symbol(coef, terms, out=None, tmp=None) -> np.ndarray:
     complex operand)."""
     mu, s, gam, a = coef
     ixi, xi2, jump = terms
-    if out is None:
-        out = np.empty(np.broadcast_shapes(ixi.shape, mu.shape), dtype=complex)
-        tmp = np.empty_like(out)
     np.multiply(ixi, _fill(out, mu), out=out)
     np.subtract(out, np.multiply(_fill(tmp, s), xi2, out=tmp), out=out)
     np.subtract(out, _fill(tmp, gam), out=out)
@@ -248,13 +246,16 @@ class CharFuncApprox:
     keeps only ``g[0]``, shape (n_points, J): each of its expansions is read
     at its own point, where x - xbar = 0.  The coefficients are
     time-homogeneous, so the g_{n,k} depend on time only through the step
-    length tau = T - t they were built for, and no time is stored.
+    length tau = T - t they were built for, and no time is stored.  The
+    rows live in ``work``, the ``NodeWorkspace`` they were built into, and
+    a later build into it overwrites them.
     """
 
     order: int
     basepoint: np.ndarray
     freqs: np.ndarray
     g: tuple
+    work: NodeWorkspace
 
     def eval(self, x, d: int = 0, wave: np.ndarray | None = None) -> np.ndarray:
         """Gamma_n(t, x; T, xi_j), or for d in {1, 2} it and its first d
@@ -336,30 +337,6 @@ class CharFuncApprox:
         return tuple(k for k in range(1, self.order + 1) if self.g[k].any())
 
 
-def _build_inputs(taylor: TaylorData, xi: np.ndarray, tau: float, order: int, terms_out) -> tuple:
-    """What an order-``order`` build over tau reads besides its block
-    temporaries: (panels, cols, terms, rows, deep), none of which depends
-    on the block.
-
-    ``panels`` is tau times the real view of the ``_frequency_factors``
-    (a real coefficient row times panels[k] is the real view of
-    tau psi_h^(k)); ``cols`` the order-0 coefficient columns; ``terms``
-    the ``_symbol_terms`` repeated over the rows of ``terms_out``, written
-    there; ``rows`` the coefficient rows of orders 0..order; and ``deep``
-    marks the basepoints whose tau psi_0 can reach _EXP_UNDERFLOW: |nuhat|
-    <= 1, so Re(tau psi_0) >= -tau (|s_0| xi^2 + |gamma_0| + 2 |a_0|), and
-    only their blocks are tested entry by entry.
-    """
-    F, terms = _frequency_factors(xi, taylor.jump_mean, taylor.jump_std)
-    F *= tau
-    terms = [_fill(full, term) for full, term in zip(terms_out, terms)]
-    rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
-    reach = np.abs(taylor.s[0]) * np.max(xi**2, initial=0.0)
-    reach = tau * (reach + np.abs(taylor.gamma[0]) + 2.0 * np.abs(taylor.a[0]))
-    deep = np.atleast_1d(reach > -_EXP_UNDERFLOW)
-    return F.view(float), _coeff_columns(taylor, 0), terms, rows, deep
-
-
 # Only tau = T - t is read; perfbench/tracing.py reads ``t`` and ``T`` by name.
 def build_order_n(
     taylor: TaylorData,
@@ -439,60 +416,43 @@ def build_order_n(
     there without evaluating it.  Rejected corrections are zeroed by a
     masked copy, and (1 + 0) E rounds to E.
 
-    The inputs that do not depend on the block (``_build_inputs``: the
-    tau-scaled frequency panels, the symbol terms repeated over the block
-    rows, the coefficient rows and columns, and the underflow rows) are
-    formed once per build, or, with ``out``, once per ``TaylorData`` and
-    ``freqs`` (by identity) at a tau and order (``NodeWorkspace.inputs``):
-    a solve that passes one expansion to every step forms them at its
-    first step.  Every build forms all n x J symbols, exponentials,
-    corrections and weights.
-
-    With ``out``, a ``NodeWorkspace`` of J basepoints, a vector build
-    writes g_{n,0} and its temporaries there, and the returned g[0] is a
-    view that the next build into ``out`` overwrites; the values are bit
-    for bit those of a build into fresh arrays (``out=None``).  The
-    allocator does not recycle temporaries of this size (see
+    Every build writes into a ``NodeWorkspace``: a new one, or ``out``,
+    which must have been made for this ``taylor`` and ``freqs`` (compared
+    by identity) at this tau and order.  The workspace holds the inputs
+    that do not depend on the block, so a solve that builds every step
+    into one forms them once; every build still forms all n x J symbols,
+    exponentials, corrections and weights.  The returned rows are views of
+    the workspace, which it carries as ``work``, and the next build into
+    it overwrites them; the values do not depend on what the workspace
+    held.  The allocator does not recycle temporaries of this size (see
     _BLOCK_BYTES): a J = 256, N = M = 10 XVA request took 62 400 minor
-    page faults building into fresh arrays, and 1 280-1 345, the workspace's
-    first touch, building into one workspace.
+    page faults building into a new workspace at every step, and
+    1 280-1 345, the workspace's first touch, building into one.
     """
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"approximation order must be in 0..{MAX_ORDER}")
-    if taylor.order < order:
-        raise ValueError("TaylorData order is lower than requested")
     vector = bool(taylor.basepoint.ndim)
     if vector and span > 0.0:
         raise ValueError("span applies to scalar basepoints only")
-    xi = np.asarray(freqs, dtype=float)
     tau = T - t
+    if out is None:
+        out = NodeWorkspace(taylor, freqs, tau, order)
+    elif out.taylor is not taylor or out.freqs is not freqs or (out.tau, out.order) != (tau, order):
+        raise ValueError("out was made for another expansion")
+    xi = np.asarray(freqs, dtype=float)
     n, J = taylor.basepoint.size, xi.size
     step = _block_rows(J)
-    if out is None:
-        g = np.empty((1 if vector else order + 1, n, J), dtype=complex)
-        temps = _BlockTemps(min(n, step), J)
-        inputs = _build_inputs(taylor, xi, tau, order, temps.terms)
-    elif vector and out.g.shape[1:] == (n, J):
-        g, temps = out.g, out.temps
-        inputs = out.inputs(taylor, freqs, tau, order)
-    else:
-        raise ValueError("out takes a vector basepoint with one point per frequency")
-
-    panels, cols, terms, rows, deep = inputs
-    symbols = _SYMBOLS[order]
-    buf = temps.cplx
+    g, buf = out.g, out.cplx
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)
         k = min(step, n - lo)
-        coef = cols[:, blk] if vector else cols
-        base = _symbol(coef, [full[:k] for full in terms], out=buf[0][:k], tmp=buf[1][:k])
+        coef = out.cols[:, blk] if vector else out.cols
+        base = _symbol(coef, [full[:k] for full in out.terms], buf[0][:k], buf[1][:k])
         np.multiply(tau, base, out=base)
         E = base if order else g[0, blk]
         # Below _EXP_UNDERFLOW, e^{tau psi_0} is exactly +-0 and costs more
         # to evaluate than a live entry, so it is written instead.
-        dead = temps.dead[:k]
-        if deep[blk].any() and np.less(base.real, _EXP_UNDERFLOW, out=dead).any():
-            np.exp(base, out=E, where=np.logical_not(dead, out=temps.mask[:k]))
+        dead = out.dead[:k]
+        if out.deep[blk].any() and np.less(base.real, _EXP_UNDERFLOW, out=dead).any():
+            np.exp(base, out=E, where=np.logical_not(dead, out=out.mask[:k]))
             np.copyto(E, 0.0, where=dead)
         else:
             np.exp(base, out=E)
@@ -501,8 +461,8 @@ def build_order_n(
         # a = tau psi_1, b = tau psi_0', then c = tau psi_0'', e = tau psi_1'
         # and f = tau psi_2 at order 2; U = a b.
         a, b, *rest = (
-            np.matmul(rows[h][blk], panels[d], out=sym[:k].view(float)).view(complex)
-            for (h, d), sym in zip(symbols, buf[1:])
+            np.matmul(out.rows[h][blk], out.panels[d], out=sym[:k].view(float)).view(complex)
+            for (h, d), sym in zip(_SYMBOLS[order], buf[1:])
         )
         u, x, y = buf[6][:k], buf[7][:k], buf[8][:k]
         np.multiply(a, b, out=u)
@@ -528,7 +488,7 @@ def build_order_n(
             np.multiply(b, b, out=y)
             np.multiply(y, f, out=y)
             np.subtract(x, np.multiply(y, 1.0 / 3.0, out=y), out=x)
-        bad = np.greater(np.abs(x, out=temps.mag[:k]), _TRUST, out=temps.mask[:k])
+        bad = np.greater(np.abs(x, out=out.mag[:k]), _TRUST, out=out.mask[:k])
         if span > 0.0:
             for h in range(1, order + 1):
                 bad |= span**h * np.abs(corr[h]) > _TRUST_SPAN
@@ -539,4 +499,4 @@ def build_order_n(
             np.multiply(cr, base, out=g[h, blk])
     if not vector:
         g = g[:, 0]
-    return CharFuncApprox(order, taylor.basepoint, xi, tuple(g))
+    return CharFuncApprox(order, taylor.basepoint, xi, tuple(g), out)

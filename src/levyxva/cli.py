@@ -251,9 +251,10 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         raise ConfigError(
             f"[payoff] kind = {kind!r}: job {job_kind} prices Bermudan puts only"
         )
-    # The LSM estimate these jobs read has no mark-to-market input.
-    lsm_jobs = ("validate", "convergence") + (("price-xva",) if mc_enabled else ())
-    if driver.needs_mtm and job_kind in lsm_jobs:
+    simulating = ("validate", "convergence") + (("price-xva", "price-cva") if mc_enabled else ())
+    # The LSM estimate these jobs read has no mark-to-market input; the CVA
+    # one reads no driver.
+    if driver.needs_mtm and job_kind in simulating and job_kind != "price-cva":
         raise ConfigError(
             f"[driver] closeout = 'risk-free' with mode = 'full': job {job_kind} "
             "runs the LSM estimate, which has no mark-to-market input"
@@ -265,6 +266,8 @@ def parse_config(path: str, job=None, out=None, seed=None) -> RunConfig:
         mcmod._check_run(maturity, mc_steps, mc_paths, seed_val)
         mcmod._check_paths(mc_paths)
         modelmod._require_count("degree", mc_degree)
+        if job_kind in simulating:
+            mcmod._check_dates(mc_steps, m_dates)
 
     def job_key(key, reader, conv, default):
         """A key that only job ``reader`` reads; another job rejects it, so

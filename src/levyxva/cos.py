@@ -208,39 +208,34 @@ def expectation_weights(cf: CharFuncApprox, grid: CosGrid, x, d: int = 0) -> np.
     return cf.eval(x, d, wave=wave) * _phase(grid)
 
 
-def step_kernel(
-    cf: CharFuncApprox, grid: CosGrid, out: NodeWorkspace | None = None
-) -> StepKernel:
+def step_kernel(cf: CharFuncApprox, grid: CosGrid) -> StepKernel:
     """Expectation weights on the grid nodes from a characteristic function
     expanded there (vector basepoint at ``grid.nodes``).
 
     A node expansion reduces to g[0] at its own node, so its weights are
-    Re(g[0] * _node_phase(J)) with no exponential to evaluate, and both
-    arrays come back C-contiguous for the step's matrix-vector products.
-    ``psi`` is formed here and ``psi_dw`` on its first read
-    (``_node_psi_dw``), from the same g[0].  With ``out`` they are its
-    ``psi`` and ``psi_dw``, and the products run over its row blocks; both
-    are valid until the next build into ``out``, which overwrites g[0] and
-    ``psi``, so ``psi_dw`` must be read before it.  Without ``out`` they
-    are fresh arrays, each formed in one block.  Either way each entry
-    takes the same operations.
+    Re(g[0] * _node_phase(J)) with no exponential to evaluate.  ``psi`` is
+    formed here and ``psi_dw`` on its first read (``_node_psi_dw``), both
+    from g[0], into the ``psi`` and ``psi_dw`` of the workspace that
+    ``cf`` was built into (``cf.work``), C-contiguous for the step's
+    matrix-vector products, with the products run over its row blocks.
+    Both are valid until the next build into that workspace, which
+    overwrites g[0] and ``psi``, so ``psi_dw`` must be read before it.
     """
     _check_shared(grid, cf)
     x = cf.basepoint
     if x is not grid.nodes and not np.array_equal(x, grid.nodes):
         raise ValueError("step_kernel needs an expansion at the grid nodes")
-    g0 = cf.g[0]
-    psi = np.empty((grid.J, grid.J)) if out is None else out.psi
-    for blk, weighted in _weighted_blocks(g0, out):
-        np.copyto(psi[blk], weighted.real)
-    return StepKernel(psi=psi, form_dw=lambda: _node_psi_dw(g0, grid, out))
+    work = cf.work
+    for blk, weighted in _weighted_blocks(work):
+        np.copyto(work.psi[blk], weighted.real)
+    return StepKernel(psi=work.psi, form_dw=lambda: _node_psi_dw(work, grid))
 
 
-def _weighted_blocks(g0: np.ndarray, out: NodeWorkspace | None):
+def _weighted_blocks(work: NodeWorkspace):
     """(rows, g0[rows] * _node_phase(J)[rows]) for each row block of
-    ``out.temps.cplx[0]``, or for one fresh J x J block without ``out``."""
+    ``work.cplx[0]``, with g0 = ``work.g[0]``."""
+    g0, block = work.g[0], work.cplx[0]
     J = g0.shape[-1]
-    block = np.empty((J, J), complex) if out is None else out.temps.cplx[0]
     phase = _node_phase(J)
     rows = block.shape[0]
     for lo in range(0, J, rows):
@@ -248,20 +243,16 @@ def _weighted_blocks(g0: np.ndarray, out: NodeWorkspace | None):
         yield blk, np.multiply(g0[blk], phase[blk], out=block[:k])
 
 
-def _node_psi_dw(g0: np.ndarray, grid: CosGrid, out: NodeWorkspace | None) -> np.ndarray:
-    """``psi_dw`` of a node kernel with g[0] = ``g0``: Im(g0 * _node_phase(J))
-    times -xi_j, into ``out.psi_dw`` with -xi_j repeated over the rows of
-    its real temporary ``mag``, or into fresh arrays.  The imaginary parts
-    are copied out first, so the scaling runs on contiguous operands of
-    one shape and numpy allocates no iteration buffer."""
-    J = grid.J
-    if out is None:
-        psi_dw, neg_xi = np.empty((J, J)), np.empty((J, J))
-    else:
-        psi_dw, neg_xi = out.psi_dw, out.temps.mag
+def _node_psi_dw(work: NodeWorkspace, grid: CosGrid) -> np.ndarray:
+    """``psi_dw`` of the node kernel in ``work``: Im(g0 * _node_phase(J))
+    times -xi_j, into ``work.psi_dw`` with -xi_j repeated over the rows of
+    its real temporary ``mag``.  The imaginary parts are copied out first,
+    so the scaling runs on contiguous operands of one shape and numpy
+    allocates no iteration buffer."""
+    psi_dw, neg_xi = work.psi_dw, work.mag
     np.copyto(neg_xi, grid.freqs)
     np.negative(neg_xi, out=neg_xi)
-    for blk, weighted in _weighted_blocks(g0, out):
+    for blk, weighted in _weighted_blocks(work):
         k = weighted.shape[0]
         np.copyto(psi_dw[blk], weighted.imag)
         np.multiply(psi_dw[blk], neg_xi[:k], out=psi_dw[blk])

@@ -388,10 +388,15 @@ def _check_paths(n_paths: int) -> None:
         raise ValueError(f"n_paths must be at least 2 paths for an estimator, got {n_paths}")
 
 
+def _check_dates(steps: int, M: int) -> None:
+    """Every one of the M exercise dates must fall on a simulation step."""
+    if steps % M:
+        raise ValueError(f"steps must be divisible by the number of exercise dates, {M}")
+
+
 def _exercise_stride(batch: PathBatch, schedule: ExerciseSchedule) -> int:
     _check_paths(batch.n_paths)
-    if batch.steps % schedule.M:
-        raise ValueError("steps must be divisible by the number of exercise dates")
+    _check_dates(batch.steps, schedule.M)
     if not math.isclose(batch.steps * batch.dt, schedule.T, rel_tol=1e-9):
         raise ValueError("batch horizon must match the schedule")
     return batch.steps // schedule.M

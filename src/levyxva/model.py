@@ -106,7 +106,9 @@ class CoeffFamily:
 
 @dataclass(frozen=True)
 class JumpLaw:
-    """Gaussian jump-size law N(mean, std^2): std >= 0, finite kappa."""
+    """Gaussian jump-size law N(mean, std^2): std >= 0, finite kappa, and
+    finite jump moments m^2, m^4, 6 m^2 d^2 and 3 d^4, the terms of the
+    increment cumulants (``charfunc.cumulants``)."""
 
     mean: float = 0.0
     std: float = 0.0
@@ -123,6 +125,15 @@ class JumpLaw:
             raise ValueError(
                 f"{self.kappa_field} overflows kappa = exp(mean + std^2/2) - 1 - mean: {self!r}"
             )
+        # A finite kappa needs mean + std^2/2 < 710, so wherever the moments
+        # overflow, |mean| exceeds std^2/2 and drives them.
+        m, d = self.mean, self.std
+        try:
+            moments = m**4 + 6.0 * m**2 * d**2 + 3.0 * d**4  # each term >= 0, m^2 <= 1 + m^4
+        except OverflowError:
+            moments = math.inf
+        if not math.isfinite(moments):
+            raise ValueError(f"mean overflows the jump moments m^2, m^4, 6m^2d^2, 3d^4: {self!r}")
 
     @property
     def kappa_field(self) -> str:
@@ -155,6 +166,10 @@ class ModelSpec:
             level = getattr(self, name).level
             if level < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got level {level!r}")
+        try:  # the s = sigma^2/2 of taylor_expand; a float ** raises, never gives inf
+            0.5 * self.vol.level**2
+        except OverflowError:
+            raise ValueError(f"vol overflows sigma^2/2 at level {self.vol.level!r}") from None
 
     # ``t`` is never read; perfbench/tracing.py calls intensity_a(0.0, x).
     def intensity_a(self, t, x):

@@ -187,15 +187,13 @@ class TestEuropeanLimit:
             )
             return res, sol
 
-        res, sol = both(0.5, 8)
-        assert res.value == pytest.approx(sol.value, rel=1e-12)
-        assert_allclose(res.y0, sol.y0, rtol=1e-12, atol=1e-14)
-        # A step that is not dyadic: (t + dt) - t rounds differently from
-        # step to step, so the solves agree bit for bit only because every
-        # kernel is built from dt alone.
-        res, sol = both(0.7, 10)
-        assert res.value == sol.value
-        assert np.array_equal(res.y0, sol.y0)
+        # At 0.7 the step is not dyadic: (t + dt) - t rounds differently
+        # from step to step, so the solves agree bit for bit only because
+        # every kernel is built from dt alone.
+        for T, N in ((0.5, 8), (0.7, 10), (1.0, 8)):
+            res, sol = both(T, N)
+            assert res.value == sol.value
+            assert np.array_equal(res.y0, sol.y0)
 
 
 class TestBermudanStructure:
@@ -334,10 +332,10 @@ class TestBermudanStructure:
 
 
 class TestNodeWorkspace:
-    """The XVA solve builds every step's node kernel into one workspace.
+    """Every node kernel is built into the workspace of its expansion.
 
-    A build into storage that already holds another build must give the
-    same g[0], psi and psi_dw bit for bit as a build into fresh arrays, at
+    A build into a workspace that already holds another build must give
+    the same g[0], psi and psi_dw bit for bit as a build into a new one, at
     the benchmark's model, step (N = M = 10) and sizes; at J = 100 the
     step kernel's last row block is partial (54-row blocks at J = 300 in
     the charfunc tests cover the build's)."""
@@ -347,16 +345,22 @@ class TestNodeWorkspace:
     def test_in_place_rebuild_equals_fresh_build(self, model_put, T, J):
         grid = bsde.make_cos_grid(model_put, T, J)
         dt = T / 100
-        work = charfunc.NodeWorkspace(J)
-        for arr in (work.g, work.psi, work.psi_dw, *work.temps.cplx, work.temps.mag):
+        tay = model.taylor_expand(model_put, 0.0, grid.nodes, charfunc.MAX_ORDER)
+        work = charfunc.NodeWorkspace(tay, grid.freqs, dt, charfunc.MAX_ORDER)
+        # Everything but the step-invariant inputs, which the workspace
+        # forms once and no build writes.
+        for arr in (work.g, work.psi, work.psi_dw, *work.cplx, work.mag):
             arr.fill(np.nan)
-        for arr in (work.temps.mask, work.temps.dead):
+        for arr in (work.mask, work.dead):
             arr.fill(True)
         fresh_cf = bsde._expansion(model_put, grid, grid.nodes, dt)
         fresh = cos.step_kernel(fresh_cf, grid)
+        assert fresh_cf.work is not work
         for _ in range(2):
-            cf = bsde._expansion(model_put, grid, grid.nodes, dt, out=work)
-            kern = cos.step_kernel(cf, grid, out=work)
+            cf = charfunc.build_order_n(
+                tay, 0.0, dt, grid.freqs, charfunc.MAX_ORDER, out=work
+            )
+            kern = cos.step_kernel(cf, grid)
             assert np.array_equal(cf.g[0], fresh_cf.g[0])
             assert np.array_equal(kern.psi, fresh.psi)
             assert np.array_equal(kern.psi_dw, fresh.psi_dw)
@@ -372,27 +376,25 @@ class TestNodeWorkspace:
         # those), so a warm J = 256 node kernel at the benchmark's step
         # allocates less than one (64, 256) complex block.
         grid = bsde.make_cos_grid(model_put, 1.0, 256)
-        work = charfunc.NodeWorkspace(256)
-        bsde._node_kernel(model_put, grid, 0.01, work)
+        build = bsde._node_kernels(model_put, grid, 0.01)
+        build()
         tracemalloc.start()
         try:
-            bsde._node_kernel(model_put, grid, 0.01, work)
+            build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 256 * 16
 
     def test_step_kernel_allocates_no_iteration_buffer(self, model_put):
-        # psi_dw is scaled on contiguous operands of one shape; a broadcast
-        # (J,) operand times a strided .imag view made numpy allocate
-        # ~68 KB of iteration buffers per warm J = 256 call.
+        # A warm step_kernel writes psi and its row blocks into the
+        # workspace the expansion was built into, and forms no psi_dw.
         grid = bsde.make_cos_grid(model_put, 1.0, 256)
-        work = charfunc.NodeWorkspace(256)
-        cf = bsde._expansion(model_put, grid, grid.nodes, 0.01, out=work)
-        cos.step_kernel(cf, grid, out=work)
+        cf = bsde._expansion(model_put, grid, grid.nodes, 0.01)
+        cos.step_kernel(cf, grid)
         tracemalloc.start()
         try:
-            cos.step_kernel(cf, grid, out=work)
+            cos.step_kernel(cf, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,14 +412,16 @@ class TestNodeWorkspace:
         sched = bermudan.ExerciseSchedule(1.0, 2, 2)
         pay = bermudan.PayoffSpec(kind="put", strike=1.0)
         drv = bsde.DriverSpec(mode="simplified", rate_r=0.05)
-        bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=32)
-        assert len(kernels) == sched.n_steps
-        first = kernels[0]
-        for kern in kernels[1:]:
-            assert np.shares_memory(kern.psi, first.psi)
-            assert np.shares_memory(kern.psi_dw, first.psi_dw)
-        grid = bsde.make_cos_grid(model_put, 1.0, 32)
-        one, two = (bsde._node_kernel(model_put, grid, 0.25) for _ in range(2))
+        for _ in range(2):
+            bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=32)
+        assert len(kernels) == 2 * sched.n_steps
+        solves = kernels[: sched.n_steps], kernels[sched.n_steps :]
+        for steps in solves:
+            first = steps[0]
+            for kern in steps[1:]:
+                assert np.shares_memory(kern.psi, first.psi)
+                assert np.shares_memory(kern.psi_dw, first.psi_dw)
+        one, two = solves[0][0], solves[1][0]
         assert not np.shares_memory(one.psi, two.psi)
         assert not np.shares_memory(one.psi_dw, two.psi_dw)
 
@@ -485,14 +489,14 @@ class TestNodeWorkspace:
             bsde.DriverSpec(mode="simplified", rate_r=0.05),
             J=32,
         )
-        assert len(formed) == 1 and formed[0][2] is None
+        assert len(formed) == 1
 
     def test_psi_dw_read_allocates_no_iteration_buffer(self, model_put):
         # psi_dw is scaled on contiguous operands of one shape; a broadcast
         # (J,) operand times a strided .imag view made numpy allocate
         # ~68 KB of iteration buffers per warm J = 256 read.
         grid = bsde.make_cos_grid(model_put, 1.0, 256)
-        build = bsde._node_kernels(model_put, grid, 0.01, charfunc.NodeWorkspace(256))
+        build = bsde._node_kernels(model_put, grid, 0.01)
         build().psi_dw
         kern = build()
         tracemalloc.start()
@@ -514,15 +518,15 @@ class TestNodeWorkspace:
     )
     def test_solve_equals_fresh_kernel_every_step(self, model_put, kind, strike, drv):
         # The solve forms its node expansion and the build's step-invariant
-        # inputs once; a loop that builds each step's kernel from scratch
-        # into fresh arrays must give the same bits.
+        # inputs once; a loop that builds each step's kernel from scratch,
+        # with a new expansion and workspace, must give the same bits.
         sched = bermudan.ExerciseSchedule(1.0, 4, 4)
         pay = bermudan.PayoffSpec(kind=kind, strike=strike)
         res = bermudan.price_bermudan_xva(model_put, pay, sched, drv, J=64)
         grid, bgrid = res.grid, bsde.BsdeGrid(sched.n_steps, sched.dt)
         phi = bermudan.payoff_eval(pay, sched.T, grid.nodes)
         value, y0, _, boundary = bsde._backward(
-            model_put, phi, lambda: bsde._node_kernel(model_put, grid, sched.dt),
+            model_put, phi, lambda: bsde._node_kernels(model_put, grid, sched.dt)(),
             grid, bgrid, drv, sched.N,
         )
         assert value == res.value

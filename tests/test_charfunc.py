@@ -481,12 +481,19 @@ class TestValidation:
             charfunc.build_order_n(tay, 0.0, 0.5, np.array([1.0]), 3)
 
     def test_rejects_workspace_of_another_shape(self, model_put):
-        work = charfunc.NodeWorkspace(8)
+        # A workspace belongs to one expansion: its TaylorData and freqs (by
+        # identity), tau and order.
         xi = np.linspace(0.0, 3.0, 8)
-        for x in (0.0, np.linspace(-1.0, 1.0, 9)):
-            tay = model.taylor_expand(model_put, 0.0, x, 2)
-            with pytest.raises(ValueError, match="one point per frequency"):
-                charfunc.build_order_n(tay, 0.0, 0.5, xi, 2, out=work)
+        tay = model.taylor_expand(model_put, 0.0, np.linspace(-1.0, 1.0, 8), 2)
+        work = charfunc.NodeWorkspace(tay, xi, 0.5, 2)
+        assert charfunc.build_order_n(tay, 0.0, 0.5, xi, 2, out=work).work is work
+        for x in (0.0, np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 8)):
+            other = model.taylor_expand(model_put, 0.0, x, 2)
+            with pytest.raises(ValueError, match="made for another expansion"):
+                charfunc.build_order_n(other, 0.0, 0.5, xi, 2, out=work)
+        for freqs, order, T in ((xi.copy(), 2, 0.5), (xi, 1, 0.5), (xi, 2, 0.25)):
+            with pytest.raises(ValueError, match="made for another expansion"):
+                charfunc.build_order_n(tay, 0.0, T, freqs, order, out=work)
 
     def test_rejects_underresolved_taylor_rows(self, model_linear):
         tay = model.taylor_expand(model_linear, 0.0, 0.0, 0)

@@ -10,8 +10,12 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyxva import cli
 
@@ -139,6 +143,13 @@ class TestConfigErrors:
             ("model", "m", "700", "[model] m leaves no usable truncation interval"),
             ("model", "r", "1e300", "[model] r leaves no usable truncation interval"),
             ("mc", "n_paths", "1", "[mc] n_paths must be at least 2"),
+            # sigma^2/2 and m^4 overflow a float at parse time.
+            ("model", "b", "1e200", "[model] b overflows sigma^2/2"),
+            ("model", "m", "-1e300", "[model] m overflows the jump moments"),
+            pytest.param(
+                "model", "m", {"m": "-1e300", "lam": "0"}, "[model] m overflows the jump moments",
+                id="model-m-huge-lam-0",
+            ),
             # No vol and no jumps: no truncation range exists.
             pytest.param(
                 "model", "b", {"b": "0", "lam": "0"}, "[model] b must be positive at the spot",
@@ -203,6 +214,31 @@ class TestConfigErrors:
         assert "config error: [driver] closeout = 'risk-free'" in err
         assert f"job {job} runs the LSM estimate" in err
 
+    @pytest.mark.parametrize(
+        "job, mc",
+        [("validate", "false"), ("convergence", "false"), ("price-xva", "true"),
+         ("price-cva", "true")],
+    )
+    def test_simulating_jobs_need_an_exercise_date_on_a_step(self, tmp_path, capsys, job, mc):
+        # Rejected before the COS solve and the simulation run.
+        path = write_config(
+            tmp_path,
+            cos={"m": "10"},
+            mc={"enabled": mc, "n_paths": "100", "steps": "15"},
+            job={"kind": job},
+        )
+        code, out, err = run_cli(["--config", path], capsys)
+        assert code == 2 and out == ""
+        assert "config error: [mc] steps must be divisible by the number of exercise dates" in err
+
+    def test_steps_are_not_checked_for_a_job_that_does_not_simulate(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, cos={"m": "10"}, mc={"steps": "15"}, job={"kind": "price-xva"}
+        )
+        code, out, err = run_cli(["--config", path], capsys)
+        assert code == 0 and err == ""
+        assert len(parse_csv(out)[1]) == 1
+
     def test_every_mapped_field_names_a_key_the_parser_reads(self, tmp_path):
         section, read = None, set()
         for ln in cli.parse_config(write_config(tmp_path)).echo_lines:
@@ -224,6 +260,39 @@ class TestConfigErrors:
         code, _, err = run_cli(["--config", path, "--threads", "0"], capsys)
         assert code == 2
         assert "--threads must be positive" in err
+
+
+# Every numeric key of [model] and [driver].
+NUMERIC_KEYS = [("model", key) for key in ("b", "beta", "lam", "m", "delta", "c", "r", "x0")] + [
+    ("driver", key)
+    for key in (
+        "simplified_rate", "rate_b", "rate_c", "rate_f", "rate_i", "rate_k", "rate_tc",
+        "rate_fc", "recovery_b", "recovery_c", "margin_tc", "margin_fc", "capital_c1",
+        "margin_c2",
+    )
+]
+EXTREMES = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 700.0, -700.0, 1.0, -1.0, 1e6, -1e6]
+
+
+class TestParseProperty:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(NUMERIC_KEYS),
+            st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1,
+        )
+    )
+    def test_parse_raises_nothing_but_config_error(self, values):
+        overrides = {}
+        for (section, key), value in values.items():
+            overrides.setdefault(section, {})[key] = repr(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), **overrides)
+            try:
+                cli.parse_config(path)
+            except cli.ConfigError:
+                pass
 
 
 class TestEchoAndHash:

@@ -74,6 +74,19 @@ class TestJumpLaw:
     def test_large_finite_compensator_accepted(self):
         assert math.isfinite(lx.jump_compensator_kappa(lx.JumpLaw(700.0, 0.0)))
 
+    @pytest.mark.parametrize("mean, std", [(-1e300, 0.0), (-1e300, 0.2), (-1e300, 1e100)])
+    def test_overflowing_jump_moments_rejected(self, mean, std):
+        # kappa is finite (e^mean rounds to 0), but m^4 overflows a float in
+        # the cumulants that centre the truncation interval.
+        assert math.isfinite(math.exp(mean + 0.5 * std**2) - 1.0 - mean)
+        with pytest.raises(ValueError, match="mean overflows the jump moments"):
+            lx.JumpLaw(mean, std)
+
+    def test_large_finite_jump_moments_accepted(self):
+        mdl = dataclasses.replace(make_benchmark_model(0.05, 0.1), jump_law=lx.JumpLaw(-1e70, 0.2))
+        cums = lx.cumulants(lx.taylor_expand(mdl, 0.0, 0.0, 0), 0.5)
+        assert all(map(math.isfinite, cums))
+
 
 class TestJumpCompensator:
     def test_kappa_closed_form_vs_quadrature(self):
@@ -172,6 +185,14 @@ class TestModelSpecValidation:
         mdl = make_benchmark_model(0.05, 0.1)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(mdl, **{field: bad})
+
+    def test_vol_level_with_overflowing_half_variance_rejected(self):
+        # taylor_expand expands s = sigma^2/2, which 1e200 overflows.
+        mdl = make_benchmark_model(0.05, 0.1)
+        with pytest.raises(ValueError, match="vol overflows sigma\\^2/2 at level 1e\\+200"):
+            dataclasses.replace(mdl, vol=lx.CoeffFamily.exponential(1e200, -2.0))
+        big = dataclasses.replace(mdl, vol=lx.CoeffFamily.exponential(1e150, -2.0))
+        assert np.isfinite(lx.taylor_expand(big, 0.0, 0.0, 2).s).all()
 
 
 class TestModelSpecHelpers:
