@@ -240,15 +240,32 @@ def z_step(
     return -((1.0 - t2) / t2) * ez + ey_dw / (dt * t2) + ((1.0 - t2) / t2) * ef_dw
 
 
+class _FormedOnRead:
+    """A dataclass field that also takes a zero-argument callable in place
+    of its value: the callable runs on the first read, and its value is kept."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        value = None if obj is None else obj.__dict__[self.key]
+        if callable(value):
+            value = obj.__dict__[self.key] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
+
+
 @dataclass
 class PricingResult:
-    """Output of every pricer: ``solve_bsde``, ``price_bermudan_xva`` and
-    ``cva.price_bermudan_cos``.  ``z0`` is set by ``solve_bsde`` alone."""
+    """Output of every pricer: ``solve_bsde``, ``price_bermudan_xva``, ``cva.price_bermudan_cos``.
+    ``z0`` is set by ``solve_bsde`` alone; the fast leg's ``y0`` is formed on read."""
 
     value: float
     spot: float
     grid: cosmod.CosGrid
-    y0: np.ndarray | None = None
+    y0: np.ndarray | None = _FormedOnRead()
     z0: np.ndarray | None = None
     boundary: list = field(default_factory=list)
     delta: float | None = None
@@ -264,8 +281,8 @@ def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) ->
 
     An interval that is not finite, or whose half-width rounds away against
     its centre x0 + T (r + gamma_0 - s_0 - a_0 kappa), is rejected, naming
-    the model field behind the largest term of that centre
-    (``_centre_field``)."""
+    the spot if a coefficient leaves range there (``_check_spot``), else the
+    model field behind the largest term of that centre (``_centre_field``)."""
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"L must be positive and finite, got {L!r}")
     x0 = mdl.spot_x0
@@ -276,11 +293,21 @@ def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) ->
         try:
             a, b = cosmod.truncation_range(x0 + c1, c2, c4, L)
         except ValueError:  # only sigma and the jumps spread the increment
+            _check_spot(mdl)
             raise ValueError("vol must be positive at the spot when no jump moves it") from None
         if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            _check_spot(mdl)
             name = _centre_field(mdl, tay, T)
             raise ValueError(f"{name} leaves no usable truncation interval: [{a:.6g}, {b:.6g}]")
     return cosmod.CosGrid(a, b, J)
+
+
+def _check_spot(mdl: modelmod.ModelSpec) -> None:
+    """Reject a spot where exp(slope * x0) of a live coefficient family
+    overflows or underflows; sigma^2/2 has twice the vol slope."""
+    fams = ((mdl.vol, 2.0), (mdl.jump_intensity, 1.0), (mdl.default_intensity, 1.0))
+    if any(f.level and not 0.0 < np.exp(k * f.slope * mdl.spot_x0) < math.inf for f, k in fams):
+        raise ValueError(f"spot_x0 overflows or underflows a coefficient: {mdl.spot_x0!r}")
 
 
 def _centre_field(mdl: modelmod.ModelSpec, tay: modelmod.TaylorData, T: float) -> str:

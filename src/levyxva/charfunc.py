@@ -257,7 +257,7 @@ class CharFuncApprox:
     g: tuple
     work: NodeWorkspace
 
-    def eval(self, x, d: int = 0, wave: np.ndarray | None = None) -> np.ndarray:
+    def eval(self, x, d: int = 0) -> np.ndarray:
         """Gamma_n(t, x; T, xi_j), or for d in {1, 2} it and its first d
         x-derivatives stacked on a new leading axis; scalar basepoint only.
 
@@ -268,10 +268,8 @@ class CharFuncApprox:
             d2/dx2 Gamma_n = e^{i xi x} (i xi (i xi P + 2 P') + P''),
 
         all from one e^{i xi x}; row 0 is the d = 0 value bit for bit.
-        ``wave`` supplies that e^{i xi x}, formed by the same expression
-        (``cos._node_wave``), instead of forming it here.  Correction rows
-        that the trust region zeroed entirely are skipped: they would only
-        add zeros.
+        Correction rows that the trust region zeroed entirely are skipped:
+        they would only add zeros.
         """
         if self.basepoint.ndim:
             raise ValueError("eval needs a scalar-basepoint approximation")
@@ -282,8 +280,7 @@ class CharFuncApprox:
         acc = self.g[0] * np.ones_like(dx, dtype=complex)
         for k in self._live_orders:
             acc = acc + dx**k * self.g[k]
-        if wave is None:
-            wave = np.exp(1j * self.freqs * x[..., None])
+        wave = np.exp(1j * self.freqs * x[..., None])
         out = (wave * acc).reshape(x.shape + self.freqs.shape)
         if not d:
             return out

@@ -28,6 +28,7 @@ _REQUIRED = object()
 _KEYS = {
     "vol": "[model] b", "jump_intensity": "[model] lam", "default_intensity": "[model] c",
     "mean": "[model] m", "std": "[model] delta", "rate_r": "[model] r", "spot_x0": "[model] x0",
+    "slope": "[model] beta",
     "J": "[cos] j", "L": "[cos] l", "theta1": "[cos] theta1", "picard": "[cos] picard",
     "N": "[cos] n", "M": "[cos] m",
     "kind": "[payoff] kind", "strike": "[payoff] strike", "T": "[payoff] maturity",

@@ -183,29 +183,13 @@ def _phase(grid: CosGrid) -> np.ndarray:
     return phase
 
 
-@functools.lru_cache(maxsize=2)
-def _node_wave(grid: CosGrid) -> np.ndarray:
-    """Read-only e^{i xi_j x_i}, rows the midpoint nodes x_i and columns the
-    frequencies xi_j, built once per grid for every expansion read there.
-    It is the expression ``CharFuncApprox.eval`` forms, so each entry is
-    bit for bit the inline one."""
-    wave = np.exp(1j * grid.freqs * grid.nodes[..., None])
-    wave.setflags(write=False)
-    return wave
-
-
 def expectation_weights(cf: CharFuncApprox, grid: CosGrid, x, d: int = 0) -> np.ndarray:
     """w_j d^k/dx^k Gamma_n(x; xi_j) e^{-i xi_j a} for k = 0..d (on a leading
     axis when d > 0) from a scalar-basepoint approximation, with the
     primed-sum weight w_0 = 1/2: for plain coefficients H of h,
-    Re(weights) @ H is E[h(X_T) | X_t = x] and its first d x-derivatives.
-
-    At ``grid.nodes`` itself (checked by identity) the exponential
-    e^{i xi_j x_i} is read from ``_node_wave``, so expansions that share a
-    grid, such as the two legs of a CVA, form that J x J table once."""
+    Re(weights) @ H is E[h(X_T) | X_t = x] and its first d x-derivatives."""
     _check_shared(grid, cf)
-    wave = _node_wave(grid) if x is grid.nodes else None
-    return cf.eval(x, d, wave=wave) * _phase(grid)
+    return cf.eval(x, d) * _phase(grid)
 
 
 def step_kernel(cf: CharFuncApprox, grid: CosGrid) -> StepKernel:
@@ -266,25 +250,20 @@ def point_kernel(cf: CharFuncApprox, grid: CosGrid, x_points) -> StepKernel:
     return StepKernel(psi=np.real(weighted), form_dw=lambda: np.real(1j * grid.freqs * weighted))
 
 
-def _cos_integral(grid: CosGrid, lo: float, hi: float) -> np.ndarray:
-    """int_lo^hi cos(omega_j (x - a)) dx for j = 0..J-1."""
+def _cos_integral(grid: CosGrid, hi: float) -> np.ndarray:
+    """int_a^hi cos(omega_j (x - a)) dx for j = 0..J-1 (sin 0 = 0 at a)."""
     om = grid.freqs
     out = np.empty(grid.J)
-    out[0] = hi - lo
-    out[1:] = (np.sin(om[1:] * (hi - grid.a)) - np.sin(om[1:] * (lo - grid.a))) / om[1:]
+    out[0] = hi - grid.a
+    out[1:] = np.sin(om[1:] * (hi - grid.a)) / om[1:]
     return out
 
 
-def _expcos_integral(grid: CosGrid, lo: float, hi: float) -> np.ndarray:
-    """int_lo^hi e^x cos(omega_j (x - a)) dx for j = 0..J-1."""
+def _expcos_integral(grid: CosGrid, hi: float) -> np.ndarray:
+    """int_a^hi e^x cos(omega_j (x - a)) dx, j = 0..J-1 (cos 0 = 1, sin 0 = 0 at a)."""
     om = grid.freqs
-    th_hi, th_lo = om * (hi - grid.a), om * (lo - grid.a)
-    num = (
-        np.cos(th_hi) * math.exp(hi)
-        - np.cos(th_lo) * math.exp(lo)
-        + om * np.sin(th_hi) * math.exp(hi)
-        - om * np.sin(th_lo) * math.exp(lo)
-    )
+    th = om * (hi - grid.a)
+    num = np.cos(th) * math.exp(hi) - math.exp(grid.a) + om * np.sin(th) * math.exp(hi)
     return num / (1.0 + om**2)
 
 
@@ -301,7 +280,7 @@ def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) 
     if cap <= grid.a:
         return np.zeros(grid.J)
     return (2.0 / grid.width) * (
-        strike * _cos_integral(grid, grid.a, cap) - _expcos_integral(grid, grid.a, cap)
+        strike * _cos_integral(grid, cap) - _expcos_integral(grid, cap)
     )
 
 
@@ -333,6 +312,21 @@ def _wave(grid: CosGrid, x: float, p_max: int) -> np.ndarray:
     return wave
 
 
+@functools.lru_cache(maxsize=32)
+def _anti_sum(grid: CosGrid, x: float, h: int, basepoint: float, p_max: int) -> np.ndarray:
+    """Read-only F_p(x) e^{-i om_p (x-a)}, p = 1..p_max (``monomial_exp_integrals``):
+    every date's products at a fixed limit such as b share it."""
+    powers = _integral_table(grid, p_max)[1]
+    acc = np.zeros(p_max, dtype=complex)
+    coef = 1.0
+    for l in range(h + 1):
+        if l > 0:
+            coef *= -(h - l + 1)
+        acc += coef * (x - basepoint) ** (h - l) / powers[l]
+    acc.setflags(write=False)
+    return acc
+
+
 def monomial_exp_integrals(
     grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float, p_max: int
 ) -> np.ndarray:
@@ -344,9 +338,9 @@ def monomial_exp_integrals(
         F_p(x) = e^{i om_p (x-a)} sum_{l=0..h} (-1)^l h!/(h-l)!
                  (x - xbar)^{h-l} / (i om_p)^{l+1},
     om_p = p pi / (b - a), obtained by repeated integration by parts.  The
-    powers of i om_p and the exponential at each limit come from shared
-    read-only tables (``_integral_table``, ``_wave``), each entry computed
-    by the same operations as inline.
+    sum at each limit, the powers of i om_p and the exponential come from
+    shared read-only tables (``_anti_sum``, ``_integral_table``, ``_wave``),
+    each entry computed by the same operations as inline.
     """
     _check_limits_and_order(grid, x_lo, x_hi, h)
     out = np.empty(p_max + 1, dtype=complex)
@@ -355,18 +349,8 @@ def monomial_exp_integrals(
     )
     if p_max == 0:
         return out
-    powers = _integral_table(grid, p_max)[1]
-
-    def anti(x: float) -> np.ndarray:
-        acc = np.zeros(p_max, dtype=complex)
-        coef = 1.0
-        for l in range(h + 1):
-            if l > 0:
-                coef *= -(h - l + 1)
-            acc += coef * (x - basepoint) ** (h - l) / powers[l]
-        return _wave(grid, x, p_max) * acc
-
-    out[1:] = (anti(x_hi) - anti(x_lo)) / grid.width
+    anti = [_wave(grid, x, p_max) * _anti_sum(grid, x, h, basepoint, p_max) for x in (x_hi, x_lo)]
+    out[1:] = (anti[0] - anti[1]) / grid.width
     return out
 
 

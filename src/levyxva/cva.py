@@ -27,9 +27,8 @@ J-vector e^{i xi x} and one (2K x J) complex product for K live rows, and
 the bracket ends reuse two waves built once per leg.  Against V(t_1) the
 value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at`` read
 ``cos.expectation_weights`` (``_leg_series``).  y0 is the series at
-``grid.nodes``, whose J x J exponential e^{i xi_j x_i} depends on the grid
-alone: it is built once per grid (``cos._node_wave``) and both legs of a
-report read that one table, with the bytes an inline evaluation gives.
+``grid.nodes``, a J x J evaluation that no CVA or Greek reads: it is
+formed on the first read of ``PricingResult.y0`` and kept.
 """
 from __future__ import annotations
 
@@ -179,12 +178,11 @@ def price_bermudan_cos(
     value, delta, gamma = series(x0, 2)
     if not math.isfinite(value):
         raise NumericalError(f"the coefficient recursion reached a non-finite value {value}")
-    (y0,) = series(grid.nodes)
     return PricingResult(
         value=float(value),
         spot=x0,
         grid=grid,
-        y0=y0,
+        y0=lambda: series(grid.nodes)[0],
         boundary=boundary[::-1],
         delta=float(delta),
         gamma=float(gamma),

@@ -170,6 +170,8 @@ class ModelSpec:
             0.5 * self.vol.level**2
         except OverflowError:
             raise ValueError(f"vol overflows sigma^2/2 at level {self.vol.level!r}") from None
+        if not math.isfinite(2.0 * self.vol.slope):  # the slope of sigma^2/2
+            raise ValueError(f"slope of vol overflows sigma^2/2 as 2 * slope: {self.vol.slope!r}")
 
     # ``t`` is never read; perfbench/tracing.py calls intensity_a(0.0, x).
     def intensity_a(self, t, x):

@@ -150,6 +150,12 @@ class TestConfigErrors:
                 "model", "m", {"m": "-1e300", "lam": "0"}, "[model] m overflows the jump moments",
                 id="model-m-huge-lam-0",
             ),
+            # exp(slope * x0) overflows (x0 < 0) or underflows (x0 > 0) at
+            # beta = -2, and 2 * beta overflows the slope of sigma^2/2.
+            ("model", "x0", "-1e300", "[model] x0 overflows or underflows a coefficient"),
+            ("model", "x0", "-400", "[model] x0 overflows or underflows a coefficient"),
+            ("model", "x0", "400", "[model] x0 overflows or underflows a coefficient"),
+            ("model", "beta", "1e308", "[model] beta of vol overflows sigma^2/2 as 2 * slope"),
             # No vol and no jumps: no truncation range exists.
             pytest.param(
                 "model", "b", {"b": "0", "lam": "0"}, "[model] b must be positive at the spot",

@@ -169,6 +169,31 @@ class TestPutPayoffCoeffs:
                     atol=1e-12,
                 )
 
+    @pytest.mark.parametrize("a, b, J", [(-1.8, 1.6, 64), (-0.45, 0.3, 17), (-7.3, 5.9, 100)])
+    def test_single_limit_integrals_equal_the_two_limit_formula(self, a, b, J):
+        # The payoff integrals start at a, where sin(0) = 0 and cos(0) = 1
+        # drop out exactly: every byte equals the two-limit formula with
+        # lower limit a, written out here, over a sweep of caps in (a, b].
+        g = cos.CosGrid(a, b, J)
+        om, lo = g.freqs, g.a
+        caps = np.concatenate((a + np.logspace(-12, 0, 7) * g.width, np.linspace(a, b, 40)[1:]))
+        for upper in caps:
+            for strike in (math.exp(upper), 1.5 * math.exp(b)):
+                hi = min(math.log(strike), b, upper)
+                cos_int = np.empty(J)
+                cos_int[0] = hi - lo
+                cos_int[1:] = (np.sin(om[1:] * (hi - a)) - np.sin(om[1:] * (lo - a))) / om[1:]
+                th_hi, th_lo = om * (hi - a), om * (lo - a)
+                num = (
+                    np.cos(th_hi) * math.exp(hi)
+                    - np.cos(th_lo) * math.exp(lo)
+                    + om * np.sin(th_hi) * math.exp(hi)
+                    - om * np.sin(th_lo) * math.exp(lo)
+                )
+                want = (2.0 / g.width) * (strike * cos_int - num / (1.0 + om**2))
+                got = cos.put_payoff_coeffs(strike, g, upper=upper)
+                assert got.tobytes() == want.tobytes()
+
     def test_strike_above_interval_means_full_support(self):
         # e^b < K: the option is in the money on the whole interval.
         g = cos.CosGrid(-2.0, 0.5, 32)
@@ -302,6 +327,27 @@ class TestMonomialExpIntegrals:
                     assert got.tobytes() == want.tobytes()
         info = cos._wave.cache_info()
         assert (info.misses, info.hits) == (6, 30)
+
+    def test_products_match_with_the_sums_cold_and_warm(self):
+        # The sums at b are read by every date: a product against a warm
+        # table is the product against a cleared one, bit for bit.
+        g = cos.CosGrid(-1.2, 1.5, 32)
+        rng = np.random.default_rng(7)
+        V = rng.standard_normal(g.J)
+        lam = rng.standard_normal(g.J) + 1j * rng.standard_normal(g.J)
+        cases = [(x_star, h) for x_star in (-0.4, 0.3, -0.4) for h in (0, 1, 2)]
+
+        def products():
+            return [cos.m_matrix_product(V, g, x, g.b, h, lam, 0.2).tobytes() for x, h in cases]
+
+        cos._anti_sum.cache_clear()
+        cold = products()
+        # One sum per order at each of -0.4, 0.3 and b.
+        assert cos._anti_sum.cache_info().misses == 9
+        assert products() == cold
+        assert cos._anti_sum.cache_info().misses == 9
+        for h in (0, 1, 2):
+            assert not cos._anti_sum(g, g.b, h, 0.2, 2 * g.J - 2).flags.writeable
 
     def test_tables_are_shared_per_grid_and_read_only(self):
         g = cos.CosGrid(-1.0, 1.0, 8)

@@ -381,15 +381,25 @@ class TestThetaSchemeCva:
         assert _theta_cva(model_put_riskfree, spec, T, 64) == 0.0
 
 
-def test_node_wave_is_one_read_only_table_per_grid():
-    g, h = cos.CosGrid(-1.0, 1.5, 16), cos.CosGrid(-1.0, 2.0, 16)
-    wave = cos._node_wave(g)
-    assert not wave.flags.writeable
-    assert wave is cos._node_wave(cos.CosGrid(-1.0, 1.5, 16))
-    assert cos._node_wave(h) is not wave
-    for grid in (g, h):
-        want = np.exp(1j * grid.freqs * grid.nodes[..., None])
-        assert np.array_equal(cos._node_wave(grid), want)
+def test_a_report_reads_each_leg_at_the_spot_alone(model_put_riskfree, monkeypatch):
+    # cva_report + greeks evaluate no expansion at the nodes: y0 is formed
+    # on its first read, once, and kept.
+    shapes = []
+    evaluate = charfunc.CharFuncApprox.eval
+
+    def recorded(self, x, d=0):
+        shapes.append(np.shape(x))
+        return evaluate(self, x, d)
+
+    monkeypatch.setattr(charfunc.CharFuncApprox, "eval", recorded)
+    spec = cva.DefaultSpec(intensity=lx.CoeffFamily.exponential(0.1, -2.0))
+    sched = bermudan.ExerciseSchedule(1.0, 10, 1)
+    _, res_d, res_r = cva.cva_report(model_put_riskfree, spec, _put(1.0), sched, J=64)
+    cva.greeks(model_put_riskfree, spec, _put(1.0), sched, J=64, legs=(res_d, res_r))
+    assert shapes == [()] * 2
+    y0 = res_d.y0
+    assert res_d.y0 is y0 and y0.shape == (64,)
+    assert shapes == [()] * 2 + [(64,)]
 
 
 def test_non_finite_leg_value_raises():
