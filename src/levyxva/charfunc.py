@@ -78,11 +78,11 @@ class NodeWorkspace:
     real view of the ``_frequency_factors`` (a real coefficient row times
     panels[k] is the real view of tau psi_h^(k)); ``cols``, the order-0
     coefficient columns, and ``rows``, the coefficient rows of orders
-    0..order; ``terms``, the ``_symbol_terms`` repeated over the block rows
-    (so that no ufunc of a block broadcasts an operand); and ``deep``, the
-    basepoints whose tau psi_0 can reach _EXP_UNDERFLOW: |nuhat| <= 1, so
-    Re(tau psi_0) >= -tau (|s_0| xi^2 + |gamma_0| + 2 |a_0|), and only their
-    blocks are tested entry by entry.
+    0..order, one stack for all; ``terms``, the ``_symbol_terms`` repeated
+    over the block rows (so that no ufunc of a block broadcasts an
+    operand); and ``deep``, the basepoints whose tau psi_0 can reach
+    _EXP_UNDERFLOW: |nuhat| <= 1, so Re(tau psi_0) >= -tau (|s_0| xi^2 +
+    |gamma_0| + 2 |a_0|), and only their blocks are tested entry by entry.
 
     Written by every build, which overwrites what the previous one
     returned: ``g`` (rows, n, J) complex receives g_{n,0} (and every
@@ -114,7 +114,8 @@ class NodeWorkspace:
         F *= tau
         self.panels = F.view(float)
         self.cols = _coeff_columns(taylor, 0)
-        self.rows = [_coeff_rows(taylor, h) for h in range(order + 1)]
+        rows = np.stack((taylor.mu, taylor.s, taylor.gamma, taylor.a), axis=-1)
+        self.rows = rows.reshape(taylor.order + 1, -1, 4)[: order + 1]
         self.terms = [np.full((block, J), term, dtype=complex) for term in terms]
         reach = np.abs(taylor.s[0]) * np.max(xi**2, initial=0.0)
         reach = tau * (reach + np.abs(taylor.gamma[0]) + 2.0 * np.abs(taylor.a[0]))
@@ -210,12 +211,6 @@ def _frequency_factors(xi: np.ndarray, m: float, d: float):
     return F, terms
 
 
-def _coeff_rows(taylor: TaylorData, h: int) -> np.ndarray:
-    """Order-h rows (mu_h, s_h, gamma_h, a_h), one per basepoint: (points, 4)."""
-    rows = (taylor.mu[h], taylor.s[h], taylor.gamma[h], taylor.a[h])
-    return np.stack(rows, axis=-1).reshape(-1, 4)
-
-
 def cumulants(taylor: TaylorData, tau: float):
     """Increment cumulants (c1, c2, c4) of the frozen order-0 dynamics over
     a horizon of length tau.
@@ -280,11 +275,11 @@ class CharFuncApprox:
         acc = self.g[0] * np.ones_like(dx, dtype=complex)
         for k in self._live_orders:
             acc = acc + dx**k * self.g[k]
-        wave = np.exp(1j * self.freqs * x[..., None])
+        wave = np.exp(self._ixi * x[..., None])
         out = (wave * acc).reshape(x.shape + self.freqs.shape)
         if not d:
             return out
-        first = 1j * self.freqs * acc
+        first = self._ixi * acc
         if self._live_orders:
             # P' = g_1 + 2 dx g_2 and P'' = 2 g_2, rows above the order read 0.
             g1, g2 = (*self.g[1:], 0.0, 0.0)[:2]
@@ -293,9 +288,9 @@ class CharFuncApprox:
         rows = [out, wave * first]
         if d == 2:
             if self._live_orders:
-                rows.append(wave * (1j * self.freqs * (first + dp) + 2.0 * g2))
+                rows.append(wave * (self._ixi * (first + dp) + 2.0 * g2))
             else:
-                rows.append(wave * (1j * self.freqs * first))
+                rows.append(wave * (self._ixi * first))
         return np.stack(rows)
 
     def fold(self, weights):
@@ -306,16 +301,19 @@ class CharFuncApprox:
         With Q_k = weights g_{n,k} for k = 0 and each live order, the value
         is Re(wave . sum_k dx^k Q_k) and the slope is
         Re(wave . (i xi sum_k dx^k Q_k + sum_k k dx^{k-1} Q_k)), the rule of
-        ``eval`` with dx = x - xbar: the rows Q_k and i xi Q_k are stacked
-        once, and a call takes their product with the wave and a few scalar
-        operations.
+        ``eval`` with dx = x - xbar: Q_k and i xi Q_k are formed once per
+        fold into one (2K x J) array, from the stacked rows g_{n,k} and i xi
+        that the expansion forms on its first fold, and a call takes their
+        product with the wave and a few scalar operations.
         """
         if self.basepoint.ndim:
             raise ValueError("fold needs a scalar-basepoint approximation")
-        orders = (0, *self._live_orders)
-        q = np.stack([self.g[k] for k in orders]) * weights
-        rows = np.concatenate((q, 1j * self.freqs * q))
-        xbar, K = float(self.basepoint), len(orders)
+        orders, g = self._fold_rows
+        K = len(orders)
+        rows = np.empty((2 * K, g.shape[-1]), dtype=complex)
+        q = np.multiply(g, weights, out=rows[:K])
+        np.multiply(self._ixi, q, out=rows[K:])
+        xbar = float(self.basepoint)
 
         def series(wave, x):
             dots = (rows @ wave).tolist()
@@ -327,6 +325,22 @@ class CharFuncApprox:
             return value.real, slope.real
 
         return series
+
+    @functools.cached_property
+    def _ixi(self) -> np.ndarray:
+        """Read-only i xi_j, formed once per expansion."""
+        ixi = 1j * self.freqs
+        ixi.setflags(write=False)
+        return ixi
+
+    @functools.cached_property
+    def _fold_rows(self) -> tuple:
+        """The orders that ``fold`` reads, k = 0 and each live order, and
+        their rows g_{n,k} stacked read-only, formed once per expansion."""
+        orders = (0, *self._live_orders)
+        g = np.stack([self.g[k] for k in orders])
+        g.setflags(write=False)
+        return orders, g
 
     @functools.cached_property
     def _live_orders(self) -> tuple:

@@ -250,38 +250,33 @@ def point_kernel(cf: CharFuncApprox, grid: CosGrid, x_points) -> StepKernel:
     return StepKernel(psi=np.real(weighted), form_dw=lambda: np.real(1j * grid.freqs * weighted))
 
 
-def _cos_integral(grid: CosGrid, hi: float) -> np.ndarray:
-    """int_a^hi cos(omega_j (x - a)) dx for j = 0..J-1 (sin 0 = 0 at a)."""
-    om = grid.freqs
-    out = np.empty(grid.J)
-    out[0] = hi - grid.a
-    out[1:] = np.sin(om[1:] * (hi - grid.a)) / om[1:]
-    return out
-
-
-def _expcos_integral(grid: CosGrid, hi: float) -> np.ndarray:
-    """int_a^hi e^x cos(omega_j (x - a)) dx, j = 0..J-1 (cos 0 = 1, sin 0 = 0 at a)."""
-    om = grid.freqs
-    th = om * (hi - grid.a)
-    num = np.cos(th) * math.exp(hi) - math.exp(grid.a) + om * np.sin(th) * math.exp(hi)
-    return num / (1.0 + om**2)
-
-
 def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) -> np.ndarray:
     """Closed-form cosine coefficients of (K - e^x)^+ on [a, min(upper, b)].
 
     The payoff is supported on x <= log K; the integration cap is clipped
     into the interval, and a strike below e^a yields all-zero coefficients.
     ``upper`` restricts the integral further (exercise-region coefficients).
+    Both integrals run from a, where sin 0 = 0 and cos 0 = 1 drop out, to
+    the cap c, with th_j = om_j (c - a) and one sine for both:
+
+        int_a^c cos(om_j (x - a)) dx     = sin th_j / om_j   (c - a at j = 0),
+        int_a^c e^x cos(om_j (x - a)) dx = (e^c cos th_j - e^a + om_j e^c sin th_j)
+                                           / (1 + om_j^2).
     """
     cap = min(math.log(strike), grid.b)
     if upper is not None:
         cap = min(cap, upper)
     if cap <= grid.a:
         return np.zeros(grid.J)
-    return (2.0 / grid.width) * (
-        strike * _cos_integral(grid, cap) - _expcos_integral(grid, cap)
-    )
+    om = grid.freqs
+    th = om * (cap - grid.a)
+    sin = np.sin(th)
+    cos_int = np.empty(grid.J)
+    cos_int[0] = cap - grid.a
+    np.divide(sin[1:], om[1:], out=cos_int[1:])
+    e_cap = math.exp(cap)
+    expcos = (np.cos(th) * e_cap - math.exp(grid.a) + om * sin * e_cap) / (1.0 + om**2)
+    return (2.0 / grid.width) * (strike * cos_int - expcos)
 
 
 def _check_limits_and_order(grid: CosGrid, x_lo: float, x_hi: float, h: int) -> None:
@@ -306,16 +301,16 @@ def _integral_table(grid: CosGrid, p_max: int) -> tuple:
 @functools.lru_cache(maxsize=32)
 def _wave(grid: CosGrid, x: float, p_max: int) -> np.ndarray:
     """Read-only e^{i om_p (x - a)}, p = 1..p_max: the orders at one limit
-    share it, and so do all dates at a fixed limit such as b."""
+    share it."""
     wave = np.exp(_integral_table(grid, p_max)[0] * (x - grid.a))
     wave.setflags(write=False)
     return wave
 
 
 @functools.lru_cache(maxsize=32)
-def _anti_sum(grid: CosGrid, x: float, h: int, basepoint: float, p_max: int) -> np.ndarray:
-    """Read-only F_p(x) e^{-i om_p (x-a)}, p = 1..p_max (``monomial_exp_integrals``):
-    every date's products at a fixed limit such as b share it."""
+def _anti(grid: CosGrid, x: float, h: int, basepoint: float, p_max: int) -> np.ndarray:
+    """Read-only F_p(x), p = 1..p_max (``monomial_exp_integrals``): every
+    date's products at a fixed limit such as b share the whole row."""
     powers = _integral_table(grid, p_max)[1]
     acc = np.zeros(p_max, dtype=complex)
     coef = 1.0
@@ -323,34 +318,36 @@ def _anti_sum(grid: CosGrid, x: float, h: int, basepoint: float, p_max: int) -> 
         if l > 0:
             coef *= -(h - l + 1)
         acc += coef * (x - basepoint) ** (h - l) / powers[l]
+    np.multiply(_wave(grid, x, p_max), acc, out=acc)
     acc.setflags(write=False)
     return acc
 
 
 def monomial_exp_integrals(
-    grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float, p_max: int
+    grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float, p_max: int, out=None
 ) -> np.ndarray:
     """I_p = (1/(b-a)) int_{x_lo}^{x_hi} (x - xbar)^h e^{i p pi (x-a)/(b-a)} dx
-    for p = 0..p_max and h = 0..MAX_ORDER; negative orders follow by
-    conjugation.
+    for p = 0..p_max and h = 0..MAX_ORDER, into ``out`` if given; negative
+    orders follow by conjugation.
 
     For p != 0 the antiderivative is
         F_p(x) = e^{i om_p (x-a)} sum_{l=0..h} (-1)^l h!/(h-l)!
                  (x - xbar)^{h-l} / (i om_p)^{l+1},
     om_p = p pi / (b - a), obtained by repeated integration by parts.  The
-    sum at each limit, the powers of i om_p and the exponential come from
-    shared read-only tables (``_anti_sum``, ``_integral_table``, ``_wave``),
-    each entry computed by the same operations as inline.
+    row F_p at each limit, the powers of i om_p and the exponential come
+    from shared read-only tables (``_anti``, ``_integral_table``,
+    ``_wave``), each entry computed by the same operations as inline.
     """
     _check_limits_and_order(grid, x_lo, x_hi, h)
-    out = np.empty(p_max + 1, dtype=complex)
+    if out is None:
+        out = np.empty(p_max + 1, dtype=complex)
     out[0] = ((x_hi - basepoint) ** (h + 1) - (x_lo - basepoint) ** (h + 1)) / (
         (h + 1) * grid.width
     )
-    if p_max == 0:
-        return out
-    anti = [_wave(grid, x, p_max) * _anti_sum(grid, x, h, basepoint, p_max) for x in (x_hi, x_lo)]
-    out[1:] = (anti[0] - anti[1]) / grid.width
+    if p_max:
+        hi, lo = (_anti(grid, x, h, basepoint, p_max) for x in (x_hi, x_lo))
+        np.subtract(hi, lo, out=out[1:])
+        out[1:] /= grid.width
     return out
 
 
@@ -376,7 +373,8 @@ def m_matrix_product(
     so at one length n >= 3J - 2 the two kernels and the two inputs are
     the rows of one forward FFT, and the sum of the two spectral products
     takes one inverse: O(J log J) in two ``numpy.fft`` calls, both in
-    place.  n is the smallest 2-3-5-7-11-smooth length (``_next_fast_len``,
+    place.  The integrals I_p and the weighted input lam V are written
+    straight into their rows.  n is the smallest 2-3-5-7-11-smooth length (``_next_fast_len``,
     cached per J).  After the limits are checked, an all-zero weight row
     ``lam`` (an expansion order whose corrections the trust region
     rejected) returns zeros at once.
@@ -385,16 +383,14 @@ def m_matrix_product(
     _check_limits_and_order(grid, x_lo, x_hi, h)
     if not lam.any():
         return np.zeros(J)
-    u = lam * np.asarray(V, dtype=complex)
-    u[0] *= 0.5
-    I = monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2)
     # rows: Hankel kernel, Toeplitz kernel, reversed u, u
     rows = np.zeros((4, _next_fast_len(3 * J - 2)), dtype=complex)
-    rows[0, : 2 * J - 1] = I
+    I = monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2, out=rows[0, : 2 * J - 1])
     rows[1, :J] = I[J - 1 :: -1]
     np.conjugate(I[1:J], out=rows[1, J : 2 * J - 1])
+    u = np.multiply(lam, V, out=rows[3, :J])
+    u[0] *= 0.5
     rows[2, :J] = u[::-1]
-    rows[3, :J] = u
     spec = np.fft.fft(rows, axis=-1, out=rows)
     spec[0] *= spec[2]
     spec[1] *= spec[3]

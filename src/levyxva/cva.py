@@ -24,7 +24,13 @@ The Newton search for x* reads it through ``CharFuncApprox.fold``: each
 date folds e^{-r dt} w_j e^{-i xi_j a} V_j into the live expansion rows
 once, Q_k = e^{-r dt} w e^{-i xi a} V g_{n,k}, so an iterate costs one
 J-vector e^{i xi x} and one (2K x J) complex product for K live rows, and
-the bracket ends reuse two waves built once per leg.  Against V(t_1) the
+the bracket ends reuse two waves built once per leg.  A date forms only
+what depends on V or x*: the fold, the Newton iterates, one restricted
+product per order and the exercise-region payoff coefficients.  The rows
+that do not are formed once per leg: e^{-r dt} w e^{-i xi a}, and with the
+expansion the stacked g_{n,k} and i xi that ``fold`` reads; the
+antiderivative rows at b, which every date's products share, are kept per
+grid (``cos._anti``).  Against V(t_1) the
 value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at`` read
 ``cos.expectation_weights`` (``_leg_series``).  y0 is the series at
 ``grid.nodes``, a J x J evaluation that no CVA or Greek reads: it is
@@ -153,12 +159,12 @@ def price_bermudan_cos(
     x_star = log_k  # warm start; then each date starts from the later one's x*
     # The bracket ends are the same at every date, so their waves are built
     # once per leg; an iterate builds its own.
-    ixi, phase = 1j * grid.freqs, cosmod._phase(grid)
+    ixi, disc_phase = cf._ixi, disc * cosmod._phase(grid)
     end_waves = {x: np.exp(ixi * x) for x in (grid.a, x_up)}
     boundary = []
     for m in range(M - 1, 0, -1):
         t_m = m * delta_t
-        folded = cf.fold(disc * phase * V)
+        folded = cf.fold(disc_phase * V)
         x_star = newton_exercise_point(
             lambda x: folded(np.exp(ixi * x), x), exercise_value,
             (grid.a, x_up), x0=x_star, c_value=lambda x: folded(end_waves[x], x)[0],

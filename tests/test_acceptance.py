@@ -294,7 +294,7 @@ def test_criterion_05_fft_product_matches_dense_and_is_faster():
         for _ in range(reps):
             cos._integral_table.cache_clear()
             cos._wave.cache_clear()
-            cos._anti_sum.cache_clear()
+            cos._anti.cache_clear()
             t0 = time.perf_counter()
             product(*args)
             times.append(time.perf_counter() - t0)

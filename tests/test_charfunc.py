@@ -474,6 +474,21 @@ class TestStateCorrectionsImprove:
         assert mc_estimate[3] < 200e6
 
 
+class TestWorkspaceSetup:
+    @pytest.mark.parametrize("x", [0.0, np.linspace(-1.0, 1.0, 5)])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_rows_of_all_orders_stacked_at_once(self, model_put, x, order):
+        # One stack for every order: each row block is the order's own
+        # stack, one row per basepoint, C-contiguous for the symbol products.
+        tay = model.taylor_expand(model_put, 0.0, x, 2)
+        work = charfunc.NodeWorkspace(tay, np.linspace(0.0, 3.0, 8), 0.5, order)
+        assert len(work.rows) == order + 1
+        for h, got in enumerate(work.rows):
+            want = np.stack((tay.mu[h], tay.s[h], tay.gamma[h], tay.a[h]), axis=-1)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.reshape(-1, 4).tobytes()
+
+
 class TestValidation:
     def test_rejects_unsupported_order(self, model_linear):
         tay = model.taylor_expand(model_linear, 0.0, 0.0, 2)

@@ -319,17 +319,22 @@ class TestMonomialExpIntegrals:
         # and exponentials written out inline.
         cos._integral_table.cache_clear()
         cos._wave.cache_clear()
+        cos._anti.cache_clear()
         for g in (cos.CosGrid(-1.2, 1.5, 16), cos.CosGrid(-0.9, 2.1, 16)):
             for x_star in (-0.4, 0.3, -0.4):
                 for h in (0, 1, 2):
                     got = cos.monomial_exp_integrals(g, x_star, g.b, h, 0.2, 2 * g.J - 2)
                     want = _inline_integrals(g, x_star, g.b, h, 0.2, 2 * g.J - 2)
                     assert got.tobytes() == want.tobytes()
+        # One row per order at each of -0.4, 0.3 and b on each grid, and
+        # one wave per point: the orders at a point share its wave.
+        info = cos._anti.cache_info()
+        assert (info.misses, info.hits) == (18, 18)
         info = cos._wave.cache_info()
-        assert (info.misses, info.hits) == (6, 30)
+        assert (info.misses, info.hits) == (6, 12)
 
     def test_products_match_with_the_sums_cold_and_warm(self):
-        # The sums at b are read by every date: a product against a warm
+        # The rows at b are read by every date: a product against a warm
         # table is the product against a cleared one, bit for bit.
         g = cos.CosGrid(-1.2, 1.5, 32)
         rng = np.random.default_rng(7)
@@ -340,14 +345,14 @@ class TestMonomialExpIntegrals:
         def products():
             return [cos.m_matrix_product(V, g, x, g.b, h, lam, 0.2).tobytes() for x, h in cases]
 
-        cos._anti_sum.cache_clear()
+        cos._anti.cache_clear()
         cold = products()
-        # One sum per order at each of -0.4, 0.3 and b.
-        assert cos._anti_sum.cache_info().misses == 9
+        # One row per order at each of -0.4, 0.3 and b.
+        assert cos._anti.cache_info().misses == 9
         assert products() == cold
-        assert cos._anti_sum.cache_info().misses == 9
+        assert cos._anti.cache_info().misses == 9
         for h in (0, 1, 2):
-            assert not cos._anti_sum(g, g.b, h, 0.2, 2 * g.J - 2).flags.writeable
+            assert not cos._anti(g, g.b, h, 0.2, 2 * g.J - 2).flags.writeable
 
     def test_tables_are_shared_per_grid_and_read_only(self):
         g = cos.CosGrid(-1.0, 1.0, 8)

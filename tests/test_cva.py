@@ -23,7 +23,7 @@ from levyxva.errors import NumericalError
 
 from conftest import dense_m_product, make_benchmark_model, make_constant_model, replace_spot
 
-from test_cos import put_expectation_jumpdiff, put_expectation_lognormal
+from test_cos import _inline_integrals, put_expectation_jumpdiff, put_expectation_lognormal
 
 
 def _put(strike=1.05):
@@ -499,6 +499,110 @@ class TestFoldedNewtonSeries:
             cva.price_bermudan_cos(model_put, _put(1.0), sched, J=100, grid=grid)
         got = cva.price_bermudan_cos(model_put, _put(1.0), sched, J=64, grid=grid)
         assert got.value == cva.price_bermudan_cos(model_put, _put(1.0), sched, J=64).value
+
+
+class TestDateInvariantRows:
+    """A leg forms its date-invariant rows once: the stacked g_{n,k} and
+    i xi that ``fold`` reads, e^{-r dt} w e^{-i xi a}, and the
+    antiderivative rows at b.  Each date's fold, products and payoff
+    coefficients must equal the per-date arithmetic written out here, bit
+    for bit, over the leg's own exercise points and every order.  At
+    T = 0.5 the leg keeps both correction orders, at T = 1 none."""
+
+    @staticmethod
+    def _fold(cf, weights, wave, x):
+        orders = (0, *(k for k in range(1, cf.order + 1) if cf.g[k].any()))
+        q = np.stack([cf.g[k] for k in orders]) * weights
+        dots = (np.concatenate((q, 1j * cf.freqs * q)) @ wave).tolist()
+        dx, K = x - float(cf.basepoint), len(orders)
+        value = slope = 0j
+        for k, qk, rk in zip(orders, dots[:K], dots[K:]):
+            value += dx**k * qk
+            slope += dx**k * rk + (k * dx ** (k - 1) * qk if k else 0.0)
+        return value.real, slope.real
+
+    @staticmethod
+    def _product(V, grid, x_lo, h, lam, xbar):
+        J = grid.J
+        if not lam.any():
+            return np.zeros(J)
+        u = lam * np.asarray(V, dtype=complex)
+        u[0] *= 0.5
+        I = _inline_integrals(grid, x_lo, grid.b, h, xbar, 2 * J - 2)
+        rows = np.zeros((4, cos._next_fast_len(3 * J - 2)), dtype=complex)
+        rows[0, : 2 * J - 1] = I
+        rows[1, :J] = I[J - 1 :: -1]
+        rows[1, J : 2 * J - 1] = np.conjugate(I[1:J])
+        rows[2, :J] = u[::-1]
+        rows[3, :J] = u
+        spec = np.fft.fft(rows, axis=-1)
+        return np.fft.ifft(spec[0] * spec[2] + spec[1] * spec[3])[J - 1 : 2 * J - 1].real
+
+    @staticmethod
+    def _payoff(strike, grid, upper):
+        cap = min(math.log(strike), grid.b, upper)
+        if cap <= grid.a:
+            return np.zeros(grid.J)
+        om, e_a = grid.freqs, math.exp(grid.a)
+        cos_int = np.empty(grid.J)
+        cos_int[0] = cap - grid.a
+        cos_int[1:] = np.sin(om[1:] * (cap - grid.a)) / om[1:]
+        th = om * (cap - grid.a)
+        num = np.cos(th) * math.exp(cap) - e_a + om * np.sin(th) * math.exp(cap)
+        return (2.0 / grid.width) * (strike * cos_int - num / (1.0 + om**2))
+
+    @pytest.mark.parametrize("T, live", [(0.5, (1, 2)), (1.0, ())])
+    def test_every_date_is_the_per_date_arithmetic(self, model_put_riskfree, T, live):
+        mdl, dt = model_put_riskfree, T / 10
+        grid = bsde.make_cos_grid(mdl, T, 100)
+        res = cva.price_bermudan_cos(
+            mdl, _put(1.0), bermudan.ExerciseSchedule(T, 10, 1), J=100, grid=grid
+        )
+        cf, disc = res.extras["series"].args[0], math.exp(-mdl.rate_r * dt)
+        assert cf._live_orders == live
+        V = self._payoff(1.0, grid, grid.b)
+        assert cos.put_payoff_coeffs(1.0, grid, upper=grid.b).tobytes() == V.tobytes()
+
+        def exercise(x):
+            ex = math.exp(x)
+            return max(1.0 - ex, 0.0), (-ex if ex < 1.0 else 0.0)
+
+        x_prev = 0.0
+        for _, x_star in reversed(res.boundary):
+            weights = disc * cos._phase(grid) * V
+            folded = cf.fold(weights)
+            for x in (grid.a, x_star, 0.5 * (x_star + grid.b)):
+                wave = np.exp(1j * grid.freqs * x)
+                assert folded(wave, x) == self._fold(cf, weights, wave, x)
+            # the leg's x* is the root of the written-out series
+            def series(x, weights=weights):
+                return self._fold(cf, weights, np.exp(1j * grid.freqs * x), x)
+
+            bracket = (grid.a, min(max(0.0, grid.a), grid.b))
+            assert cva.newton_exercise_point(series, exercise, bracket, x0=x_prev) == x_star
+            x_prev = x_star
+            cont = np.zeros(grid.J)
+            for h in range(cf.order + 1):
+                got = cos.m_matrix_product(V, grid, x_star, grid.b, h, cf.g[h], 0.0)
+                want = self._product(V, grid, x_star, h, cf.g[h], 0.0)
+                assert got.tobytes() == want.tobytes()
+                cont += want
+            payoff = self._payoff(1.0, grid, x_star)
+            assert cos.put_payoff_coeffs(1.0, grid, upper=x_star).tobytes() == payoff.tobytes()
+            V = payoff + disc * cont
+        # the leg's own t_1 coefficients, which its value and Greeks read
+        assert res.extras["series"].args[-1].tobytes() == V.tobytes()
+
+    def test_the_rows_are_read_only(self, model_put_riskfree):
+        grid = bsde.make_cos_grid(model_put_riskfree, 0.5, 100)
+        sched = bermudan.ExerciseSchedule(0.5, 10, 1)
+        res = cva.price_bermudan_cos(model_put_riskfree, _put(1.0), sched, J=100, grid=grid)
+        cf = res.extras["series"].args[0]
+        orders, g = cf._fold_rows
+        assert orders == (0, 1, 2)
+        upper = [cos._anti(grid, grid.b, h, 0.0, 2 * grid.J - 2) for h in range(3)]
+        for row in (g, cf._ixi, *upper):
+            assert not row.flags.writeable
 
 
 class TestMethodEquivalence:
