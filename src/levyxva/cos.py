@@ -269,14 +269,24 @@ def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) 
     if cap <= grid.a:
         return np.zeros(grid.J)
     om = grid.freqs
+    om2p1, e_a, scale = _payoff_constants(grid)
     th = om * (cap - grid.a)
     sin = np.sin(th)
     cos_int = np.empty(grid.J)
     cos_int[0] = cap - grid.a
     np.divide(sin[1:], om[1:], out=cos_int[1:])
     e_cap = math.exp(cap)
-    expcos = (np.cos(th) * e_cap - math.exp(grid.a) + om * sin * e_cap) / (1.0 + om**2)
-    return (2.0 / grid.width) * (strike * cos_int - expcos)
+    expcos = (np.cos(th) * e_cap - e_a + om * sin * e_cap) / om2p1
+    return scale * (strike * cos_int - expcos)
+
+
+@functools.lru_cache(maxsize=8)
+def _payoff_constants(grid: CosGrid) -> tuple:
+    """Read-only 1 + om_j^2, and e^a and 2/(b - a), of ``put_payoff_coeffs``:
+    the same on every call on the grid."""
+    om2p1 = 1.0 + grid.freqs**2
+    om2p1.setflags(write=False)
+    return om2p1, math.exp(grid.a), 2.0 / grid.width
 
 
 def _check_limits_and_order(grid: CosGrid, x_lo: float, x_hi: float, h: int) -> None:
@@ -324,11 +334,11 @@ def _anti(grid: CosGrid, x: float, h: int, basepoint: float, p_max: int) -> np.n
 
 
 def monomial_exp_integrals(
-    grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float, p_max: int, out=None
+    grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float, p_max: int
 ) -> np.ndarray:
     """I_p = (1/(b-a)) int_{x_lo}^{x_hi} (x - xbar)^h e^{i p pi (x-a)/(b-a)} dx
-    for p = 0..p_max and h = 0..MAX_ORDER, into ``out`` if given; negative
-    orders follow by conjugation.
+    for p = 0..p_max and h = 0..MAX_ORDER; negative orders follow by
+    conjugation.
 
     For p != 0 the antiderivative is
         F_p(x) = e^{i om_p (x-a)} sum_{l=0..h} (-1)^l h!/(h-l)!
@@ -339,15 +349,20 @@ def monomial_exp_integrals(
     ``_wave``), each entry computed by the same operations as inline.
     """
     _check_limits_and_order(grid, x_lo, x_hi, h)
-    if out is None:
-        out = np.empty(p_max + 1, dtype=complex)
+    return _integrals(grid, x_lo, x_hi, h, basepoint, np.empty(p_max + 1, dtype=complex))
+
+
+def _integrals(grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float, out):
+    """``monomial_exp_integrals`` into ``out`` (p_max = len(out) - 1) for
+    limits and an order already checked."""
     out[0] = ((x_hi - basepoint) ** (h + 1) - (x_lo - basepoint) ** (h + 1)) / (
         (h + 1) * grid.width
     )
+    p_max = out.shape[0] - 1
     if p_max:
-        hi, lo = (_anti(grid, x, h, basepoint, p_max) for x in (x_hi, x_lo))
-        np.subtract(hi, lo, out=out[1:])
-        out[1:] /= grid.width
+        hi = _anti(grid, x_hi, h, basepoint, p_max)
+        tail = np.subtract(hi, _anti(grid, x_lo, h, basepoint, p_max), out=out[1:])
+        tail /= grid.width
     return out
 
 
@@ -370,22 +385,30 @@ def m_matrix_product(
         Toeplitz  sum_j I_{j-k} u_j   = (T * u)[J - 1 + k],
                   T = (I_{J-1}, ..., I_1, I_0, conj I_1, ..., conj I_{J-1}),
 
-    so at one length n >= 3J - 2 the two kernels and the two inputs are
-    the rows of one forward FFT, and the sum of the two spectral products
-    takes one inverse: O(J log J) in two ``numpy.fft`` calls, both in
-    place.  The integrals I_p and the weighted input lam V are written
-    straight into their rows.  n is the smallest 2-3-5-7-11-smooth length (``_next_fast_len``,
-    cached per J).  After the limits are checked, an all-zero weight row
-    ``lam`` (an expansion order whose corrections the trust region
-    rejected) returns zeros at once.
+    so at one length n the two kernels and the two inputs are the rows of
+    one forward FFT, and the sum of the two spectral products takes one
+    inverse: O(J log J) in two ``numpy.fft`` calls, both in place.  The
+    transforms are circular: the output read at J - 1 + k, k = 0..J-1, also
+    collects the linear terms at J - 1 + k +/- n.  Both kernels span
+    indices 0..2J-2 and u spans 0..J-1, so each output read sums lags in
+    [0, 2J - 2] and the linear convolutions span 0..3J-3; once n >= 2J - 1
+    the terms at J - 1 + k +/- n fall outside that span, and no wrap
+    reaches an output read.  n is the smallest 2-3-5-7-11-smooth length
+    >= 2J - 1 (``_next_fast_len``, cached per J).
+
+    The limits and the order are checked once here; the integrals I_p (as
+    ``monomial_exp_integrals`` forms them, from the same shared rows) and
+    the weighted input lam V are written straight into their rows.  After
+    the check, an all-zero weight row ``lam`` (an expansion order whose
+    corrections the trust region rejected) returns zeros at once.
     """
     J = grid.J
     _check_limits_and_order(grid, x_lo, x_hi, h)
-    if not lam.any():
+    if not np.count_nonzero(lam):
         return np.zeros(J)
     # rows: Hankel kernel, Toeplitz kernel, reversed u, u
-    rows = np.zeros((4, _next_fast_len(3 * J - 2)), dtype=complex)
-    I = monomial_exp_integrals(grid, x_lo, x_hi, h, basepoint, 2 * J - 2, out=rows[0, : 2 * J - 1])
+    rows = np.zeros((4, _next_fast_len(2 * J - 1)), dtype=complex)
+    I = _integrals(grid, x_lo, x_hi, h, basepoint, rows[0, : 2 * J - 1])
     rows[1, :J] = I[J - 1 :: -1]
     np.conjugate(I[1:J], out=rows[1, J : 2 * J - 1])
     u = np.multiply(lam, V, out=rows[3, :J])

@@ -135,10 +135,24 @@ def price_bermudan_cos(
     Discounting is explicit (e^{-r dt} per interval); default killing lives
     inside the characteristic-function coefficients.  A non-finite value
     raises ``NumericalError``.
+
+    ``timings`` gives the seconds of the grid and expansion (``expand``),
+    the folds and Newton searches (``newton``), the restricted products
+    (``products``) and the payoff coefficients with each date's update of
+    V (``payoff``), each charged at a date-loop boundary, and ``total``.
     """
     if payoff.kind != "put":
         raise ValueError("the fast CVA path prices Bermudan puts")
-    t_begin = time.perf_counter()
+    t_begin = mark = time.perf_counter()
+    timings = dict.fromkeys(("expand", "newton", "products", "payoff"), 0.0)
+
+    def lap(layer):
+        """Charge the seconds since the last lap to ``layer``."""
+        nonlocal mark
+        now = time.perf_counter()
+        timings[layer] += now - mark
+        mark = now
+
     M, T = schedule.M, schedule.T
     delta_t = schedule.spacing
     x0 = mdl.spot_x0
@@ -148,12 +162,14 @@ def price_bermudan_cos(
 
     cf = _expansion(mdl, grid, x0, delta_t, span=max(grid.b - x0, x0 - grid.a))
     disc = math.exp(-mdl.rate_r * delta_t)
+    lap("expand")
 
     def exercise_value(x):
         ex = math.exp(x)
         return notion * max(strike - ex, 0.0), (-notion * ex if ex < strike else 0.0)
 
     V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=grid.b)
+    lap("payoff")
     log_k = math.log(strike)
     x_up = min(max(log_k, grid.a), grid.b)
     x_star = log_k  # warm start; then each date starts from the later one's x*
@@ -169,6 +185,7 @@ def price_bermudan_cos(
             lambda x: folded(np.exp(ixi * x), x), exercise_value,
             (grid.a, x_up), x0=x_star, c_value=lambda x: folded(end_waves[x], x)[0],
         )
+        lap("newton")
         if x_star <= grid.a or x_star >= grid.b:
             warnings.warn(
                 f"degenerate exercise split x*={x_star:.4g} at t={t_m:.4g}",
@@ -177,13 +194,16 @@ def price_bermudan_cos(
         cont = np.zeros(grid.J)
         for h in range(cf.order + 1):
             cont += cosmod.m_matrix_product(V, grid, x_star, grid.b, h, cf.g[h], x0)
+        lap("products")
         V = notion * cosmod.put_payoff_coeffs(strike, grid, upper=x_star) + disc * cont
+        lap("payoff")
         boundary.append((t_m, x_star))
 
     series = functools.partial(_leg_series, cf, grid, disc, V)
     value, delta, gamma = series(x0, 2)
     if not math.isfinite(value):
         raise NumericalError(f"the coefficient recursion reached a non-finite value {value}")
+    timings["total"] = time.perf_counter() - t_begin
     return PricingResult(
         value=float(value),
         spot=x0,
@@ -192,7 +212,7 @@ def price_bermudan_cos(
         boundary=boundary[::-1],
         delta=float(delta),
         gamma=float(gamma),
-        timings={"total": time.perf_counter() - t_begin},
+        timings=timings,
         config={
             "J": grid.J,
             "L": L,

@@ -7,36 +7,126 @@ stepping.  A constant default intensity gamma kills at rate gamma and,
 through the drift restriction, raises the asset's growth to r + gamma, so
 the defaultable European put is the Merton put at the rate r + gamma.
 
-The draws are seeded, so every run of the suite checks the same 20 models
-per check.  Hypothesis also draws float literals of the engine's modules,
-so a new literal in ``levyxva`` can change them, and so can running this
-module alone (the reasons below are measured in a run of the whole suite).
-Each check that misses on some draw is a strict xfail whose reason gives
+The models are fixed tables, 20 per check, drawn once at random from the
+ranges
+
+    sig in [0.1, 0.4], lam in [0, 1], m in [-0.3, 0.1], delta in [0.05, 0.3],
+    r in [0, 0.08], gamma in [0, 0.2], K in [0.8, 1.2], T in [0.25, 2],
+
+with every digit kept, so no edit elsewhere can change what a check prices.
+Each check that misses on some model is a strict xfail whose reason gives
 the measured miss; the ranges stay as given.
 """
 
 import math
 
 import pytest
-from hypothesis import Phase, given, seed, settings
-from hypothesis import strategies as st
 
 from levyxva import bermudan, bsde, cva
 
 from conftest import make_constant_model
 from test_cos import put_expectation_jumpdiff
 
-MERTON = st.fixed_dictionaries(
-    {
-        "sig": st.floats(0.1, 0.4),
-        "lam": st.floats(0.0, 1.0),
-        "m": st.floats(-0.3, 0.1),
-        "delta": st.floats(0.05, 0.3),
-        "r": st.floats(0.0, 0.08),
-        "gamma": st.floats(0.0, 0.2),
-        "K": st.floats(0.8, 1.2),
-        "T": st.floats(0.25, 2.0),
-    }
+RANGES = {
+    "sig": (0.1, 0.4),
+    "lam": (0.0, 1.0),
+    "m": (-0.3, 0.1),
+    "delta": (0.05, 0.3),
+    "r": (0.0, 0.08),
+    "gamma": (0.0, 0.2),
+    "K": (0.8, 1.2),
+    "T": (0.25, 2.0),
+}
+
+
+def _table(*rows) -> tuple:
+    """One case dict per row of (sig, lam, m, delta, r, gamma, K, T)."""
+    return tuple(dict(zip(RANGES, row)) for row in rows)
+
+
+FAST_LEG_CASES = _table(
+    (0.1, 0.0, 0.0, 0.05,
+     0.0, 0.0, 0.8, 0.25),
+    (0.125, 0.0, 0.0, 0.05,
+     0.0, 0.0, 0.8, 0.25),
+    (0.125, 0.3053922276701702, -0.11455481849938026, 0.22973362717147094,
+     0.05857466362838232, 9.478111496584741e-158, 1.0, 0.5365476918889648),
+    (0.2178301333044873, 0.686895251759042, 1.0444389922028982e-114, 0.10527728676005685,
+     0.03697807646383951, 0.18407387559506205, 0.9416467210830267, 0.8717490391798804),
+    (0.22090402091927913, 0.40415301303688367, 4.0226649519985493e-115, 0.20548639955162779,
+     0.07675740044735051, 0.2, 0.9447574678110362, 0.37074610411387754),
+    (0.36880453707655503, 2.220446049250313e-16, -1.9618843923754192e-109, 0.1841963120670177,
+     0.019845920424566548, 0.06752713088524429, 0.8820140304903745, 1.6293567806982474),
+    (0.3540813439531938, 0.8488029815756104, -0.2216614440079661, 0.23625387900829709,
+     0.0001590087133728169, 0.15473010636878556, 0.8278066673347594, 1.283619918922279),
+    (0.13135593013431596, 0.891330034487199, 2.7851199169174376e-306, 0.29249706039487355,
+     0.0037211313617827287, 0.0559306618005386, 1.0434791527392708, 1.1663050226698335),
+    (0.24756455311124156, 0.5638800864358694, -3.293421922492351e-142, 0.14552391701773215,
+     1.1754943508222875e-38, 0.1315440833107141, 1.0, 0.5),
+    (0.2462455020269502, 0.8413370094706274, -0.06522639390589219, 0.125,
+     0.030981323948331748, 0.09227417101710922, 1.193107907843323, 0.7557364595535752),
+    (0.24795845307630202, 0.6198524191634008, 0.1, 0.05,
+     1.1125369292536007e-308, 0.017225274950049843, 1.1760131638013984, 0.27013914271238604),
+    (0.24795845307630202, 0.6198524191634008, 0.1, 0.24795845307630202,
+     1.1125369292536007e-308, 0.017225274950049843, 1.1760131638013984, 0.27013914271238604),
+    (0.24795845307630202, 0.6198524191634008, 0.1, 0.24795845307630202,
+     1.1125369292536007e-308, 0.1, 1.1760131638013984, 0.27013914271238604),
+    (0.24795845307630202, 0.6198524191634008, 0.1, 0.24795845307630202,
+     1.1125369292536007e-308, 0.1, 1.1760131638013984, 0.25),
+    (0.24795845307630202, 0.6198524191634008, 0.1, 0.24795845307630202,
+     0.0, 0.1, 1.1760131638013984, 0.25),
+    (0.24795845307630202, 0.1, 0.1, 0.24795845307630202,
+     0.0, 0.1, 1.1760131638013984, 0.25),
+    (0.1, 0.1, 0.1, 0.24795845307630202,
+     0.0, 0.1, 1.1760131638013984, 0.25),
+    (0.34072566486906747, 2.2250738585e-313, -0.3, 0.2743065716934575,
+     2.2250738585e-313, 0.015633166507538213, 0.8162231446620081, 0.99999),
+    (0.34072566486906747, 2.2250738585e-313, -0.3, 0.2743065716934575,
+     0.0, 0.015633166507538213, 0.8162231446620081, 0.99999),
+    (0.34072566486906747, 2.2250738585e-313, -0.3, 0.2743065716934575,
+     0.0, 0.015633166507538213, 0.8162231446620081, 0.8162231446620081),
+)
+THETA_CASES = _table(
+    (0.1, 0.0, 0.0, 0.05,
+     0.0, 0.0, 0.8, 0.25),
+    (0.39014601802146254, 0.0, 0.0, 0.05,
+     0.0, 0.0, 0.8, 0.25),
+    (0.39014601802146254, 0.799656187286377, -0.016682061482719668, 0.16963963057542847,
+     0.010206199048510103, 0.07915939419183105, 1.0163928712010637, 0.7966864247439726),
+    (0.3333333333333333, 0.8965626466946328, -0.023437793971360366, 0.13629261439572168,
+     0.0214969393324504, 0.10860996414543733, 1.074194002131052, 0.8635424970285923),
+    (0.3411622136763778, 0.043130115782062724, 0.0487911341827853, 0.1719503202851126,
+     0.004117074361897491, 0.18803820997421614, 1.1253502085930591, 1.3315916874081),
+    (0.10304296469872126, 0.7523339895546046, 0.009656384294239762, 0.09934565213074162,
+     0.0523384211216379, 0.09016254053357707, 0.9715785557179067, 0.7405576621360987),
+    (0.17363752542096764, 0.017530407219327197, -0.253936219885603, 0.23576596686101747,
+     0.06126227205652606, 0.125, 0.949998902810223, 0.5464906999664498),
+    (0.3575974352286144, 0.19240351609304512, -0.1799009763236469, 0.2755748096688425,
+     0.0003106071610641515, 1.068447569034437e-121, 0.829203052409793, 1.8142600156029558),
+    (0.20658190763300677, 0.6431675040833579, -3.0373756435510314e-229, 0.10714470611028318,
+     0.058017669188059576, 0.11148580374201622, 1.0179926876574918, 1.8217688667551861),
+    (0.22162155104081238, 0.593167189737902, -0.14001675385988713, 0.1,
+     0.06507100527125363, 0.12359595357685038, 1.1438939174219709, 1.6006358906080431),
+    (0.15098881302414366, 1e-09, -0.17551152221795313, 0.2,
+     0.0735597049160561, 0.05293842514666617, 1.183124756677161, 1.1257925523590804),
+    (0.15098881302414366, 1e-09, -0.17551152221795313, 0.05,
+     0.0735597049160561, 0.05293842514666617, 1.183124756677161, 1.1257925523590804),
+    (0.15098881302414366, 1e-09, -0.17551152221795313, 0.05,
+     0.0735597049160561, 0.05, 1.183124756677161, 1.1257925523590804),
+    (0.15098881302414366, 1e-09, -0.17551152221795313, 0.05,
+     0.0735597049160561, 0.05, 0.8, 1.1257925523590804),
+    (0.15098881302414366, 1e-09, -0.17551152221795313, 0.05,
+     0.0735597049160561, 0.05, 0.8, 0.25),
+    (0.15098881302414366, 1e-09, -0.17551152221795313, 0.05,
+     0.0, 0.05, 0.8, 0.25),
+    (0.15098881302414366, 1e-09, -0.17551152221795313, 0.05,
+     0.0, 0.05, 0.8, 0.8),
+    (0.2700696691448443, 0.36787810362514134, 5e-324, 0.1721432022477397,
+     1.1125369292536007e-308, 1.473116923694604e-185, 1.0392573134602545, 0.8337092960659015),
+    (0.2700696691448443, 0.36787810362514134, 5e-324, 0.1721432022477397,
+     1.1125369292536007e-308, 1.473116923694604e-185, 0.8, 0.8337092960659015),
+    (0.2700696691448443, 0.36787810362514134, 5e-324, 0.1721432022477397,
+     1.1125369292536007e-308, 1.473116923694604e-185, 0.8, 0.25),
 )
 
 
@@ -57,38 +147,10 @@ def _inputs(case):
     return mdl, bermudan.PayoffSpec(kind="put", strike=case["K"])
 
 
-# Each check records its miss on every draw and asserts the worst one once,
-# outside Hypothesis: a miss is then no failing example, so Hypothesis
-# neither shrinks it (each shrink step would be a full solve) nor saves a
-# patch for it.
-DRAWS = settings(
-    max_examples=20, derandomize=True, database=None, deadline=None, phases=[Phase.generate]
-)
-# A derandomized test is seeded from a digest of its own source.  These are
-# the seeds that each check's earlier, asserting form derived, so the
-# restructured checks keep its 20 models.
-FAST_LEG_DRAWS = seed(int(
-    "2eedab7e6fc834d9fcc37f6a854fd75d17c8ea8508a3e164"
-    "2420125486acf886b2d841b78a5a796413b65c23a607f70b", 16
-))
-THETA_DRAWS = seed(int(
-    "ee989a771f79b9221c7468da82354e98f3aa854479f78d06"
-    "631b7f75983566ed5652a8914550be1689b1f0e7281acacb", 16
-))
-
-
-def _misses(miss, draws) -> list:
-    """``miss(case)`` on each of the 20 draws of ``draws``."""
-    out = []
-
-    @draws
-    @DRAWS
-    @given(MERTON)
-    def draw(case):
-        out.append(miss(case))
-
-    draw()
-    return out
+def test_the_tables_lie_in_the_ranges():
+    for case in FAST_LEG_CASES + THETA_CASES:
+        for key, (lo, hi) in RANGES.items():
+            assert lo <= case[key] <= hi
 
 
 def _fast_leg(case, M: int) -> float:
@@ -112,7 +174,7 @@ def _theta_scheme(case, M: int, N: int) -> float:
     "J = 512 alike; at L = 12 they read 1.4e-14 and 4.5e-14",
 )
 def test_fast_leg_matches_the_merton_series():
-    misses = _misses(lambda case: abs(_fast_leg(case, 1) - merton_put(case)), FAST_LEG_DRAWS)
+    misses = [abs(_fast_leg(case, 1) - merton_put(case)) for case in FAST_LEG_CASES]
     assert max(misses) <= 1e-12
 
 
@@ -122,7 +184,7 @@ def test_fast_leg_matches_the_merton_series():
     "over the 20 draws, 16 of them above 1e-6, with either sign",
 )
 def test_theta_scheme_matches_the_merton_series():
-    misses = _misses(lambda case: abs(_theta_scheme(case, 1, 10) - merton_put(case)), THETA_DRAWS)
+    misses = [abs(_theta_scheme(case, 1, 10) - merton_put(case)) for case in THETA_CASES]
     assert max(misses) <= 1e-6
 
 
@@ -137,5 +199,5 @@ def test_theta_scheme_matches_the_merton_series():
     "to 9.0e-5 over the 20 draws, 16 of them above 1e-6, with either sign",
 )
 def test_theta_scheme_matches_the_fast_leg_at_ten_dates():
-    misses = _misses(lambda case: abs(_theta_scheme(case, 10, 1) - _fast_leg(case, 10)), THETA_DRAWS)
+    misses = [abs(_theta_scheme(case, 10, 1) - _fast_leg(case, 10)) for case in THETA_CASES]
     assert max(misses) <= 1e-6

@@ -417,8 +417,9 @@ class TestMMatrixProduct:
         got = dense_m_product(V, g, -0.4, 1.1, h, lam, 0.2)
         assert_allclose(got, self._oracle(V, g, -0.4, 1.1, h, lam, 0.2), atol=1e-12)
 
-    # Transform lengths at 3J - 2 (J = 8) and above it (110, 300, 384), with
-    # limits inside, from a, and empty; the J = 128 inner cases keep ids 0-2.
+    # Transform lengths at exactly 2J - 1 (J = 8 pads to 15) and above it (75,
+    # 200, 256), with limits inside, from a, and empty; the J = 128 inner
+    # cases keep ids 0-2.
     @pytest.mark.parametrize(
         "J, h, limits",
         [pytest.param(128, h, "inner", id=str(h)) for h in range(3)]
@@ -450,7 +451,7 @@ class TestMMatrixProduct:
         u = lam * V
         u[0] *= 0.5
         I = cos.monomial_exp_integrals(g, -1.1, 0.7, h, -0.2, 2 * J - 2)
-        rows = np.zeros((4, scipy.fft.next_fast_len(3 * J - 2)), dtype=complex)
+        rows = np.zeros((4, scipy.fft.next_fast_len(2 * J - 1)), dtype=complex)
         rows[0, : 2 * J - 1] = I
         rows[1, :J] = I[J - 1 :: -1]
         rows[1, J : 2 * J - 1] = np.conj(I[1:J])
@@ -464,7 +465,7 @@ class TestMMatrixProduct:
     def test_zero_weight_row_gives_exact_zeros_without_integrals(self, monkeypatch):
         g = cos.CosGrid(-1.0, 1.0, 8)
         calls = []
-        monkeypatch.setattr(cos, "monomial_exp_integrals", lambda *a: calls.append(a))
+        monkeypatch.setattr(cos, "_integrals", lambda *a: calls.append(a))
         for h in (0, 1, 2):
             out = cos.m_matrix_product(np.ones(8), g, -0.5, 1.0, h, np.zeros(8, complex), 0.1)
             assert out.dtype == np.float64 and np.array_equal(out, np.zeros(8))

@@ -415,6 +415,14 @@ def test_non_finite_leg_value_raises():
             )
 
 
+def test_a_leg_times_its_layers(model_put):
+    res = cva.price_bermudan_cos(model_put, _put(1.0), bermudan.ExerciseSchedule(1.0, 10, 1), J=100)
+    parts = ("expand", "newton", "products", "payoff")
+    assert set(res.timings) == {*parts, "total"}
+    assert all(res.timings[key] >= 0.0 for key in res.timings)
+    assert sum(res.timings[key] for key in parts) <= res.timings["total"]
+
+
 class TestExerciseBoundary:
     def test_trace_is_recorded_per_inner_date(self, model_put):
         res = cva.price_bermudan_cos(
@@ -529,7 +537,7 @@ class TestDateInvariantRows:
         u = lam * np.asarray(V, dtype=complex)
         u[0] *= 0.5
         I = _inline_integrals(grid, x_lo, grid.b, h, xbar, 2 * J - 2)
-        rows = np.zeros((4, cos._next_fast_len(3 * J - 2)), dtype=complex)
+        rows = np.zeros((4, cos._next_fast_len(2 * J - 1)), dtype=complex)
         rows[0, : 2 * J - 1] = I
         rows[1, :J] = I[J - 1 :: -1]
         rows[1, J : 2 * J - 1] = np.conjugate(I[1:J])
