@@ -274,6 +274,10 @@ class PricingResult:
     config: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
+    def __repr__(self) -> str:  # as the dataclass's, but an unformed y0 shows its callable
+        stored = {**self.__dict__, "y0": self.__dict__["_y0"]}
+        return f"PricingResult({', '.join(f'{f.name}={stored[f.name]!r}' for f in fields(self))})"
+
 
 def make_cos_grid(mdl: modelmod.ModelSpec, T: float, J: int, L: float = 10.0) -> cosmod.CosGrid:
     """Truncation interval from the order-0 increment cumulants at the spot,

@@ -37,7 +37,9 @@ from .model import _require_count
 
 @dataclass(frozen=True)
 class CosGrid:
-    """Truncated interval with J cosine modes and J midpoint nodes."""
+    """Truncated interval with J cosine modes and J midpoint nodes.  Every
+    table that depends on the grid is read-only, formed on first use and
+    kept on the grid, so nothing outlives it."""
 
     a: float
     b: float
@@ -71,6 +73,39 @@ class CosGrid:
         xi = np.arange(self.J) * math.pi / self.width
         xi.setflags(write=False)
         return xi
+
+    @functools.cached_property
+    def phase(self) -> np.ndarray:
+        """w_j e^{-i xi_j a}, with the primed-sum weight w_0 = 1/2."""
+        phase = np.exp(-1j * self.freqs * self.a)
+        phase[0] *= 0.5
+        phase.setflags(write=False)
+        return phase
+
+    @functools.cached_property
+    def payoff_constants(self) -> tuple:
+        """1 + xi_j^2, e^a and 2/(b - a) of ``put_payoff_coeffs``."""
+        om2p1 = 1.0 + self.freqs**2
+        om2p1.setflags(write=False)
+        return om2p1, math.exp(self.a), 2.0 / self.width
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """(i om_p)^{l+1} in row l = 0..MAX_ORDER, om_p = p pi / (b - a) for
+        p = 1..2J: the divisors of every restricted integral; row 0 is i om_p."""
+        iom = 1j * (np.arange(1, 2 * self.J + 1) * math.pi / self.width)
+        powers = np.stack([iom ** (l + 1) for l in range(MAX_ORDER + 1)])
+        powers.setflags(write=False)
+        return powers
+
+    def upper_row(self, h: int, basepoint: float) -> np.ndarray:
+        """F_p(b), p = 1..2J, of ``monomial_exp_integrals`` for order h about
+        ``basepoint``: every date's restricted products end at b and read it."""
+        rows = self.__dict__.setdefault("_upper_rows", {})
+        if (h, basepoint) not in rows:
+            rows[h, basepoint] = _anti(self, self.b, h, basepoint, 2 * self.J)
+            rows[h, basepoint].setflags(write=False)
+        return rows[h, basepoint]
 
 
 def truncation_range(c1: float, c2: float, c4: float, L: float = 10.0):
@@ -144,10 +179,6 @@ class StepKernel:
 
     Only the (Y, Z) solve reads ``psi_dw``, so it is formed by ``form_dw``
     on its first read and kept.
-
-    On the midpoint nodes the phase of a node expansion is
-    e^{i xi_j (x_i - a)} with xi_j (x_i - a) = pi j (2i + 1) / (2J), the
-    same table for every interval [a, b] with J modes (``_node_phase``).
     """
 
     psi: np.ndarray
@@ -174,22 +205,13 @@ def _node_phase(J: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _phase(grid: CosGrid) -> np.ndarray:
-    """Read-only w_j e^{-i xi_j a}, with the primed-sum weight w_0 = 1/2."""
-    phase = np.exp(-1j * grid.freqs * grid.a)
-    phase[0] *= 0.5
-    phase.setflags(write=False)
-    return phase
-
-
 def expectation_weights(cf: CharFuncApprox, grid: CosGrid, x, d: int = 0) -> np.ndarray:
     """w_j d^k/dx^k Gamma_n(x; xi_j) e^{-i xi_j a} for k = 0..d (on a leading
     axis when d > 0) from a scalar-basepoint approximation, with the
     primed-sum weight w_0 = 1/2: for plain coefficients H of h,
     Re(weights) @ H is E[h(X_T) | X_t = x] and its first d x-derivatives."""
     _check_shared(grid, cf)
-    return cf.eval(x, d) * _phase(grid)
+    return cf.eval(x, d) * grid.phase
 
 
 def step_kernel(cf: CharFuncApprox, grid: CosGrid) -> StepKernel:
@@ -269,7 +291,7 @@ def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) 
     if cap <= grid.a:
         return np.zeros(grid.J)
     om = grid.freqs
-    om2p1, e_a, scale = _payoff_constants(grid)
+    om2p1, e_a, scale = grid.payoff_constants
     th = om * (cap - grid.a)
     sin = np.sin(th)
     cos_int = np.empty(grid.J)
@@ -280,15 +302,6 @@ def put_payoff_coeffs(strike: float, grid: CosGrid, upper: float | None = None) 
     return scale * (strike * cos_int - expcos)
 
 
-@functools.lru_cache(maxsize=8)
-def _payoff_constants(grid: CosGrid) -> tuple:
-    """Read-only 1 + om_j^2, and e^a and 2/(b - a), of ``put_payoff_coeffs``:
-    the same on every call on the grid."""
-    om2p1 = 1.0 + grid.freqs**2
-    om2p1.setflags(write=False)
-    return om2p1, math.exp(grid.a), 2.0 / grid.width
-
-
 def _check_limits_and_order(grid: CosGrid, x_lo: float, x_hi: float, h: int) -> None:
     if not (grid.a <= x_lo <= x_hi <= grid.b + 1e-12):
         raise ValueError("integration limits must lie inside [a, b]")
@@ -296,40 +309,17 @@ def _check_limits_and_order(grid: CosGrid, x_lo: float, x_hi: float, h: int) -> 
         raise ValueError(f"monomial order must be in 0..{MAX_ORDER}")
 
 
-@functools.lru_cache(maxsize=8)
-def _integral_table(grid: CosGrid, p_max: int) -> tuple:
-    """Read-only i om_p and its powers (i om_p)^{l+1}, l = 0..MAX_ORDER (rows),
-    for om_p = p pi / (b - a), p = 1..p_max: every restricted integral on
-    the grid divides by the same powers."""
-    iom = 1j * (np.arange(1, p_max + 1) * math.pi / grid.width)
-    powers = np.stack([iom ** (l + 1) for l in range(MAX_ORDER + 1)])
-    iom.setflags(write=False)
-    powers.setflags(write=False)
-    return iom, powers
-
-
-@functools.lru_cache(maxsize=32)
-def _wave(grid: CosGrid, x: float, p_max: int) -> np.ndarray:
-    """Read-only e^{i om_p (x - a)}, p = 1..p_max: the orders at one limit
-    share it."""
-    wave = np.exp(_integral_table(grid, p_max)[0] * (x - grid.a))
-    wave.setflags(write=False)
-    return wave
-
-
-@functools.lru_cache(maxsize=32)
 def _anti(grid: CosGrid, x: float, h: int, basepoint: float, p_max: int) -> np.ndarray:
-    """Read-only F_p(x), p = 1..p_max (``monomial_exp_integrals``): every
-    date's products at a fixed limit such as b share the whole row."""
-    powers = _integral_table(grid, p_max)[1]
+    """F_p(x), p = 1..p_max (``monomial_exp_integrals``), from the grid's
+    powers of i om_p."""
+    powers = grid.powers[:, :p_max]
     acc = np.zeros(p_max, dtype=complex)
     coef = 1.0
     for l in range(h + 1):
         if l > 0:
             coef *= -(h - l + 1)
         acc += coef * (x - basepoint) ** (h - l) / powers[l]
-    np.multiply(_wave(grid, x, p_max), acc, out=acc)
-    acc.setflags(write=False)
+    np.multiply(np.exp(powers[0] * (x - grid.a)), acc, out=acc)
     return acc
 
 
@@ -344,11 +334,13 @@ def monomial_exp_integrals(
         F_p(x) = e^{i om_p (x-a)} sum_{l=0..h} (-1)^l h!/(h-l)!
                  (x - xbar)^{h-l} / (i om_p)^{l+1},
     om_p = p pi / (b - a), obtained by repeated integration by parts.  The
-    row F_p at each limit, the powers of i om_p and the exponential come
-    from shared read-only tables (``_anti``, ``_integral_table``,
-    ``_wave``), each entry computed by the same operations as inline.
+    powers of i om_p and the row at b are the grid's, p_max <= 2J long
+    (``CosGrid.powers``, ``upper_row``); a row at any other limit is formed
+    per call, each entry by the same operations as inline.
     """
     _check_limits_and_order(grid, x_lo, x_hi, h)
+    if not 0 <= p_max <= 2 * grid.J:
+        raise ValueError(f"p_max must be in 0..2J = {2 * grid.J}")
     return _integrals(grid, x_lo, x_hi, h, basepoint, np.empty(p_max + 1, dtype=complex))
 
 
@@ -360,8 +352,12 @@ def _integrals(grid: CosGrid, x_lo: float, x_hi: float, h: int, basepoint: float
     )
     p_max = out.shape[0] - 1
     if p_max:
-        hi = _anti(grid, x_hi, h, basepoint, p_max)
-        tail = np.subtract(hi, _anti(grid, x_lo, h, basepoint, p_max), out=out[1:])
+        hi, lo = (
+            grid.upper_row(h, basepoint)[:p_max] if x == grid.b
+            else _anti(grid, x, h, basepoint, p_max)
+            for x in (x_hi, x_lo)
+        )
+        tail = np.subtract(hi, lo, out=out[1:])
         tail /= grid.width
     return out
 
@@ -397,7 +393,7 @@ def m_matrix_product(
     >= 2J - 1 (``_next_fast_len``, cached per J).
 
     The limits and the order are checked once here; the integrals I_p (as
-    ``monomial_exp_integrals`` forms them, from the same shared rows) and
+    ``monomial_exp_integrals`` forms them, from the same grid rows) and
     the weighted input lam V are written straight into their rows.  After
     the check, an all-zero weight row ``lam`` (an expansion order whose
     corrections the trust region rejected) returns zeros at once.

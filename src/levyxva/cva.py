@@ -29,9 +29,9 @@ what depends on V or x*: the fold, the Newton iterates, one restricted
 product per order and the exercise-region payoff coefficients.  The rows
 that do not are formed once per leg: e^{-r dt} w e^{-i xi a}, and with the
 expansion the stacked g_{n,k} and i xi that ``fold`` reads; the
-antiderivative rows at b, which every date's products share, are kept per
-grid (``cos._anti``).  Against V(t_1) the
-value, delta and gamma at X0 (d = 2), y0 and ``leg_value_at`` read
+antiderivative rows at b, which every date's products share, are kept on
+the grid (``CosGrid.upper_row``).  Against V(t_1) the value, delta and
+gamma at X0 (d = 2), y0 and ``leg_value_at`` read
 ``cos.expectation_weights`` (``_leg_series``).  y0 is the series at
 ``grid.nodes``, a J x J evaluation that no CVA or Greek reads: it is
 formed on the first read of ``PricingResult.y0`` and kept.
@@ -175,7 +175,7 @@ def price_bermudan_cos(
     x_star = log_k  # warm start; then each date starts from the later one's x*
     # The bracket ends are the same at every date, so their waves are built
     # once per leg; an iterate builds its own.
-    ixi, disc_phase = cf._ixi, disc * cosmod._phase(grid)
+    ixi, disc_phase = cf._ixi, disc * grid.phase
     end_waves = {x: np.exp(ixi * x) for x in (grid.a, x_up)}
     boundary = []
     for m in range(M - 1, 0, -1):

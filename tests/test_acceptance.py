@@ -285,16 +285,13 @@ def test_criterion_05_fft_product_matches_dense_and_is_faster():
         worst = max(worst, float(np.max(np.abs(fast - dense))))
 
     grid, V, lam = setup(1024)
-    args = (V, grid, -0.8, 0.9, 1, lam, 0.1)
 
     def best_of(product, reps=5):
-        # Both products read the same integral tables: start every call
-        # from empty caches, so neither side times a warm table.
+        # Both products read the grid's integral tables: every call gets a
+        # fresh, equal grid, so neither side times a warm table.
         times = []
         for _ in range(reps):
-            cos._integral_table.cache_clear()
-            cos._wave.cache_clear()
-            cos._anti.cache_clear()
+            args = (V, cos.CosGrid(grid.a, grid.b, grid.J), -0.8, 0.9, 1, lam, 0.1)
             t0 = time.perf_counter()
             product(*args)
             times.append(time.perf_counter() - t0)

@@ -8,6 +8,7 @@ Oracles used here, in decreasing order of strength:
 * exact orthogonality identities of the cosine basis.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -317,53 +318,81 @@ class TestMonomialExpIntegrals:
         # limit b at every date, a repeated point, and two grids with the
         # same J on different intervals.  Bit for bit against the powers
         # and exponentials written out inline.
-        cos._integral_table.cache_clear()
-        cos._wave.cache_clear()
-        cos._anti.cache_clear()
         for g in (cos.CosGrid(-1.2, 1.5, 16), cos.CosGrid(-0.9, 2.1, 16)):
             for x_star in (-0.4, 0.3, -0.4):
                 for h in (0, 1, 2):
                     got = cos.monomial_exp_integrals(g, x_star, g.b, h, 0.2, 2 * g.J - 2)
                     want = _inline_integrals(g, x_star, g.b, h, 0.2, 2 * g.J - 2)
                     assert got.tobytes() == want.tobytes()
-        # One row per order at each of -0.4, 0.3 and b on each grid, and
-        # one wave per point: the orders at a point share its wave.
-        info = cos._anti.cache_info()
-        assert (info.misses, info.hits) == (18, 18)
-        info = cos._wave.cache_info()
-        assert (info.misses, info.hits) == (6, 12)
+
+    def test_a_grid_forms_its_rows_at_b_once(self, monkeypatch):
+        # The row at b is formed once per order and basepoint and kept on
+        # the grid; a row at any other limit is formed on every call.
+        g = cos.CosGrid(-1.2, 1.5, 16)
+        formed, anti = [], cos._anti
+
+        def counted(grid, x, *rest):
+            formed.append(x)
+            return anti(grid, x, *rest)
+
+        monkeypatch.setattr(cos, "_anti", counted)
+        for x_star in (-0.4, 0.3, -0.4):
+            for h in (0, 1, 2):
+                cos.monomial_exp_integrals(g, x_star, g.b, h, 0.2, 2 * g.J - 2)
+        assert formed == [g.b, -0.4] * 3 + [0.3] * 3 + [-0.4] * 3
+        for h in (0, 1, 2):
+            row = g.upper_row(h, 0.2)
+            assert row.shape == (2 * g.J,) and not row.flags.writeable
+        assert len(formed) == 12
 
     def test_products_match_with_the_sums_cold_and_warm(self):
-        # The rows at b are read by every date: a product against a warm
-        # table is the product against a cleared one, bit for bit.
+        # The rows at b are read by every date: a product on a warm grid is
+        # the product on a fresh, equal one, bit for bit.
         g = cos.CosGrid(-1.2, 1.5, 32)
         rng = np.random.default_rng(7)
         V = rng.standard_normal(g.J)
         lam = rng.standard_normal(g.J) + 1j * rng.standard_normal(g.J)
         cases = [(x_star, h) for x_star in (-0.4, 0.3, -0.4) for h in (0, 1, 2)]
 
-        def products():
-            return [cos.m_matrix_product(V, g, x, g.b, h, lam, 0.2).tobytes() for x, h in cases]
+        def products(grid_for):
+            return [
+                cos.m_matrix_product(V, grid_for(), x, g.b, h, lam, 0.2).tobytes()
+                for x, h in cases
+            ]
 
-        cos._anti.cache_clear()
-        cold = products()
-        # One row per order at each of -0.4, 0.3 and b.
-        assert cos._anti.cache_info().misses == 9
-        assert products() == cold
-        assert cos._anti.cache_info().misses == 9
-        for h in (0, 1, 2):
-            assert not cos._anti(g, g.b, h, 0.2, 2 * g.J - 2).flags.writeable
+        cold = products(lambda: cos.CosGrid(g.a, g.b, g.J))
+        assert products(lambda: g) == cold
+        assert products(lambda: g) == cold
 
     def test_tables_are_shared_per_grid_and_read_only(self):
         g = cos.CosGrid(-1.0, 1.0, 8)
-        iom, powers = cos._integral_table(g, 14)
-        assert cos._integral_table(cos.CosGrid(-1.0, 1.0, 8), 14)[1] is powers
-        assert cos._integral_table(cos.CosGrid(-1.0, 2.0, 8), 14)[1] is not powers
-        assert powers.shape == (charfunc.MAX_ORDER + 1, 14)
-        wave = cos._wave(g, 0.5, 14)
-        assert cos._wave(g, 0.5, 14) is wave
-        for table in (iom, powers, wave):
-            assert not table.flags.writeable
+        om2p1 = g.payoff_constants[0]
+        tables = (g.phase, g.powers, om2p1, g.upper_row(1, 0.0))
+        assert g.powers.shape == (charfunc.MAX_ORDER + 1, 2 * g.J)
+        again = (g.phase, g.powers, g.payoff_constants[0], g.upper_row(1, 0.0))
+        for table, same in zip(tables, again):
+            assert same is table and not table.flags.writeable
+        # An equal but distinct grid forms its own tables, with the same bytes.
+        twin = cos.CosGrid(-1.0, 1.0, 8)
+        assert twin == g
+        theirs = (twin.phase, twin.powers, twin.payoff_constants[0], twin.upper_row(1, 0.0))
+        for table, other in zip(tables, theirs):
+            assert other is not table and other.tobytes() == table.tobytes()
+
+    def test_rejects_p_max_beyond_the_grid_tables(self):
+        g = cos.CosGrid(-1.0, 1.0, 8)
+        assert cos.monomial_exp_integrals(g, -0.5, 0.5, 0, 0.0, 2 * g.J).shape == (2 * g.J + 1,)
+        with pytest.raises(ValueError, match="p_max"):
+            cos.monomial_exp_integrals(g, -0.5, 0.5, 0, 0.0, 2 * g.J + 1)
+
+
+def test_no_module_cache_is_keyed_by_a_grid():
+    # Every table that depends on the interval lives on its CosGrid; the
+    # module caches hold only the tables that depend on J alone.
+    cached = {name: fn for name, fn in vars(cos).items() if hasattr(fn, "cache_info")}
+    assert sorted(cached) == ["_dct_plan", "_next_fast_len", "_node_phase"]
+    for fn in cached.values():
+        assert [p.annotation for p in inspect.signature(fn).parameters.values()] == ["int"]
 
 
 def _inline_integrals(g, x_lo, x_hi, h, xbar, p_max):
@@ -560,7 +589,7 @@ class TestKernels:
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
         g = cos.CosGrid(-2.0, 2.0, 48)
-        phase = cos._phase(g)
-        assert cos._phase(cos.CosGrid(-2.0, 2.0, 48)) is phase
+        phase = g.phase
+        assert g.phase is phase
         with pytest.raises(ValueError):
             phase[0] = 0.0

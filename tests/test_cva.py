@@ -402,6 +402,28 @@ def test_a_report_reads_each_leg_at_the_spot_alone(model_put_riskfree, monkeypat
     assert shapes == [()] * 2 + [(64,)]
 
 
+def test_repr_leaves_a_fast_leg_y0_unformed(model_put_riskfree, monkeypatch):
+    shapes = []
+    evaluate = charfunc.CharFuncApprox.eval
+
+    def recorded(self, x, d=0):
+        shapes.append(np.shape(x))
+        return evaluate(self, x, d)
+
+    monkeypatch.setattr(charfunc.CharFuncApprox, "eval", recorded)
+    sched = bermudan.ExerciseSchedule(1.0, 10, 1)
+    res = cva.price_bermudan_cos(model_put_riskfree, _put(1.0), sched, J=64)
+    assert "y0=<function" in repr(res)
+    assert shapes == [()]
+    y0 = res.y0
+    assert shapes == [(), (64,)]
+    assert repr(res) == repr(res) and f"y0={y0!r}" in repr(res)
+    assert shapes == [(), (64,)]
+    # y0 still defaults to None for every pricer that does not set it.
+    bare = bsde.PricingResult(value=0.0, spot=0.0, grid=res.grid)
+    assert bare.y0 is None and "y0=None" in repr(bare)
+
+
 def test_non_finite_leg_value_raises():
     # e^{-r dt} = e^{300} per date overflows the coefficients within ten
     # dates (overflow warnings, and degenerate splits on the way).
@@ -479,7 +501,7 @@ class TestFoldedNewtonSeries:
         cont = sum(cos.m_matrix_product(payoff, grid, -0.3, grid.b, h, cf.g[h], 0.0)
                    for h in range(cf.order + 1))
         for V in (payoff, payoff + disc * cont):
-            folded = cf.fold(disc * cos._phase(grid) * V)
+            folded = cf.fold(disc * grid.phase * V)
             for x in np.linspace(grid.a, grid.b, 13):
                 got = folded(np.exp(1j * grid.freqs * x), x)
                 want = cva._leg_series(cf, grid, disc, V, x, 1)
@@ -577,7 +599,7 @@ class TestDateInvariantRows:
 
         x_prev = 0.0
         for _, x_star in reversed(res.boundary):
-            weights = disc * cos._phase(grid) * V
+            weights = disc * grid.phase * V
             folded = cf.fold(weights)
             for x in (grid.a, x_star, 0.5 * (x_star + grid.b)):
                 wave = np.exp(1j * grid.freqs * x)
@@ -608,7 +630,7 @@ class TestDateInvariantRows:
         cf = res.extras["series"].args[0]
         orders, g = cf._fold_rows
         assert orders == (0, 1, 2)
-        upper = [cos._anti(grid, grid.b, h, 0.0, 2 * grid.J - 2) for h in range(3)]
+        upper = [grid.upper_row(h, 0.0) for h in range(3)]
         for row in (g, cf._ixi, *upper):
             assert not row.flags.writeable
 

@@ -517,6 +517,18 @@ class TestCrnPair:
         assert abs(a.poisson_truncated / draws - p) < 5.0 * se
         assert mc.simulate(mdl, 0.5, steps, n, seed=4).poisson_truncated == 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the CRN pair caps a(x) dt at mc._POISSON_CAP = 200 and cuts each count "
+        "at 201 jumps: on the benchmark model (c = 0.1, T = 1, 2e4 paths x 100 steps, "
+        "seed 0) it truncates 353 draws on the defaultable leg and 853 on the "
+        "default-free leg",
+    )
+    def test_benchmark_paths_truncate_no_jump_count(self):
+        m_d = make_benchmark_model(0.05, 0.1)
+        d, r = mc.simulate_crn_pair(m_d, m_d.without_default(), 1.0, 100, 20_000, seed=0)
+        assert (d.poisson_truncated, r.poisson_truncated) == (0, 0)
+
     def test_common_noise_couples_the_legs(self, model_put_riskfree):
         risky = model_put_riskfree.with_default(
             lx.CoeffFamily.exponential(0.1, -2.0)
