@@ -405,7 +405,7 @@ def _job_greeks(rc: RunConfig):
         rc.model, dspec, rc.payoff, rc.schedule, J=rc.J, L=rc.L
     )
     delta, gamma = cvamod.greeks(
-        rc.model, dspec, rc.payoff, rc.schedule, legs=(res_d, res_r)
+        rc.model, dspec, rc.payoff, rc.schedule, J=rc.J, L=rc.L, legs=(res_d, res_r)
     )
     rows = [(rc.schedule.T, rc.payoff.strike, est, delta, gamma)]
     return ["T", "K", "CVA", "delta", "gamma"], rows, None

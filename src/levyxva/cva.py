@@ -287,9 +287,21 @@ def greeks(
 ):
     """(Delta, Gamma) of the CVA: difference of the per-leg cosine series.
 
-    ``legs`` takes the (defaultable, default-free) results of ``cva_report``.
-    When it is given, only the legs are read and the other arguments are
-    ignored; otherwise both legs are priced from them.
+    ``legs`` takes the (defaultable, default-free) results of ``cva_report``,
+    which are then read instead of priced; each must have been priced with
+    the schedule's T and M, the strike, J, L and the model's spot, or
+    ``ValueError`` is raised.  Otherwise both legs are priced from the
+    arguments.
     """
-    res_d, res_r = legs or cva_report(mdl, default_spec, payoff, schedule, J, L)[1:]
+    if legs is None:
+        legs = cva_report(mdl, default_spec, payoff, schedule, J, L)[1:]
+    asked = {"J": J, "L": L, "M": schedule.M, "T": schedule.T, "strike": payoff.strike}
+    for leg in legs:
+        priced = {key: leg.config[key] for key in asked}
+        if priced != asked or leg.spot != mdl.spot_x0:
+            raise ValueError(
+                f"a leg priced with {priced} at spot {leg.spot} does not match "
+                f"{asked} at spot {mdl.spot_x0}"
+            )
+    res_d, res_r = legs
     return res_r.delta - res_d.delta, res_r.gamma - res_d.gamma

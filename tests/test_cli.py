@@ -483,7 +483,7 @@ class TestJobs:
             rc.model, dspec, rc.payoff, rc.schedule, J=rc.J, L=rc.L
         )
         delta, gamma = cvamod.greeks(
-            rc.model, dspec, rc.payoff, rc.schedule, legs=(res_d, res_r)
+            rc.model, dspec, rc.payoff, rc.schedule, J=rc.J, L=rc.L, legs=(res_d, res_r)
         )
         got = [float(cell) for cell in rows[0]]
         assert got[2] == pytest.approx(est, rel=1e-5)

@@ -415,6 +415,20 @@ def _inline_integrals(g, x_lo, x_hi, h, xbar, p_max):
     return out
 
 
+# Transform lengths at exactly 2J - 1 (J = 8 pads to 15) and above it (75,
+# 200, 256), with limits inside, from a, and empty; the J = 128 inner
+# cases keep ids 0-2.  Each case also runs on sparse rows, 1-4 nonzero
+# weights at j = 0, interior modes and J - 1, which take the direct sum.
+_PRODUCT_CASES = [(128, h, "inner", str(h)) for h in range(3)] + [
+    (J, h, limits, f"J{J}-h{h}-{limits}")
+    for J in (8, 37, 100, 128)
+    for h in range(3)
+    for limits in ("inner", "from-a", "empty")
+    if (J, limits) != (128, "inner")
+]
+_SPARSE_SUPPORTS = ("0", "mid", "last", "0-last", "0-mid-last", "0-1-mid-last")
+
+
 class TestMMatrixProduct:
     """Restricted-interval re-projection against direct quadrature."""
 
@@ -446,28 +460,65 @@ class TestMMatrixProduct:
         got = dense_m_product(V, g, -0.4, 1.1, h, lam, 0.2)
         assert_allclose(got, self._oracle(V, g, -0.4, 1.1, h, lam, 0.2), atol=1e-12)
 
-    # Transform lengths at exactly 2J - 1 (J = 8 pads to 15) and above it (75,
-    # 200, 256), with limits inside, from a, and empty; the J = 128 inner
-    # cases keep ids 0-2.
     @pytest.mark.parametrize(
-        "J, h, limits",
-        [pytest.param(128, h, "inner", id=str(h)) for h in range(3)]
+        "J, h, limits, support",
+        [pytest.param(J, h, limits, None, id=name) for J, h, limits, name in _PRODUCT_CASES]
         + [
-            pytest.param(J, h, limits, id=f"J{J}-h{h}-{limits}")
-            for J in (8, 37, 100, 128)
-            for h in range(3)
-            for limits in ("inner", "from-a", "empty")
-            if (J, limits) != (128, "inner")
+            pytest.param(J, h, limits, support, id=f"{name}-nz{support}")
+            for J, h, limits, name in _PRODUCT_CASES
+            for support in _SPARSE_SUPPORTS
         ],
     )
-    def test_fft_matches_dense(self, J, h, limits):
+    def test_fft_matches_dense(self, J, h, limits, support):
         rng = np.random.default_rng(11)
         g = cos.CosGrid(-2.0, 2.4, J)
         x_lo, x_hi = {"inner": (-1.1, 0.7), "from-a": (g.a, 0.3), "empty": (0.3, 0.3)}[limits]
         V = rng.normal(size=J)
         lam = np.exp(-0.05 * g.freqs**2) * np.exp(0.3j * g.freqs)
         args = (V, g, x_lo, x_hi, h, lam, -0.2)
-        assert_allclose(cos.m_matrix_product(*args), dense_m_product(*args), atol=1e-10, rtol=0.0)
+        if support is None:
+            assert_allclose(cos.m_matrix_product(*args), dense_m_product(*args), atol=1e-10, rtol=0.0)
+            return
+        # the dense row with all but the named modes zeroed
+        live = [{"0": 0, "1": 1, "mid": J // 2, "last": J - 1}[m] for m in support.split("-")]
+        sparse = np.zeros(J, dtype=complex)
+        sparse[live] = lam[live]
+        args = (V, g, x_lo, x_hi, h, sparse, -0.2)
+        # Every |c_k| is at most 2 max|I_p| sum_j |lam_j V_j|.  Both sides
+        # sum the same at most 4 rounded products, each in its own order,
+        # so they differ by a few eps of that bound; 16 eps is fixed here.
+        I = cos.monomial_exp_integrals(g, x_lo, x_hi, h, -0.2, 2 * J - 2)
+        scale = 2.0 * np.max(np.abs(I)) * np.sum(np.abs(sparse * V))
+        tol = 16 * np.finfo(float).eps * scale
+        assert_allclose(cos.m_matrix_product(*args), dense_m_product(*args), atol=tol, rtol=0.0)
+
+    def test_rows_up_to_the_crossover_form_no_fft(self, monkeypatch):
+        g = cos.CosGrid(-2.0, 2.4, 100)
+        rng = np.random.default_rng(5)
+        V = rng.normal(size=g.J)
+        calls, fft = [], np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(a) or fft(*a, **k))
+        for count, ffts in ((cos._DIRECT_MAX, 0), (cos._DIRECT_MAX + 1, 1)):
+            lam = np.zeros(g.J, dtype=complex)
+            lam[np.linspace(0, g.J - 1, count).astype(int)] = rng.normal(size=count) + 0.5j
+            calls.clear()
+            got = cos.m_matrix_product(V, g, -0.7, g.b, 1, lam, 0.1)
+            assert len(calls) == ffts
+            want = dense_m_product(V, g, -0.7, g.b, 1, lam, 0.1)
+            assert_allclose(got, want, atol=1e-12 * np.max(np.abs(want)), rtol=0.0)
+
+    @pytest.mark.parametrize("bad", ["lam", "V"])
+    @pytest.mark.parametrize("length", [1, 7, 9])
+    @pytest.mark.parametrize("row", ["sparse", "dense"])
+    def test_rejects_weights_or_values_of_the_wrong_length(self, bad, length, row):
+        g = cos.CosGrid(-1.0, 1.0, 8)
+        lam = np.ones(8, dtype=complex)
+        if row == "sparse":
+            lam[1:] = 0.0
+        args = {"V": np.ones(8), "lam": lam}
+        args[bad] = np.resize(args[bad], length)
+        with pytest.raises(ValueError, match="one entry per mode"):
+            cos.m_matrix_product(args["V"], g, -0.5, 0.5, 1, args["lam"], 0.0)
 
     @pytest.mark.parametrize("J", [8, 37, 100, 256])
     @pytest.mark.parametrize("h", range(3))

@@ -331,6 +331,28 @@ class TestCvaAdjustment:
         )
         assert fresh == reused
 
+    @pytest.mark.parametrize("field", ["T", "M", "strike", "J", "L", "spot"])
+    def test_greeks_refuses_legs_priced_with_other_arguments(self, model_put_riskfree, field):
+        # The CLI job and the benchmark pass the arguments the legs were
+        # priced with (the reuse test above, ``test_cli`` and the workload
+        # test); legs priced with any other one are refused.
+        spec = self._default_spec(0.1)
+        legs = cva.cva_report(model_put_riskfree, spec, _put(1.0), self.sched, J=64)[1:]
+        args = dict(
+            mdl=model_put_riskfree, default_spec=spec, payoff=_put(1.0),
+            schedule=self.sched, J=64, L=10.0,
+        )
+        args.update({
+            "T": {"schedule": bermudan.ExerciseSchedule(0.5, 4, 10)},
+            "M": {"schedule": bermudan.ExerciseSchedule(1.0, 5, 10)},
+            "strike": {"payoff": _put(1.1)},
+            "J": {"J": 128},
+            "L": {"L": 12.0},
+            "spot": {"mdl": replace_spot(model_put_riskfree, 0.1)},
+        }[field])
+        with pytest.raises(ValueError, match="does not match"):
+            cva.greeks(**args, legs=legs)
+
 
 def _theta_cva(mdl, spec, T, J):
     """Theta-scheme CVA of the benchmark put (K = 1, N = M = 10): both legs
@@ -554,8 +576,20 @@ class TestDateInvariantRows:
     @staticmethod
     def _product(V, grid, x_lo, h, lam, xbar):
         J = grid.J
-        if not lam.any():
-            return np.zeros(J)
+        live = np.flatnonzero(lam)
+        if live.size <= cos._DIRECT_MAX:
+            # the live columns I_{j+k} + I_{j-k}, I_{-p} = conj(I_p), summed
+            # in ascending j
+            c = np.zeros(J, dtype=complex)
+            if live.size:
+                I = _inline_integrals(grid, x_lo, grid.b, h, xbar, live[-1] + J - 1)
+                u = lam[live] * V[live]
+                u[live == 0] *= 0.5
+                for j, uj in zip(live, u):
+                    lag = j - np.arange(J)
+                    toeplitz = np.where(lag >= 0, I[np.abs(lag)], np.conjugate(I[np.abs(lag)]))
+                    c += uj * (I[j : j + J] + toeplitz)
+            return c.real
         u = lam * np.asarray(V, dtype=complex)
         u[0] *= 0.5
         I = _inline_integrals(grid, x_lo, grid.b, h, xbar, 2 * J - 2)
