@@ -414,7 +414,7 @@ def m_matrix_product(
     _check_limits_and_order(grid, x_lo, x_hi, h)
     if np.shape(V) != (J,) or np.shape(lam) != (J,):
         raise ValueError(f"V and lam need one entry per mode, J = {J}")
-    live = lam.nonzero()[0]
+    live = np.asarray(lam).nonzero()[0]
     if live.size <= _DIRECT_MAX:
         return _direct_product(V, grid, x_lo, x_hi, h, lam, basepoint, live)
     # rows: Hankel kernel, Toeplitz kernel, reversed u, u

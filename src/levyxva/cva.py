@@ -295,13 +295,14 @@ def greeks(
     """
     if legs is None:
         legs = cva_report(mdl, default_spec, payoff, schedule, J, L)[1:]
-    asked = {"J": J, "L": L, "M": schedule.M, "T": schedule.T, "strike": payoff.strike}
-    for leg in legs:
-        priced = {key: leg.config[key] for key in asked}
-        if priced != asked or leg.spot != mdl.spot_x0:
-            raise ValueError(
-                f"a leg priced with {priced} at spot {leg.spot} does not match "
-                f"{asked} at spot {mdl.spot_x0}"
-            )
+    else:
+        asked = {"J": J, "L": L, "M": schedule.M, "T": schedule.T, "strike": payoff.strike}
+        for leg in legs:
+            priced = {key: leg.config[key] for key in asked}
+            if priced != asked or leg.spot != mdl.spot_x0:
+                raise ValueError(
+                    f"a leg priced with {priced} at spot {leg.spot} does not match "
+                    f"{asked} at spot {mdl.spot_x0}"
+                )
     res_d, res_r = legs
     return res_r.delta - res_d.delta, res_r.gamma - res_d.gamma

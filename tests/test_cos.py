@@ -16,7 +16,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 import levyxva as lx
@@ -519,6 +519,17 @@ class TestMMatrixProduct:
         args[bad] = np.resize(args[bad], length)
         with pytest.raises(ValueError, match="one entry per mode"):
             cos.m_matrix_product(args["V"], g, -0.5, 0.5, 1, args["lam"], 0.0)
+
+    @pytest.mark.parametrize("nonzeros", [1, 8])
+    def test_takes_weights_and_values_as_lists(self, nonzeros):
+        # Either path reads any array-like row, as the length check does.
+        g = cos.CosGrid(-1.0, 1.0, 8)
+        lam = np.zeros(8, dtype=complex)
+        lam[:nonzeros] = 0.5 + 0.25j
+        V = np.linspace(0.1, 0.8, 8)
+        want = cos.m_matrix_product(V, g, -0.5, 0.5, 1, lam, 0.0)
+        got = cos.m_matrix_product(list(V), g, -0.5, 0.5, 1, list(lam), 0.0)
+        assert_array_equal(got, want)
 
     @pytest.mark.parametrize("J", [8, 37, 100, 256])
     @pytest.mark.parametrize("h", range(3))
