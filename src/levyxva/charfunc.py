@@ -263,8 +263,8 @@ class CharFuncApprox:
             d2/dx2 Gamma_n = e^{i xi x} (i xi (i xi P + 2 P') + P''),
 
         all from one e^{i xi x}; row 0 is the d = 0 value bit for bit.
-        Correction rows that the trust region zeroed entirely are skipped:
-        they would only add zeros.
+        Every row up to the order is read, also one that the trust region
+        zeroed: ``fold``, the hot path, is the reader that skips those.
         """
         if self.basepoint.ndim:
             raise ValueError("eval needs a scalar-basepoint approximation")
@@ -273,24 +273,19 @@ class CharFuncApprox:
         x = np.asarray(x, dtype=float)
         dx = (x - self.basepoint)[..., None]
         acc = self.g[0] * np.ones_like(dx, dtype=complex)
-        for k in self._live_orders:
+        for k in range(1, self.order + 1):
             acc = acc + dx**k * self.g[k]
         wave = np.exp(self._ixi * x[..., None])
         out = (wave * acc).reshape(x.shape + self.freqs.shape)
         if not d:
             return out
-        first = self._ixi * acc
-        if self._live_orders:
-            # P' = g_1 + 2 dx g_2 and P'' = 2 g_2, rows above the order read 0.
-            g1, g2 = (*self.g[1:], 0.0, 0.0)[:2]
-            dp = g1 + 2.0 * dx * g2
-            first = first + dp
+        # P' = g_1 + 2 dx g_2 and P'' = 2 g_2, rows above the order read 0.
+        g1, g2 = (*self.g[1:], 0.0, 0.0)[:2]
+        dp = g1 + 2.0 * dx * g2
+        first = self._ixi * acc + dp
         rows = [out, wave * first]
         if d == 2:
-            if self._live_orders:
-                rows.append(wave * (self._ixi * (first + dp) + 2.0 * g2))
-            else:
-                rows.append(wave * (self._ixi * first))
+            rows.append(wave * (self._ixi * (first + dp) + 2.0 * g2))
         return np.stack(rows)
 
     def fold(self, weights):

@@ -63,32 +63,26 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 
 
-def newton_exercise_point(
-    c_fn, phi_fn, bracket, x0: float | None = None, c_value=None
-) -> float:
+def newton_exercise_point(c_fn, phi_fn, bracket, x0: float | None = None) -> float:
     """Root of c - phi on the bracket by safeguarded Newton.
 
     ``c_fn`` and ``phi_fn`` each return (value, slope) at x, so one call per
-    iterate gives both f and f'.  The sign test at the two bracket ends
-    reads values only: there c comes from ``c_value(x)`` (by default the
-    value of ``c_fn``), which must equal ``c_fn(x)[0]``.  An iterate that
-    leaves the live bracket, or a zero slope, falls back to bisection.
-    Without a sign change the split is degenerate: c > phi everywhere
-    means never exercise (returns the lower end), c < phi everywhere means
-    always exercise (returns the upper end).
+    point gives both f and f'; the sign test at the two bracket ends reads
+    the value of the same call.  An iterate that leaves the live bracket,
+    or a zero slope, falls back to bisection.  Without a sign change the
+    split is degenerate: c > phi everywhere means never exercise (returns
+    the lower end), c < phi everywhere means always exercise (returns the
+    upper end).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if hi <= lo:
         return lo
-    if c_value is None:
-        def c_value(x):
-            return c_fn(x)[0]
 
     def f(x):
         (c, dc), (p, dp) = c_fn(x), phi_fn(x)
         return float(c) - float(p), float(dc) - float(dp)
 
-    flo, fhi = (float(c_value(x)) - float(phi_fn(x)[0]) for x in (lo, hi))
+    flo, fhi = (f(x)[0] for x in (lo, hi))
     if abs(flo) < _NEWTON_TOL:
         return lo
     if abs(fhi) < _NEWTON_TOL:
@@ -182,8 +176,8 @@ def price_bermudan_cos(
         t_m = m * delta_t
         folded = cf.fold(disc_phase * V)
         x_star = newton_exercise_point(
-            lambda x: folded(np.exp(ixi * x), x), exercise_value,
-            (grid.a, x_up), x0=x_star, c_value=lambda x: folded(end_waves[x], x)[0],
+            lambda x: folded(end_waves[x] if x in end_waves else np.exp(ixi * x), x),
+            exercise_value, (grid.a, x_up), x0=x_star,
         )
         lap("newton")
         if x_star <= grid.a or x_star >= grid.b:

@@ -524,8 +524,15 @@ def dump_paths(batch: PathBatch, path: str) -> None:
 
 
 def load_paths(path: str) -> dict:
-    """Read a ``dump_paths`` file back into {seed, steps, n_paths, x}."""
+    """Read a ``dump_paths`` file back into {seed, steps, n_paths, x};
+    ``ValueError`` if its length is not the one its header gives."""
     with open(path, "rb") as fh:
-        seed, steps, n_paths = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n_paths, steps + 1)
+        raw = fh.read()
+    size = _HEADER.size
+    if len(raw) >= size:
+        seed, steps, n_paths = _HEADER.unpack_from(raw)
+        size += 8 * n_paths * (steps + 1)
+    if len(raw) != size:
+        raise ValueError(f"{path}: expected {size} bytes, found {len(raw)}")
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n_paths, steps + 1)
     return {"seed": seed, "steps": steps, "n_paths": n_paths, "x": data.copy()}

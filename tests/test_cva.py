@@ -83,66 +83,6 @@ class TestNewtonExercisePoint:
         ) == 1.0
 
 
-def _kinked_put(x):
-    ex = math.exp(x)
-    return max(1.0 - ex, 0.0), (-ex if ex < 1.0 else 0.0)
-
-
-# (c_fn, phi_fn, bracket, x0) of the TestNewtonExercisePoint cases above.
-_NEWTON_CASES = {
-    "linear": (lambda x: (x, 1.0), lambda x: (0.5, 0.0), (0.0, 1.0), None),
-    "smooth": (lambda x: (math.exp(x), math.exp(x)), lambda x: (2.0, 0.0), (0.0, 2.0), None),
-    "kinked": (lambda x: (0.3, 0.0), _kinked_put, (-1.0, 0.5), -0.9),
-    "zero-slope": (lambda x: (x**3, 3.0 * x**2), lambda x: (1e-3, 0.0), (-1.0, 1.0), 0.0),
-    "never": (lambda x: (x + 2.0, 1.0), lambda x: (x, 1.0), (-1.0, 1.0), None),
-    "always": (lambda x: (x - 2.0, 1.0), lambda x: (x, 1.0), (-1.0, 1.0), None),
-    "degenerate": (lambda x: (x, 1.0), lambda x: (x, 1.0), (1.0, 1.0), None),
-}
-
-
-class TestNewtonValueOnlyEnds:
-    """The sign test at the bracket ends reads values, never slopes."""
-
-    @pytest.mark.parametrize("case", sorted(_NEWTON_CASES))
-    def test_no_slope_at_the_bracket_ends(self, case):
-        c_fn, phi_fn, bracket, x0 = _NEWTON_CASES[case]
-        slope_at, value_at = [], []
-
-        def counted(x):
-            slope_at.append(x)
-            return c_fn(x)
-
-        def value(x):
-            value_at.append(x)
-            return c_fn(x)[0]
-
-        got = cva.newton_exercise_point(counted, phi_fn, bracket, x0=x0, c_value=value)
-        assert got == cva.newton_exercise_point(c_fn, phi_fn, bracket, x0=x0)
-        assert not set(slope_at) & set(bracket)
-        assert value_at == ([] if case == "degenerate" else list(bracket))
-
-    def test_leg_roots_use_value_only_ends(self, model_put, monkeypatch):
-        newton = cva.newton_exercise_point
-        seen = []
-
-        def recorded(c_fn, phi_fn, bracket, x0=None, c_value=None):
-            slope_at = []
-
-            def counted(x):
-                slope_at.append(x)
-                return c_fn(x)
-
-            root = newton(counted, phi_fn, bracket, x0=x0, c_value=c_value)
-            seen.append((c_value is not None, set(slope_at) & set(bracket)))
-            assert root == newton(c_fn, phi_fn, bracket, x0=x0)
-            assert [c_value(x) for x in bracket] == [c_fn(x)[0] for x in bracket]
-            return root
-
-        monkeypatch.setattr(cva, "newton_exercise_point", recorded)
-        cva.price_bermudan_cos(model_put, _put(1.0), bermudan.ExerciseSchedule(1.0, 10, 1), J=100)
-        assert seen == [(True, set())] * 9
-
-
 class TestDefaultableEuropean:
     """Constant intensity: killing + drift compensation = rate bump."""
 
@@ -354,20 +294,48 @@ class TestCvaAdjustment:
             cva.greeks(**args, legs=legs)
 
 
-def _theta_cva(mdl, spec, T, J):
-    """Theta-scheme CVA of the benchmark put (K = 1, N = M = 10): both legs
-    by ``price_bermudan_xva`` with the simplified driver at r, which for a
-    put (y >= 0) is the fast leg's discounting; each leg on its own grid."""
-    sched = bermudan.ExerciseSchedule(T, 10, 10)
+def _theta_cva(mdl, spec, T, J, K=1.0, N=10, grids=(None, None)):
+    """Theta-scheme CVA of a Bermudan put (M = 10, N steps per interval):
+    both legs by ``price_bermudan_xva`` with the simplified driver at r,
+    which for a put (y >= 0) is the fast leg's discounting; each leg on its
+    own grid, or on the given (defaultable, default-free) grids."""
+    sched = bermudan.ExerciseSchedule(T, 10, N)
     drv = _discounting_driver(mdl.rate_r)
-    m_d, m_r = cva.leg_models(mdl, spec)
+    (m_d, m_r), (g_d, g_r) = cva.leg_models(mdl, spec), grids
     return (
-        bermudan.price_bermudan_xva(m_r, _put(1.0), sched, drv, J=J).value
-        - bermudan.price_bermudan_xva(m_d, _put(1.0), sched, drv, J=J).value
+        bermudan.price_bermudan_xva(m_r, _put(K), sched, drv, J=J, grid=g_r).value
+        - bermudan.price_bermudan_xva(m_d, _put(K), sched, drv, J=J, grid=g_d).value
     )
 
 
 _CVA_SPEC = cva.DefaultSpec(intensity=lx.CoeffFamily.exponential(0.1, -2.0))
+
+# Fast CVA (J = 100) minus theta-scheme CVA (J = 256, N = 1), measured, at
+# the criterion-4 cells (c = 0.1, M = 10) that miss by more than 1e-4.
+_CELL_MISSES = {
+    (0.5, 0.6): -3.9e-4, (0.5, 0.8): -1.01e-3, (0.5, 1.0): -7.4e-4,
+    (1.0, 0.6): -1.97e-3, (1.0, 0.8): -3.04e-3, (1.0, 1.0): -7.5e-4,
+    (1.0, 1.2): 1.28e-3, (1.0, 1.4): 1.41e-4, (1.0, 1.6): 1.67e-4,
+}
+
+
+def _cell(T, K):
+    miss = _CELL_MISSES.get((T, K))
+    marks = () if miss is None else pytest.mark.xfail(
+        strict=True,
+        reason=f"the fast leg, its coefficients frozen at X0, misses the "
+        f"theta-scheme CVA by {miss:+.3g} (ROADMAP items 4 and 23)",
+    )
+    return pytest.param(T, K, marks=marks, id=f"T{T}-K{K}")
+
+
+def _delta_cell(K, T, c, fast, bump, miss):
+    return pytest.param(K, T, c, id=f"K{K}-T{T}-c{c}", marks=pytest.mark.xfail(
+        strict=True,
+        reason=f"the fast delta {fast:+.5f} reads the expansion frozen at X0 and "
+        f"misses the theta-scheme bump {bump:+.5f} by {miss} "
+        "(ROADMAP item 20)",
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +360,34 @@ class TestThetaSchemeCva:
         sched = bermudan.ExerciseSchedule(T, 10, 1)
         fast = cva.cva(model_put_riskfree, _CVA_SPEC, _put(1.0), sched, J=100)
         assert abs(fast - theta_cva[T]) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "T, K", [_cell(T, K) for T in (0.5, 1.0) for K in (0.6, 0.8, 1.0, 1.2, 1.4, 1.6)]
+    )
+    def test_fast_cva_matches_the_theta_scheme_at_every_strike(self, model_put_riskfree, T, K):
+        # The cells of criterion 4; the theta-scheme at N = 1 keeps this cheap.
+        sched = bermudan.ExerciseSchedule(T, 10, 1)
+        fast = cva.cva(model_put_riskfree, _CVA_SPEC, _put(K), sched, J=100)
+        theta = _theta_cva(model_put_riskfree, _CVA_SPEC, T, 256, K=K, N=1)
+        assert abs(fast - theta) <= 1e-4
+
+    @pytest.mark.parametrize("K, T, c", [
+        _delta_cell(1.6, 1.0, 0.2, fast=-0.00007, bump=-0.06031, miss=0.0602),
+        _delta_cell(1.4, 0.5, 0.1, fast=-0.00166, bump=-0.01381, miss=0.0122),
+    ])
+    def test_fast_cva_delta_matches_a_theta_scheme_bump(self, model_put_riskfree, K, T, c):
+        mdl, h = model_put_riskfree, 0.01
+        spec = cva.DefaultSpec(intensity=lx.CoeffFamily.exponential(c, -2.0))
+        sched = bermudan.ExerciseSchedule(T, 10, 1)
+        _, res_d, res_r = cva.cva_report(mdl, spec, _put(K), sched, J=100)
+        fast = cva.greeks(mdl, spec, _put(K), sched, J=100, legs=(res_d, res_r))[0]
+        # Each leg's grid stays fixed under the bump, so only the spot moves.
+        grids = tuple(bsde.make_cos_grid(m, T, 256) for m in cva.leg_models(mdl, spec))
+        up, down = (
+            _theta_cva(replace_spot(mdl, mdl.spot_x0 + dx), spec, T, 256, K=K, N=1, grids=grids)
+            for dx in (h, -h)
+        )
+        assert abs(fast - (up - down) / (2.0 * h)) <= 1e-3
 
     @pytest.mark.parametrize("T", [0.5, 1.0])
     def test_theta_scheme_cva_is_nonnegative(self, theta_cva, T):

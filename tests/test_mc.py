@@ -698,3 +698,17 @@ class TestDumpLoad:
         body = np.frombuffer(raw[24:], dtype="<f8").reshape(50, 5)
         assert_allclose(body, b.x, rtol=0.0, atol=0.0)
         assert len(raw) == 24 + 50 * 5 * 8
+
+    @pytest.mark.parametrize(
+        "size, expected",
+        [(10, 24), (64, 144), (152, 144)],
+        ids=["short-header", "truncated-body", "padded-body"],
+    )
+    def test_rejects_a_file_whose_length_does_not_match_its_header(self, tmp_path, size, expected):
+        # steps = 2 and n_paths = 5 make a 24 + 5 * 3 * 8 = 144 byte file.
+        b = mc.simulate(make_constant_model(0.2, 0.0, 0.0, 0.0, 0.05, 0.0), 0.5, 2, 5, seed=3)
+        path = tmp_path / "paths.bin"
+        mc.dump_paths(b, path)
+        path.write_bytes((path.read_bytes() + bytes(8))[:size])
+        with pytest.raises(ValueError, match=f"expected {expected} bytes, found {size}$"):
+            mc.load_paths(path)
